@@ -37,6 +37,13 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _check_fraction(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"mixing fraction {name}={value} outside [0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Point of the Bloch ball, components dimensionless."""
@@ -230,8 +237,6 @@ def three_mix_eigenvalues(w: MixtureWeights, p: float) -> PauliEigenvalues:
 
 def two_mix_eigenvalues(a: float, p: float) -> PauliEigenvalues:
     """Channel eigenvalues of the two-way blend a Ez + (1-a) Ey."""
-    a = _require_finite("a", a)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing fraction a={a} outside [0, 1]")
+    a = _check_fraction("a", a)
     p = _check_p(p, upper_open=True)
     return PauliEigenvalues(1.0 - 2.0 * p, 1.0 - 2.0 * a * p, 1.0 - 2.0 * (1.0 - a) * p)

@@ -18,20 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SIGMA_Y, SIGMA_Z, _check_p, _require_finite
+from .channels import SIGMA_Y, SIGMA_Z, _check_fraction, _check_p, _require_finite
 
 #: eigenvalue floor below which an intermediate map counts as NCP
 WITNESS_TOL = 1e-9
 
 MARKOVIAN_VERDICT = "MARKOVIAN"
 NONMARKOVIAN_VERDICT = "NONMARKOVIAN"
-
-
-def _check_a(a: float) -> float:
-    a = _require_finite("a", a)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing fraction a={a} outside [0, 1]")
-    return a
 
 
 def intermediate_ratios(a: float, q: float, p: float) -> tuple:
@@ -44,7 +37,7 @@ def intermediate_ratios(a: float, q: float, p: float) -> tuple:
     Each lies in (0, 1], equal to 1 exactly when q = p.  The map must run
     forward, so q < p is rejected.
     """
-    a = _check_a(a)
+    a = _check_fraction("a", a)
     q = _check_p(q, upper_open=True)
     p = _check_p(p, upper_open=True)
     if q < p:
@@ -165,7 +158,7 @@ def sweep_for_ncp(
     Scans q over an even grid in (p, 1/2); the returned report is the one
     with the smallest minimum eigenvalue, whether or not it crossed -tol.
     """
-    _check_a(a)
+    _check_fraction("a", a)
     p = _check_p(p, upper_open=True)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -187,7 +180,7 @@ def a_matrix(a: float, p: float) -> np.ndarray:
     Built column by column from the channel action on the matrix units, so it
     is independent of any eigenvalue bookkeeping.
     """
-    a = _check_a(a)
+    a = _check_fraction("a", a)
     p = _check_p(p, upper_open=True)
     out = np.zeros((4, 4), dtype=complex)
     for j in range(4):
@@ -218,7 +211,7 @@ def a_matrix_choi(a: float, q: float, p: float) -> ChoiMatrix:
     reshuffles.  Must agree entrywise with choi_matrix(intermediate_ratios(...));
     the ratio metadata is read back off the reshuffled matrix itself.
     """
-    a = _check_a(a)
+    a = _check_fraction("a", a)
     q = _check_p(q, upper_open=True)
     p = _check_p(p, upper_open=True)
     if q < p:

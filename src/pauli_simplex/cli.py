@@ -17,11 +17,12 @@ import math
 import sys
 
 import click
+import numpy as np
 
 from . import __version__
-from .channels import MixtureWeights
+from .channels import AXES, MixtureWeights
 from .choi import a_matrix_choi, choi_matrix, rhp_witness
-from .divisibility import classify
+from .divisibility import MARKOVIAN, NONMARKOVIAN, classify
 from .generator import finite_difference_rates, three_mix_rates
 from .geometry import (
     boundary_curve,
@@ -63,6 +64,18 @@ def _emit(record: dict, as_json: bool) -> None:
     for section in ("params", "results"):
         for key, value in record[section].items():
             click.echo(f"{key:<12} {_human(value)}")
+
+
+def _write_csv(out: str, header: list, columns: list) -> None:
+    """Write the header, then one row per position of the equal-length columns."""
+    try:
+        with open(out, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
+    except OSError as exc:
+        click.echo(f"cannot write {out}: {exc}", err=True)
+        sys.exit(_IO_EXIT)
 
 
 def _weights(a: float, b: float, c: float) -> MixtureWeights:
@@ -148,43 +161,24 @@ def classify_cmd(a, b, c, as_json):
 @cli.command()
 @click.option("--n", required=True, type=int, help="grid resolution (>= 1)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
-@click.option("--threads", type=int, default=1, show_default=True)
-def scan(n, out, threads):
+def scan(n, out):
     """Classify the triangular grid and write one CSV row per point."""
-    if n < 1:
-        raise click.UsageError(f"grid resolution must be >= 1, got {n}")
-    if threads < 1:
-        raise click.UsageError(f"threads must be >= 1, got {threads}")
-    points = scan_grid(n, threads=threads)
-    markovian = sum(gp.label.markovian for gp in points)
     try:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"]
-            )
-            for gp in points:
-                gx, gy, gz = gp.label.limit_rates
-                writer.writerow(
-                    [
-                        repr(gp.weights.a),
-                        repr(gp.weights.b),
-                        repr(gp.weights.c),
-                        repr(gp.uv[0]),
-                        repr(gp.uv[1]),
-                        gp.label.tag,
-                        gp.label.region or "",
-                        repr(gx),
-                        repr(gy),
-                        repr(gz),
-                    ]
-                )
-    except OSError as exc:
-        click.echo(f"cannot write {out}: {exc}", err=True)
-        sys.exit(_IO_EXIT)
+        weights, uv, rates, codes = scan_grid(n)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    markovian = codes < 0
+    floats = [map(repr, col.tolist()) for col in (*weights.T, *uv.T, *rates.T)]
+    labels = np.where(markovian, MARKOVIAN, NONMARKOVIAN).tolist()
+    regions = np.array(["", *AXES])[codes + 1].tolist()
+    _write_csv(
+        out,
+        ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"],
+        [*floats[:5], labels, regions, *floats[5:]],
+    )
     click.echo(
-        f"wrote {len(points)} rows to {out} "
-        f"(markovian fraction {markovian / len(points):.9g})"
+        f"wrote {len(codes)} rows to {out} "
+        f"(markovian fraction {int(markovian.sum()) / len(codes):.9g})"
     )
 
 
@@ -232,21 +226,13 @@ def measure(method, tol, samples, seed, threads, as_json):
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
-    if points < 2:
-        raise click.UsageError(f"need at least 2 points per branch, got {points}")
-    curve = boundary_curve(region, points)
-    uv = to_pauli_neutral_array(curve.samples)
     try:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["a", "b", "c", "u", "v", "branch"])
-            for row, (u, v), br in zip(curve.samples, uv, curve.branch):
-                writer.writerow(
-                    [repr(float(x)) for x in (row[0], row[1], row[2], u, v)] + [int(br)]
-                )
-    except OSError as exc:
-        click.echo(f"cannot write {out}: {exc}", err=True)
-        sys.exit(_IO_EXIT)
+        curve = boundary_curve(region, points)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    uv = to_pauli_neutral_array(curve.samples)
+    floats = [map(repr, col.tolist()) for col in (*curve.samples.T, *uv.T)]
+    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], [*floats, curve.branch.tolist()])
     click.echo(f"wrote {2 * points} rows to {out}")
 
 

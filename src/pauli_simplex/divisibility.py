@@ -63,12 +63,26 @@ def limit_rates(w: MixtureWeights) -> tuple:
     return (float(gx), float(gy), float(gz))
 
 
+def _divisibility(rates: np.ndarray) -> np.ndarray:
+    """Region codes of an (n, 3) rate array: -1 Markovian, else axis index.
+
+    Any two limiting rates sum to 2 f(w_k) >= 0, so at most one falls below
+    NEG_TOL, and the most negative rate names the region.
+    """
+    rates = np.atleast_2d(rates)
+    return np.where((rates < NEG_TOL).any(axis=1), np.argmin(rates, axis=1), -1)
+
+
+def _label(rates: np.ndarray) -> RegionLabel:
+    """Verdict of one blend from its three rates, by the region rule."""
+    code = int(_divisibility(rates)[0])
+    tag, region = (MARKOVIAN, None) if code < 0 else (NONMARKOVIAN, AXES[code])
+    return RegionLabel(tag, region, tuple(float(g) for g in rates))
+
+
 def region_codes(weights: np.ndarray) -> np.ndarray:
     """Classify rows of an (n, 3) weight array; -1 Markovian, else axis index."""
-    rates = limit_rates_array(weights)
-    negative = rates < NEG_TOL
-    codes = np.where(negative.any(axis=1), np.argmin(rates, axis=1), -1)
-    return codes
+    return _divisibility(limit_rates_array(weights))
 
 
 def classify(w: MixtureWeights) -> RegionLabel:
@@ -77,12 +91,7 @@ def classify(w: MixtureWeights) -> RegionLabel:
     The Markovian set is closed: a limiting rate that merely reaches zero
     never goes negative at finite p, so boundary points count as Markovian.
     """
-    rates = limit_rates(w)
-    negative = [g < NEG_TOL for g in rates]
-    if not any(negative):
-        return RegionLabel(MARKOVIAN, None, rates)
-    region = AXES[negative.index(True)]
-    return RegionLabel(NONMARKOVIAN, region, rates)
+    return _label(limit_rates_array(w.as_array())[0])
 
 
 def default_scan_grid() -> np.ndarray:
@@ -121,10 +130,7 @@ def classify_by_rate_scan(w: MixtureWeights, p_grid: np.ndarray | None = None) -
     Independent of the limiting-rate shortcut; `classify` must agree with
     this on every input.  The reported rates are the grid minima per axis.
     """
-    mins = rate_minima_over_grid(w.as_array(), p_grid)[0]
-    if not (mins < NEG_TOL).any():
-        return RegionLabel(MARKOVIAN, None, tuple(mins))
-    return RegionLabel(NONMARKOVIAN, AXES[int(np.argmin(mins))], tuple(mins))
+    return _label(rate_minima_over_grid(w.as_array(), p_grid)[0])
 
 
 def p_divisibility_check(w: MixtureWeights, p_grid) -> bool:

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MixtureWeights, _check_p, _require_finite, three_mix_eigenvalues
+from .channels import (
+    MixtureWeights, _check_fraction, _check_p, _require_finite, three_mix_eigenvalues,
+)
 
 CONVENTIONS = ("reduced", "physical")
 
@@ -52,9 +54,7 @@ def rate_term(alpha: float, p: float) -> float:
     p=0, and strictly increasing in p whenever alpha < 1.  Each reduced decay
     rate is a signed sum of three of these terms.
     """
-    alpha = _require_finite("alpha", alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"mixing fraction alpha={alpha} outside [0, 1]")
+    alpha = _check_fraction("alpha", alpha)
     p = _check_p(p, upper_open=True)
     return (1.0 - alpha) / (1.0 - 2.0 * (1.0 - alpha) * p)
 
@@ -106,9 +106,7 @@ def two_mix_cross_rate(a: float, p: float, pdot: float) -> float:
     twice this value; the two agree in sign everywhere, which is all the
     classification uses.
     """
-    a = _require_finite("a", a)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing fraction a={a} outside [0, 1]")
+    a = _check_fraction("a", a)
     p = _check_p(p, upper_open=True)
     pdot = _require_finite("pdot", pdot)
     if pdot <= 0:

@@ -13,20 +13,14 @@ normalized so the whole simplex has measure 1.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import AXES, MixtureWeights, _require_finite
-from .divisibility import (
-    MARKOVIAN,
-    NEG_TOL,
-    NONMARKOVIAN,
-    RegionLabel,
-    limit_rates_array,
-    region_codes,
-)
+from .divisibility import _divisibility, limit_rates_array, region_codes
 
 #: radicand values in (-RADICAND_TOL, 0) are rounded up to 0 (band edge rounding)
 RADICAND_TOL = 1e-12
@@ -70,20 +64,19 @@ def boundary_roots(b: float, x: float) -> tuple | None:
     b = _require_finite("b", b)
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"coordinate b={b} outside [0, 1]")
-    x = _require_finite("x", x)
-    if not 0.0 <= x < 0.5:
-        raise ValueError(f"offset x={x} outside [0, 1/2)")
+    edge = band_edge(x)  # also validates x
+    x = float(x)
     p = 0.5 - x
     lead = 2.0 * p * (1.0 - p * (1.0 - b))
     mid = -(1.0 - b) * lead
     const = b * (1.0 - 2.0 * p + 2.0 * p * p * (1.0 - b))
     disc = mid * mid - 4.0 * lead * const
     if disc < 0.0:
-        if disc < -RADICAND_TOL and b <= band_edge(x):
+        if disc < -RADICAND_TOL and b <= edge:
             raise ValueError(
                 f"negative radicand {disc:.3e} inside the band at b={b}, x={x}"
             )
-        if b > band_edge(x):
+        if b > edge:
             return None
         disc = 0.0
     root = math.sqrt(disc)
@@ -116,10 +109,7 @@ def boundary_curve(region: str, points: int) -> BoundaryCurve:
         raise ValueError(f"need at least 2 points per branch, got {points}")
     edge = band_edge(0.0)
     bs = np.linspace(0.0, edge, points)
-    lo = np.empty_like(bs)
-    hi = np.empty_like(bs)
-    for i, b in enumerate(bs):
-        lo[i], hi[i] = boundary_roots(float(b), 0.0)
+    lo, hi = np.array([boundary_roots(float(b), 0.0) for b in bs]).T
     own = np.concatenate([bs, bs[::-1]])
     a_coord = np.concatenate([lo, hi[::-1]])
     other = 1.0 - own - a_coord
@@ -263,10 +253,11 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
         codes = region_codes(points)
         return np.array([(codes == k).sum() for k in range(3)])
 
-    if threads == 1 or n_chunks == 1:
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    if workers == 1:
         counts = sum(count_chunk(i) for i in range(n_chunks))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = sum(pool.map(count_chunk, range(n_chunks)))
 
     fractions = counts / n
@@ -299,49 +290,30 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
     return np.asarray(weights, dtype=float) @ _TRIANGLE
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    weights: MixtureWeights
-    label: RegionLabel
-    uv: tuple
-
-
 def grid_weights(n: int) -> np.ndarray:
     """Triangular lattice (i/n, j/n, (n-i-j)/n), rows lexicographic in (i, j)."""
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
-    rows = [
-        (i / n, j / n, (n - i - j) / n)
-        for i in range(n + 1)
-        for j in range(n - i + 1)
-    ]
-    return np.array(rows)
+    i, k = np.triu_indices(n + 1)  # k = i + j runs from i to n
+    return np.column_stack([i / n, (k - i) / n, (n - k) / n])
 
 
-def scan_grid(n: int, threads: int = 1) -> list:
+def scan_grid(n: int) -> tuple:
     """Classify and embed every point of the resolution-n triangular grid.
 
-    Returns (n+1)(n+2)/2 GridPoint entries in lexicographic (i, j) order; the
+    Returns columns (weights, uv, rates, codes): (m, 3), (m, 2), (m, 3) and
+    (m,) arrays over the m = (n+1)(n+2)/2 grid rows in lexicographic (i, j)
+    order; codes are -1 for Markovian, else the region's axis index.  The
     Markovian fraction of the grid converges to the Markovian measure.
+
+    Where a row's float sum (w0 + w1) + w2 is not exactly 1 (4,432 rows at
+    n = 400), `weights` holds the MixtureWeights renormalization
+    w / ((w0 + w1) + w2) while uv, rates and codes come from the raw row, as
+    the scan CSV always has.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     points = grid_weights(n)
     uv = to_pauli_neutral_array(points)
-    if threads == 1:
-        rates = limit_rates_array(points)
-    else:
-        chunks = np.array_split(points, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rates = np.concatenate(list(pool.map(limit_rates_array, chunks)))
-    negative = rates < NEG_TOL
-    out = []
-    for k in range(points.shape[0]):
-        w = MixtureWeights(*points[k])
-        gammas = tuple(float(g) for g in rates[k])
-        if negative[k].any():
-            label = RegionLabel(NONMARKOVIAN, AXES[int(np.argmin(rates[k]))], gammas)
-        else:
-            label = RegionLabel(MARKOVIAN, None, gammas)
-        out.append(GridPoint(w, label, (float(uv[k, 0]), float(uv[k, 1]))))
-    return out
+    rates = limit_rates_array(points)
+    total = (points[:, :1] + points[:, 1:2]) + points[:, 2:]
+    weights = np.where(total == 1.0, points, points / total)
+    return weights, uv, rates, _divisibility(rates)

@@ -15,6 +15,8 @@ from pauli_simplex.channels import (
     three_mix_eigenvalues,
     two_mix_eigenvalues,
 )
+from pauli_simplex.choi import a_matrix, intermediate_ratios
+from pauli_simplex.generator import rate_term, two_mix_cross_rate
 
 
 def random_states(count, seed=0):
@@ -203,3 +205,25 @@ class TestStateTypes:
     def test_rejects_negative_state(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+class TestFractionValidation:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: rate_term(1.5, 0.1), "mixing fraction alpha=1.5 outside [0, 1]"),
+            (lambda: rate_term(float("nan"), 0.1), "alpha must be finite, got nan"),
+            (lambda: two_mix_eigenvalues(-0.5, 0.1), "mixing fraction a=-0.5 outside [0, 1]"),
+            (lambda: two_mix_cross_rate(1.5, 0.1, 1.0), "mixing fraction a=1.5 outside [0, 1]"),
+            (lambda: intermediate_ratios(1.5, 0.3, 0.2), "mixing fraction a=1.5 outside [0, 1]"),
+            (lambda: a_matrix(2.0, 0.2), "mixing fraction a=2.0 outside [0, 1]"),
+        ],
+        ids=[
+            "rate_term", "rate_term_nan", "two_mix_eigenvalues", "two_mix_cross_rate",
+            "intermediate_ratios", "a_matrix",
+        ],
+    )
+    def test_one_message_everywhere(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -1,11 +1,19 @@
 import csv
+import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from pauli_simplex.cli import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: SHA-256 of the `scan --n 400` CSV
+SCAN_400_SHA256 = "e4078959146d86a6e3016be2bc45d3fee182a7fd7e007a8342de308da8d126d5"
 
 
 @pytest.fixture
@@ -137,6 +145,12 @@ class TestScan:
         run_ok(runner, ["scan", "--n", "15", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    def test_golden_n400(self, runner, tmp_path):
+        out = tmp_path / "grid.csv"
+        result = run_ok(runner, ["scan", "--n", "400", "--out", str(out)])
+        assert result.output == f"wrote 80601 rows to {out} (markovian fraction 0.130308557)\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_400_SHA256
+
     def test_io_failure_exit_code(self, runner, tmp_path):
         result = runner.invoke(
             cli, ["scan", "--n", "2", "--out", str(tmp_path / "missing" / "x.csv")]
@@ -146,6 +160,8 @@ class TestScan:
     def test_bad_resolution(self, runner, tmp_path):
         result = runner.invoke(cli, ["scan", "--n", "0", "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
+        assert "grid resolution must be >= 1, got 0" in result.output
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestMeasure:
@@ -225,6 +241,8 @@ class TestBoundary:
             cli, ["boundary", "--region", "Y", "--points", "1", "--out", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
+        assert "need at least 2 points per branch, got 1" in result.output
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestChoi:
@@ -276,3 +294,13 @@ class TestRecordFormat:
         line = [l for l in result.output.splitlines() if l.startswith("region_y")][0]
         value = line.split()[-1]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+class TestReadme:
+    def test_json_example_is_real_output(self, runner):
+        (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        example = json.loads(block)
+        params = example["params"]
+        args = ["measure", "--method", params["method"], "--samples", str(params["samples"]),
+                "--seed", str(params["seed"]), "--json"]
+        assert json.loads(run_ok(runner, args).output) == example

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pauli_simplex import geometry
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.divisibility import classify, limit_rates_array
 from pauli_simplex.generator import three_mix_rates
@@ -161,6 +162,36 @@ class TestMonteCarlo:
         b = monte_carlo_measures(50_000, seed=7)
         assert a == b
 
+    def test_worker_count_is_capped(self, monkeypatch):
+        # a huge thread request gets no more workers than chunks or cores;
+        # the fake pool records the request and maps serially, so no real
+        # pool is ever started with a large worker count
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", FakePool)
+        n = 3 * (1 << 18)
+        serial = monte_carlo_measures(n, seed=9, threads=1)
+        for cores, workers in ((64, 3), (2, 2)):
+            monkeypatch.setattr(geometry.os, "cpu_count", lambda: cores)
+            assert monte_carlo_measures(n, seed=9, threads=10**6) == serial
+            assert requested[-1] == workers
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: None)
+        assert monte_carlo_measures(n, seed=9, threads=10**6) == serial
+        assert requested == [3, 2]  # one usable core runs serially
+
     def test_thread_count_does_not_change_result(self):
         a = monte_carlo_measures(600_000, seed=3, threads=1)
         b = monte_carlo_measures(600_000, seed=3, threads=4)
@@ -217,18 +248,23 @@ class TestEmbedding:
 
 class TestScanGrid:
     def test_resolution_one_is_vertices(self):
-        points = scan_grid(1)
-        assert len(points) == 3
-        assert all(gp.label.markovian for gp in points)
+        weights, uv, rates, codes = scan_grid(1)
+        assert len(codes) == 3
+        assert (codes == -1).all()
 
     def test_resolution_two(self):
-        points = scan_grid(2)
-        assert len(points) == 6
-        markovian = [gp for gp in points if gp.label.markovian]
-        assert len(markovian) == 3  # the vertices
-        for gp in points:
-            if not gp.label.markovian:
-                assert 0.5 in (gp.weights.a, gp.weights.b, gp.weights.c)
+        weights, uv, rates, codes = scan_grid(2)
+        assert len(codes) == 6
+        markovian = codes == -1
+        assert markovian.sum() == 3  # the vertices
+        for row in weights[~markovian]:
+            assert 0.5 in row
+
+    def test_columns_have_one_row_per_point(self):
+        weights, uv, rates, codes = scan_grid(9)
+        assert weights.shape == rates.shape == (55, 3)
+        assert uv.shape == (55, 2)
+        assert codes.shape == (55,)
 
     def test_row_order_lexicographic(self):
         pts = grid_weights(3)
@@ -237,26 +273,40 @@ class TestScanGrid:
         ]
         np.testing.assert_allclose(pts[:, :2], expected, atol=1e-15)
 
+    def test_grid_matches_loop_reference(self):
+        n = 37
+        rows = [(i / n, j / n, (n - i - j) / n) for i in range(n + 1) for j in range(n - i + 1)]
+        np.testing.assert_array_equal(grid_weights(n), np.array(rows))
+
     def test_matches_scalar_classify(self):
-        for gp in scan_grid(12):
-            label = classify(gp.weights)
-            assert gp.label.tag == label.tag
-            assert gp.label.region == label.region
+        weights, uv, rates, codes = scan_grid(12)
+        for w, code in zip(weights, codes):
+            label = classify(MixtureWeights(*w))
+            assert label.tag == ("MARKOVIAN" if code < 0 else "NONMARKOVIAN")
+            assert label.region == (None if code < 0 else "XYZ"[code])
 
     def test_region_counts_symmetric(self):
-        points = scan_grid(30)
-        counts = {"X": 0, "Y": 0, "Z": 0}
-        for gp in points:
-            if gp.label.region:
-                counts[gp.label.region] += 1
-        assert counts["X"] == counts["Y"] == counts["Z"]
-
-    def test_threads_do_not_change_labels(self):
-        serial = scan_grid(25, threads=1)
-        threaded = scan_grid(25, threads=3)
-        assert [gp.label.region for gp in serial] == [gp.label.region for gp in threaded]
+        codes = scan_grid(30)[3]
+        counts = np.bincount(codes[codes >= 0], minlength=3)
+        assert counts[0] == counts[1] == counts[2]
 
     def test_markovian_fraction_converges(self):
-        points = scan_grid(150)
-        fraction = sum(gp.label.markovian for gp in points) / len(points)
+        codes = scan_grid(150)[3]
+        fraction = (codes == -1).sum() / len(codes)
         assert abs(fraction - 0.1306) < 0.01
+
+    def test_renormalized_rows_keep_raw_embedding_and_rates(self):
+        # rows whose float sum is not exactly 1 carry the MixtureWeights
+        # renormalization in a,b,c but the raw grid point in u,v and the rates
+        n = 400
+        raw = grid_weights(n)
+        weights, uv, rates, codes = scan_grid(n)
+        off = np.flatnonzero((raw[:, 0] + raw[:, 1]) + raw[:, 2] != 1.0)
+        assert len(off) == 4432
+        for k in off:
+            w = MixtureWeights(*raw[k])
+            assert tuple(weights[k]) == (w.a, w.b, w.c) != tuple(raw[k])
+        exact = np.setdiff1d(np.arange(len(raw)), off)
+        np.testing.assert_array_equal(weights[exact], raw[exact])
+        np.testing.assert_array_equal(uv, to_pauli_neutral_array(raw))
+        np.testing.assert_array_equal(rates, limit_rates_array(raw))
