@@ -2,9 +2,11 @@
 
 Each reduced decay rate is monotone once it turns negative, so a blend is CP
 divisible exactly when all three rates are still nonnegative in the p -> 1/2
-limit.  Classification therefore reduces to the sign pattern of the three
-limiting rates, with weight-zero edges handled in exact extended-real
-arithmetic rather than by epsilon nudging.
+limit.  The limiting rate of axis k is 1/w_i + 1/w_j - 1/w_k - 1; times
+w_i w_j w_k it is the polynomial w_k (w_i + w_j) - w_i w_j (1 + w_k).
+Classification is the sign pattern of these three polynomials: no division,
+no +/-inf, and exact on simplex edges and vertices.  The limiting rates
+themselves, in extended-real arithmetic, are only computed for reporting.
 """
 
 from __future__ import annotations
@@ -66,32 +68,57 @@ def limit_rates(w: MixtureWeights) -> tuple:
 def _divisibility(rates: np.ndarray) -> np.ndarray:
     """Region codes of an (n, 3) rate array: -1 Markovian, else axis index.
 
-    Any two limiting rates sum to 2 f(w_k) >= 0, so at most one falls below
-    NEG_TOL, and the most negative rate names the region.
+    The rule on rate values, used by the brute-force oracle: any two rates
+    sum to 2 f(w_k) >= 0, so at most one falls below NEG_TOL, and the most
+    negative rate names the region.
     """
     rates = np.atleast_2d(rates)
     return np.where((rates < NEG_TOL).any(axis=1), np.argmin(rates, axis=1), -1)
 
 
-def _label(rates: np.ndarray) -> RegionLabel:
-    """Verdict of one blend from its three rates, by the region rule."""
-    code = int(_divisibility(rates)[0])
+def _label(code: int, rates: np.ndarray) -> RegionLabel:
+    """Verdict of one blend from its region code and its reported rates."""
     tag, region = (MARKOVIAN, None) if code < 0 else (NONMARKOVIAN, AXES[code])
     return RegionLabel(tag, region, tuple(float(g) for g in rates))
 
 
+#: the other two axes (i, j) of each axis k
+_PAIRS = ((1, 2), (0, 2), (0, 1))
+
+
 def region_codes(weights: np.ndarray) -> np.ndarray:
-    """Classify rows of an (n, 3) weight array; -1 Markovian, else axis index."""
-    return _divisibility(limit_rates_array(weights))
+    """Classify rows of an (n, 3) weight array; -1 Markovian, else axis index.
+
+    Axis k is negative when its limiting rate, scaled by w_i w_j w_k, is below
+    NEG_TOL w_i w_j w_k.  With w_i >= w_j the scaled rate is evaluated as
+    w_i (w_k - w_j) + w_j w_k (1 - w_i), a form without cancellation near
+    the vertices where the plain w_k (w_i + w_j) - w_i w_j (1 + w_k) rounds
+    to either sign.  A scaled rate that is exactly zero stays above the band,
+    so boundary points and vertices are Markovian and the weight-zero edge
+    w_k = 0 (with w_i, w_j > 0) is region k.  In exact arithmetic at most one
+    axis is negative; if rounding lets two through, the larger index wins.
+    """
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    codes = np.full(w.shape[0], -1)
+    for k, (i, j) in enumerate(_PAIRS):
+        wk = w[:, k]
+        big, small = np.maximum(w[:, i], w[:, j]), np.minimum(w[:, i], w[:, j])
+        scaled = big * (wk - small) + (small * wk) * (1.0 - big)
+        negative = scaled < NEG_TOL * (big * small * wk)
+        np.maximum(codes, negative * (k + 1) - 1, out=codes)
+    return codes
 
 
 def classify(w: MixtureWeights) -> RegionLabel:
     """Label a blend Markovian or non-Markovian with its region identity.
 
-    The Markovian set is closed: a limiting rate that merely reaches zero
-    never goes negative at finite p, so boundary points count as Markovian.
+    The region comes from the polynomial test of `region_codes`; the limiting
+    rates are reported alongside.  The Markovian set is closed: a limiting
+    rate that merely reaches zero never goes negative at finite p, so
+    boundary points count as Markovian.
     """
-    return _label(limit_rates_array(w.as_array())[0])
+    weights = w.as_array()
+    return _label(int(region_codes(weights)[0]), limit_rates_array(weights)[0])
 
 
 def default_scan_grid() -> np.ndarray:
@@ -130,7 +157,8 @@ def classify_by_rate_scan(w: MixtureWeights, p_grid: np.ndarray | None = None) -
     Independent of the limiting-rate shortcut; `classify` must agree with
     this on every input.  The reported rates are the grid minima per axis.
     """
-    return _label(rate_minima_over_grid(w.as_array(), p_grid)[0])
+    rates = rate_minima_over_grid(w.as_array(), p_grid)
+    return _label(int(_divisibility(rates)[0]), rates[0])
 
 
 def p_divisibility_check(w: MixtureWeights, p_grid) -> bool:

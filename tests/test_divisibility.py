@@ -1,12 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.divisibility import (
     MARKOVIAN,
+    NEG_TOL,
     NONMARKOVIAN,
+    _divisibility,
     classify,
     classify_by_rate_scan,
     limit_rates,
@@ -15,6 +20,7 @@ from pauli_simplex.divisibility import (
     rate_minima_over_grid,
     region_codes,
 )
+from pauli_simplex.geometry import band_edge, boundary_roots, grid_weights, sample_simplex
 
 
 def random_weights(count, seed=0):
@@ -117,6 +123,137 @@ class TestClassify:
             label = classify(MixtureWeights(*pts[k]))
             expected = -1 if label.markovian else "XYZ".index(label.region)
             assert codes[k] == expected
+
+
+def rate_rule(weights):
+    """Reference verdict: the NEG_TOL rule on the extended-real limiting rates."""
+    with np.errstate(over="ignore"):  # 1/w overflows to +inf on subnormal w
+        rates = limit_rates_array(weights)
+    return _divisibility(rates), rates
+
+
+def within_rounding_of_band(w, rates, code):
+    """The axis' limiting rate is within float rounding of NEG_TOL at w."""
+    scale = max(1.0, 1.0 / w.min()) if w.min() > 0 else math.inf
+    return abs(rates[code] - NEG_TOL) <= 1e-13 * scale
+
+
+def exact_code(w):
+    """The NEG_TOL test on the scaled limiting rates, in exact arithmetic."""
+    w = [Fraction(float(x)) for x in w]
+    code = -1
+    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        scaled = w[k] * (w[i] + w[j]) - w[i] * w[j] * (1 + w[k])
+        if scaled < Fraction(NEG_TOL) * w[i] * w[j] * w[k]:
+            code = k
+    return code
+
+
+def shift_ulps(a, steps):
+    for _ in range(abs(steps)):
+        a = float(np.nextafter(a, math.copysign(math.inf, steps)))
+    return a
+
+
+simplex_points = st.tuples(
+    *[st.one_of(st.just(0.0), st.floats(0.0, 1.0)) for _ in range(3)]
+).filter(lambda t: sum(t) > 0)
+
+
+class TestRegionCodes:
+    """The polynomial sign test against the NEG_TOL rule on limiting rates."""
+
+    def test_matches_rate_rule_on_grids(self):
+        for n in [*range(1, 61), 400, 1000]:
+            points = grid_weights(n)
+            np.testing.assert_array_equal(region_codes(points), rate_rule(points)[0])
+
+    def test_matches_rate_rule_on_samples(self):
+        points = sample_simplex(1_000_000, np.random.default_rng(2024))
+        np.testing.assert_array_equal(region_codes(points), rate_rule(points)[0])
+
+    @pytest.mark.parametrize(
+        "w, code",
+        [
+            ((0.3, 0.0, 0.7), 1),  # open edge b = 0 is region Y
+            ((0.0, 0.6, 0.4), 0),
+            ((0.5, 0.5, 0.0), 2),
+            ((1.0, 0.0, 0.0), -1),  # vertices are Markovian
+            ((0.0, 1.0, 0.0), -1),
+            ((0.0, 0.0, 1.0), -1),
+            ((1 / 3, 1 / 3, 1 / 3), -1),
+            ((0.45, 0.1, 0.45), 1),
+            ((5e-324, 5e-310, 1.0), 0),  # subnormal weights, where 1/w overflows
+        ],
+    )
+    def test_exact_edges_and_vertices(self, w, code):
+        assert region_codes(np.array(w)).tolist() == [code]
+
+    @pytest.mark.parametrize("e", [1e-6, 1e-9, 1e-12, 1e-15])
+    def test_near_vertex_diagonal_is_markovian(self, e):
+        # the limiting rates of (1 - 2e, e, e) are (~2/e, ~2e, ~2e), all
+        # positive; a scaled rate evaluated as w_k (w_i + w_j) - w_i w_j
+        # (1 + w_k) cancels here to rounding noise of either sign
+        for order in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
+            w = np.array([1.0 - 2.0 * e, e, e])[list(order)]
+            assert region_codes(w).tolist() == [-1]
+
+    def test_no_division_or_infinity_on_edges(self):
+        edges = np.array([[0.0, t, 1.0 - t] for t in np.linspace(0.0, 1.0, 11)])
+        with np.errstate(all="raise"):
+            codes = region_codes(np.concatenate([edges, edges[:, [1, 2, 0]]]))
+        assert set(codes.tolist()) == {-1, 0, 2}
+
+    @given(st.lists(simplex_points, min_size=1, max_size=20), st.permutations(range(3)))
+    @settings(max_examples=200, deadline=None)
+    def test_permuting_columns_permutes_codes(self, rows, order):
+        w = np.array(rows)
+        w = w / w.sum(axis=1, keepdims=True)
+        codes = region_codes(w)
+        permuted = region_codes(w[:, order])
+        expected = [-1 if c < 0 else order.index(c) for c in codes.tolist()]
+        assert permuted.tolist() == expected
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        st.sampled_from([0, 1]),
+        st.integers(-8, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_boundary_ulps_differ_only_within_rounding(self, frac, branch, steps):
+        # boundary_roots(b, 0) is the zero set of the limiting y rate
+        b = frac * band_edge(0.0)
+        a = shift_ulps(boundary_roots(b, 0.0)[branch], steps)
+        c = 1.0 - b - a
+        assume(a >= 0.0 and c >= 0.0)
+        w = np.array([a, b, c])
+        fast = int(region_codes(w)[0])
+        codes, rates = rate_rule(w)
+        # where 1/w overflows the reference rates turn nan and give no verdict
+        assume(not np.isnan(rates).any())
+        slow = int(codes[0])
+        if fast != slow:
+            for code in {fast, slow} - {-1}:
+                assert within_rounding_of_band(w, rates[0], code)
+
+    def test_boundary_sweep_differs_only_within_rounding(self):
+        rows = []
+        for b in np.linspace(0.0, band_edge(0.0), 2000):
+            for root in boundary_roots(float(b), 0.0):
+                for steps in range(-8, 9):
+                    a = shift_ulps(root, steps)
+                    rows.append([a, b, 1.0 - b - a])
+        w = np.array(rows)
+        w = w[(w >= 0.0).all(axis=1)]
+        fast = region_codes(w)
+        slow, rates = rate_rule(w)
+        differ = np.flatnonzero(fast != slow)
+        assert len(differ) <= 10  # 5 of 67,984 points today
+        for q in differ:
+            for code in {int(fast[q]), int(slow[q])} - {-1}:
+                assert within_rounding_of_band(w[q], rates[q], code)
+            # the polynomial test is the one that matches exact arithmetic
+            assert int(fast[q]) == exact_code(w[q])
 
 
 class TestRateScan:

@@ -212,6 +212,18 @@ class TestMonteCarlo:
         assert report.total in (0.0, 1.0)
         assert report.error == 0.5
 
+    def test_sampler_matches_row_sum_normalization(self):
+        for seed in (0, 1, 2):
+            e = np.random.default_rng(seed).exponential(size=(100_000, 3))
+            points = sample_simplex(100_000, np.random.default_rng(seed))
+            np.testing.assert_array_equal(points, e / e.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_seed_42_pins(self, threads):
+        report = monte_carlo_measures(10**7, seed=42, threads=threads)
+        assert report.regions() == (0.2900017, 0.2899589, 0.2896194)
+        assert report.total == 0.86958
+
     def test_sampler_is_uniform_on_simplex(self):
         pts = sample_simplex(200_000, np.random.default_rng(0))
         assert pts.shape == (200_000, 3)
