@@ -96,10 +96,14 @@ def choi_matrix(x1: float, x2: float, x3: float) -> ChoiMatrix:
 
 
 def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
-    """Closed-form spectrum of choi_matrix(x1, x2, x3), ascending."""
-    eigs = 0.5 * np.array(
+    """Closed-form spectrum of choi_matrix(x1, x2, x3), ascending.
+
+    Exact for exact inputs: given fractions.Fraction ratios it returns an
+    object array of Fractions.
+    """
+    eigs = np.array(
         [1 + x3 + (x1 + x2), 1 + x3 - (x1 + x2), 1 - x3 + (x1 - x2), 1 - x3 - (x1 - x2)]
-    )
+    ) / 2
     return np.sort(eigs)
 
 
@@ -141,8 +145,11 @@ def rhp_witness(a: float, q: float, p: float, tol: float = WITNESS_TOL) -> Witne
     """Test the (p -> q) intermediate map of the blend for complete positivity.
 
     A negative eigenvalue beyond tol means the intermediate map is NCP and
-    the blend non-Markovian.  Every genuine blend (a strictly inside (0, 1))
-    admits such a pair p < q; the pure channels a in {0, 1} never do.
+    the blend non-Markovian: the divisibility criterion of Rivas, Huelga and
+    Plenio (PRL 105, 050403, 2010).  Every genuine blend (a strictly inside
+    (0, 1)) admits such a pair p < q; the pure channels a in {0, 1} never do.
+    At (a, q, p) = (1/10, 9/20, 2/5) the smallest eigenvalue is exactly
+    -27/322.
     """
     ratios = intermediate_ratios(a, q, p)
     min_eig = choi_matrix(*ratios).min_eigenvalue()

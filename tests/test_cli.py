@@ -1,19 +1,45 @@
 import csv
+import errno
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from pauli_simplex import geometry
 from pauli_simplex.cli import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 #: SHA-256 of the `scan --n 400` CSV
 SCAN_400_SHA256 = "e4078959146d86a6e3016be2bc45d3fee182a7fd7e007a8342de308da8d126d5"
+#: SHA-256 of the `scan --n 9` and `scan --n 60` CSVs
+SCAN_SHA256 = {
+    9: "14a2862e92238dae158c308892b5c4a443ff4b7852bf5489932d760e9579a31d",
+    60: "b28032c8452fcdca5b9dd9452ed9307449d45aa2d8fd0c965d66b51ef03288c6",
+}
+
+#: run one CLI command in a fresh interpreter and print its peak RSS in KiB
+PEAK_RSS_CHILD = """
+import resource, sys
+from pauli_simplex.cli import cli
+try:
+    cli(sys.argv[1:])
+except SystemExit as exc:
+    assert not exc.code, exc.code
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak // 1024 if sys.platform == "darwin" else peak)
+"""
 
 
 @pytest.fixture
@@ -112,6 +138,24 @@ class TestClassify:
         # round trip: serializing the parsed record again is stable
         assert json.loads(json.dumps(record)) == record
 
+    @pytest.mark.parametrize(
+        "a, b, rates",
+        [
+            ("5e-324", "5e-310", ["-inf", "inf", "inf"]),  # 1/w overflows: signed infinities
+            ("5e-310", "5e-310", [0.0, 0.0, "inf"]),  # equal diverging terms cancel
+        ],
+    )
+    def test_subnormal_weights(self, runner, a, b, rates):
+        # products of subnormal weights in the region test underflow to zero,
+        # which numpy ignores by default; every other floating-point error
+        # raises here, and any warning fails the command
+        with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_ok(runner, ["classify", "--a", a, "--b", b, "--c", "1", "--json"])
+        record = json.loads(result.stdout)
+        assert [record["results"][k] for k in ("gamma_x", "gamma_y", "gamma_z")] == rates
+        assert result.stderr == ""
+
 
 class TestScan:
     def test_small_grid_csv(self, runner, tmp_path):
@@ -162,6 +206,114 @@ class TestScan:
         assert result.exit_code == 2
         assert "grid resolution must be >= 1, got 0" in result.output
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("rows", [1, 7, geometry.SCAN_BLOCK_ROWS])
+    @pytest.mark.parametrize("n", sorted(SCAN_SHA256))
+    def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, n, rows):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+        out = tmp_path / "grid.csv"
+        result = run_ok(runner, ["scan", "--n", str(n), "--out", str(out)])
+        assert result.output.startswith(f"wrote {(n + 1) * (n + 2) // 2} rows to {out} ")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[n]
+
+    @pytest.mark.skipif(not sys.platform.startswith(("linux", "darwin")), reason="needs ru_maxrss")
+    def test_peak_memory_does_not_grow_with_n(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p
+        )}
+
+        def peak_kib(n):
+            argv = ["scan", "--n", str(n), "--out", str(tmp_path / f"grid{n}.csv")]
+            child = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return int(child.stdout.split()[-1])
+
+        small, large = peak_kib(300), peak_kib(1200)
+        # 45,451 against 721,801 rows: 16 times the rows, under 10 MB more memory
+        assert large - small < 10 * 1024, (small, large)
+
+
+class TestAtomicWrite:
+    """A CSV appears complete under its name, or not at all."""
+
+    @pytest.mark.parametrize("existing", [None, "old contents\n"])
+    def test_failure_after_first_block(self, runner, tmp_path, monkeypatch, existing):
+        grid_blocks = geometry._grid_blocks
+
+        def failing(n):
+            blocks = grid_blocks(n)
+            yield next(blocks)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(geometry, "_grid_blocks", failing)
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        out = tmp_path / "grid.csv"
+        if existing is not None:
+            out.write_text(existing)
+        result = runner.invoke(cli, ["scan", "--n", "9", "--out", str(out)])
+        assert result.exit_code == 3
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert result.stderr == f"cannot write {out}: {reason}\n"
+        assert result.stdout == ""
+        if existing is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["grid.csv"]
+            assert out.read_text() == existing
+
+    @pytest.mark.parametrize(
+        "args", [["scan", "--n", "2"], ["boundary", "--region", "Y", "--points", "5"]]
+    )
+    @pytest.mark.parametrize("parent", ["missing", "file", "read-only"])
+    def test_unwritable_directory(self, runner, tmp_path, args, parent):
+        where = tmp_path / parent
+        if parent == "file":
+            where.write_text("")
+        elif parent == "read-only":
+            if os.name != "posix" or os.geteuid() == 0:
+                pytest.skip("permission bits do not bind this user")
+            where.mkdir(mode=0o555)
+        code = {"missing": errno.ENOENT, "file": errno.ENOTDIR, "read-only": errno.EACCES}[parent]
+        out = where / "x.csv"
+        before = sorted(tmp_path.rglob("*"))
+        result = runner.invoke(cli, [*args, "--out", str(out)])
+        assert result.exit_code == 3
+        reason = f"[Errno {code}] {os.strerror(code)}: {str(out)!r}"
+        assert result.stderr == f"cannot write {out}: {reason}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_replaces_longer_file(self, runner, tmp_path):
+        out = tmp_path / "grid.csv"
+        out.write_bytes(b"x" * 100_000)
+        run_ok(runner, ["scan", "--n", "9", "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
+        assert os.listdir(tmp_path) == ["grid.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+    def test_writes_through_symlink(self, runner, tmp_path):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "grid.csv"
+        target.write_text("old\n")
+        link = tmp_path / "grid.csv"
+        link.symlink_to(target)
+        run_ok(runner, ["scan", "--n", "9", "--out", str(link)])
+        assert link.is_symlink()
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_SHA256[9]
+        assert os.listdir(tmp_path / "data") == ["grid.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_in_place(self, runner, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        run_ok(runner, ["scan", "--n", "9", "--out", str(pipe)])
+        reader.join(timeout=30)
+        assert hashlib.sha256(received[0]).hexdigest() == SCAN_SHA256[9]
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 class TestMeasure:

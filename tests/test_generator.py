@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from pauli_simplex.channels import MixtureWeights
+from pauli_simplex.channels import MixtureWeights, semigroup_p
 from pauli_simplex.generator import (
     DecayRates,
     finite_difference_rates,
@@ -49,6 +51,16 @@ class TestThreeMixRates:
             expected = rate_term(1 / 3, p)
             np.testing.assert_allclose(rates.as_tuple(), [expected] * 3, rtol=1e-14)
             assert expected > 0
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.3])
+    def test_eternal_non_markovian_rates(self, t):
+        # the equal x/y blend of semigroups with r = 2 has the eternally
+        # non-Markovian rates (1, 1, -tanh t) of Hall, Cresser, Li and
+        # Andersson, which are twice the physical rates here
+        p = semigroup_p(2.0, t).p
+        rates = three_mix_rates(MixtureWeights(0.5, 0.5, 0.0), p, "physical", 2.0)
+        expected = (0.5, 0.5, -0.5 * math.tanh(t))
+        assert rates.as_tuple() == pytest.approx(expected, rel=0, abs=1e-16)
 
     def test_initial_rates_are_twice_weights(self):
         for w in random_weights(25, seed=5):

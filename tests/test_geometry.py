@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauli_simplex import geometry
 from pauli_simplex.channels import MixtureWeights
-from pauli_simplex.divisibility import classify, limit_rates_array
+from pauli_simplex.divisibility import classify, limit_rates_array, region_codes
 from pauli_simplex.generator import three_mix_rates
 from pauli_simplex.geometry import (
     QuadratureError,
@@ -17,6 +19,7 @@ from pauli_simplex.geometry import (
     monte_carlo_measures,
     region_measure_quadrature,
     sample_simplex,
+    scan_blocks,
     scan_grid,
     to_pauli_neutral,
     to_pauli_neutral_array,
@@ -224,6 +227,15 @@ class TestMonteCarlo:
         assert report.regions() == (0.2900017, 0.2899589, 0.2896194)
         assert report.total == 0.86958
 
+    @given(
+        st.integers((1 << 18) + 1, 3 * (1 << 18) - 1).filter(lambda n: n % (1 << 18)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_threads_agree_off_chunk_multiple(self, n, seed):
+        # the last chunk is a partial one
+        assert monte_carlo_measures(n, seed, 1) == monte_carlo_measures(n, seed, 2)
+
     def test_sampler_is_uniform_on_simplex(self):
         pts = sample_simplex(200_000, np.random.default_rng(0))
         assert pts.shape == (200_000, 3)
@@ -322,3 +334,42 @@ class TestScanGrid:
         np.testing.assert_array_equal(weights[exact], raw[exact])
         np.testing.assert_array_equal(uv, to_pauli_neutral_array(raw))
         np.testing.assert_array_equal(rates, limit_rates_array(raw))
+
+    @pytest.mark.parametrize(
+        "n, rows", [(1, 1), (9, 1), (9, 7), (60, 7), (60, None), (400, 1000), (400, None)]
+    )
+    def test_blocks_concatenate_to_grid(self, monkeypatch, n, rows):
+        if rows is not None:
+            monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+        blocks = list(scan_blocks(n))
+        columns = scan_grid(n)
+        for k, column in enumerate(columns):
+            np.testing.assert_array_equal(np.concatenate([b[k] for b in blocks]), column)
+        # the same rows, embedding, rates and codes as one pass over the whole grid
+        raw = np.array(
+            [(i / n, j / n, (n - i - j) / n) for i in range(n + 1) for j in range(n - i + 1)]
+        )
+        np.testing.assert_array_equal(grid_weights(n), raw)
+        weights, uv, rates, codes = columns
+        np.testing.assert_array_equal(uv, to_pauli_neutral_array(raw))
+        np.testing.assert_array_equal(rates, limit_rates_array(raw))
+        np.testing.assert_array_equal(codes, region_codes(raw))
+
+    def test_blocks_hold_whole_lines(self):
+        # every line (fixed i) of the n = 400 grid fits a block, so each block
+        # starts at j = 0 and ends at i + j = n
+        blocks = list(scan_blocks(400))
+        assert len(blocks) > 1
+        for weights, uv, rates, codes in blocks:
+            assert len(codes) <= geometry.SCAN_BLOCK_ROWS
+            assert weights[0, 1] == 0.0 and weights[-1, 2] == 0.0
+
+    def test_long_lines_are_split(self, monkeypatch):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        sizes = [len(codes) for *_, codes in scan_blocks(20)]
+        assert max(sizes) <= 7
+        assert sum(sizes) == 21 * 22 // 2
+
+    def test_blocks_validate_before_iteration(self):
+        with pytest.raises(ValueError, match="grid resolution must be >= 1, got 0"):
+            scan_blocks(0)
