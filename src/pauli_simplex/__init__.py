@@ -9,97 +9,18 @@ dynamical-matrix witness.  The `cli` module exposes everything as subcommands.
 
 __version__ = "0.1.0"
 
-from .channels import (
-    BlochVector,
-    DensityMatrix,
-    MixtureWeights,
-    PauliEigenvalues,
-    SemigroupParam,
-    apply_pauli_channel,
-    semigroup_p,
-    three_mix_eigenvalues,
-    two_mix_eigenvalues,
-)
-from .generator import (
-    DecayRates,
-    finite_difference_rates,
-    rate_term,
-    three_mix_rates,
-    two_mix_cross_rate,
-)
-from .divisibility import (
-    RegionLabel,
-    classify,
-    classify_by_rate_scan,
-    limit_rates,
-    p_divisibility_check,
-)
-from .geometry import (
-    BoundaryCurve,
-    MeasureReport,
-    band_edge,
-    boundary_curve,
-    boundary_roots,
-    monte_carlo_measures,
-    region_measure_quadrature,
-    sample_simplex,
-    scan_grid,
-    to_pauli_neutral,
-    total_measures,
-)
-from .choi import (
-    ChoiMatrix,
-    WitnessReport,
-    a_matrix,
-    a_matrix_choi,
-    choi_eigenvalues,
-    choi_matrix,
-    intermediate_ratios,
-    is_cp,
-    rhp_witness,
-    sweep_for_ncp,
-)
+from .channels import MixtureWeights
+from .choi import rhp_witness
+from .divisibility import classify
+from .generator import three_mix_rates
+from .geometry import monte_carlo_measures, total_measures
 
 __all__ = [
     "__version__",
-    "BlochVector",
-    "DensityMatrix",
     "MixtureWeights",
-    "PauliEigenvalues",
-    "SemigroupParam",
-    "apply_pauli_channel",
-    "semigroup_p",
-    "three_mix_eigenvalues",
-    "two_mix_eigenvalues",
-    "DecayRates",
-    "finite_difference_rates",
-    "rate_term",
     "three_mix_rates",
-    "two_mix_cross_rate",
-    "RegionLabel",
     "classify",
-    "classify_by_rate_scan",
-    "limit_rates",
-    "p_divisibility_check",
-    "BoundaryCurve",
-    "MeasureReport",
-    "band_edge",
-    "boundary_curve",
-    "boundary_roots",
-    "monte_carlo_measures",
-    "region_measure_quadrature",
-    "sample_simplex",
-    "scan_grid",
-    "to_pauli_neutral",
     "total_measures",
-    "ChoiMatrix",
-    "WitnessReport",
-    "a_matrix",
-    "a_matrix_choi",
-    "choi_eigenvalues",
-    "choi_matrix",
-    "intermediate_ratios",
-    "is_cp",
+    "monte_carlo_measures",
     "rhp_witness",
-    "sweep_for_ncp",
 ]

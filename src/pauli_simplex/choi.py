@@ -27,6 +27,16 @@ MARKOVIAN_VERDICT = "MARKOVIAN"
 NONMARKOVIAN_VERDICT = "NONMARKOVIAN"
 
 
+def _check_aqp(a: float, q: float, p: float) -> tuple:
+    """Validated (a, q, p) of an intermediate map, which must run forward."""
+    a = _check_fraction("a", a)
+    q = _check_p(q, upper_open=True)
+    p = _check_p(p, upper_open=True)
+    if q < p:
+        raise ValueError(f"intermediate map runs forward: need p <= q, got p={p}, q={q}")
+    return a, q, p
+
+
 def intermediate_ratios(a: float, q: float, p: float) -> tuple:
     """Eigenvalue ratios (x1, x2, x3) of the map taking the blend from p to q.
 
@@ -37,11 +47,7 @@ def intermediate_ratios(a: float, q: float, p: float) -> tuple:
     Each lies in (0, 1], equal to 1 exactly when q = p.  The map must run
     forward, so q < p is rejected.
     """
-    a = _check_fraction("a", a)
-    q = _check_p(q, upper_open=True)
-    p = _check_p(p, upper_open=True)
-    if q < p:
-        raise ValueError(f"intermediate map runs forward: need p <= q, got p={p}, q={q}")
+    a, q, p = _check_aqp(a, q, p)
     x1 = (1.0 - 2.0 * q) / (1.0 - 2.0 * p)
     x2 = (1.0 - 2.0 * a * q) / (1.0 - 2.0 * a * p)
     x3 = (1.0 - 2.0 * (1.0 - a) * q) / (1.0 - 2.0 * (1.0 - a) * p)
@@ -98,31 +104,15 @@ def choi_matrix(x1: float, x2: float, x3: float) -> ChoiMatrix:
 def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
     """Closed-form spectrum of choi_matrix(x1, x2, x3), ascending.
 
-    Exact for exact inputs: given fractions.Fraction ratios it returns an
-    object array of Fractions.
+    The exact oracle for the numerical spectrum that rhp_witness tests: it is
+    nonnegative exactly when |x1 +/- x2| <= 1 +/- x3.  Exact for exact
+    inputs: given fractions.Fraction ratios it returns an object array of
+    Fractions.
     """
     eigs = np.array(
         [1 + x3 + (x1 + x2), 1 + x3 - (x1 + x2), 1 - x3 + (x1 - x2), 1 - x3 - (x1 - x2)]
     ) / 2
     return np.sort(eigs)
-
-
-def cp_ratio_bounds(x1: float, x2: float, x3: float) -> bool:
-    """Complete positivity as the entrywise bound |1 +/- x3| >= |x1 +/- x2|.
-
-    Equivalent to a nonnegative spectrum whenever |x3| <= 1, which every
-    genuine eigenvalue ratio satisfies.
-    """
-    return abs(1 + x3) >= abs(x1 + x2) and abs(1 - x3) >= abs(x1 - x2)
-
-
-def is_cp(choi: ChoiMatrix, tol: float = 1e-12) -> bool:
-    """True when the numerical spectrum is nonnegative down to -tol.
-
-    Agrees with cp_ratio_bounds up to the tolerance; the full blend at any
-    single time always passes, with one exact zero eigenvalue.
-    """
-    return choi.min_eigenvalue() >= -tol
 
 
 @dataclass(frozen=True)
@@ -218,11 +208,7 @@ def a_matrix_choi(a: float, q: float, p: float) -> ChoiMatrix:
     reshuffles.  Must agree entrywise with choi_matrix(intermediate_ratios(...));
     the ratio metadata is read back off the reshuffled matrix itself.
     """
-    a = _check_fraction("a", a)
-    q = _check_p(q, upper_open=True)
-    p = _check_p(p, upper_open=True)
-    if q < p:
-        raise ValueError(f"intermediate map runs forward: need p <= q, got p={p}, q={q}")
+    a, q, p = _check_aqp(a, q, p)
     forward = a_matrix(a, q)
     base = a_matrix(a, p)
     if abs(np.linalg.det(base)) < 1e-14:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AXES, MixtureWeights
-from .generator import three_mix_rates
 
 #: a limiting rate below this counts as negative (guards boundary rounding)
 NEG_TOL = -1e-12
@@ -171,17 +170,3 @@ def classify_by_rate_scan(w: MixtureWeights, p_grid: np.ndarray | None = None) -
     """
     rates = rate_minima_over_grid(w.as_array(), p_grid)
     return _label(int(_divisibility(rates)[0]), rates[0])
-
-
-def p_divisibility_check(w: MixtureWeights, p_grid) -> bool:
-    """True when every pairwise rate sum is nonnegative across the grid.
-
-    Holds for the whole simplex: the pairwise sums collapse to twice a single
-    nonnegative rate term, so even a blend with one diverging negative rate
-    stays positive divisible.
-    """
-    for p in np.asarray(p_grid, dtype=float):
-        sums = three_mix_rates(w, float(p)).pairwise_sums()
-        if min(sums) < NEG_TOL:
-            return False
-    return True

@@ -100,17 +100,16 @@ def three_mix_rates(
 
 
 def two_mix_cross_rate(a: float, p: float, pdot: float) -> float:
-    """Rate picked up by the unmixed x axis when blending a Ez + (1-a) Ey.
+    """Physical rate picked up by the unmixed x axis when blending a Ez + (1-a) Ey.
 
     Closed form
 
-        -[(1-a) a (1-p) p] / [(1-2p)(1 - 2(1-a)p)(1 - 2ap)] * pdot
+        -2 [(1-a) a (1-p) p] / [(1-2p)(1 - 2(1-a)p)(1 - 2ap)] * pdot
 
     which is strictly negative for a in (0, 1) and p in (0, 1/2), and zero on
     the boundary of that square: any genuine two-channel blend is CP
-    indivisible.  The generator extraction for the same blend yields exactly
-    twice this value; the two agree in sign everywhere, which is all the
-    classification uses.
+    indivisible.  Equal to the x rate of three_mix_rates for the same blend
+    in the physical convention, with r chosen so that dp/dt = pdot.
     """
     a = _check_fraction("a", a)
     p = _check_p(p, upper_open=True)
@@ -119,7 +118,7 @@ def two_mix_cross_rate(a: float, p: float, pdot: float) -> float:
         raise ValueError(f"pdot must be > 0, got {pdot}")
     num = (1.0 - a) * a * (1.0 - p) * p
     den = (1.0 - 2.0 * p) * (1.0 - 2.0 * (1.0 - a) * p) * (1.0 - 2.0 * a * p)
-    return -(num / den) * pdot
+    return -2.0 * (num / den) * pdot
 
 
 def finite_difference_rates(

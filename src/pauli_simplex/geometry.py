@@ -3,7 +3,7 @@
 The non-Markovian set splits into three congruent lens-shaped regions, one
 per axis, each hugging the simplex edge where that axis' own weight vanishes.
 This module provides the closed-form region boundaries, the region measure by
-adaptive quadrature and by seeded Monte Carlo, the equilateral-triangle
+Gauss-Legendre quadrature and by seeded Monte Carlo, the equilateral-triangle
 embedding used for figures, and a classified triangular scan grid.
 
 Measures are taken uniform in the (a, b) parametrization of the simplex,
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AXES, MixtureWeights, _require_finite
+from .channels import AXES, _require_finite
 from .divisibility import limit_rates_array, region_codes
 
 #: radicand values in (-RADICAND_TOL, 0) are rounded up to 0 (band edge rounding)
@@ -30,14 +30,6 @@ _TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
 #: traversal order turning a boundary parametrization into rows of one region
 _REGION_ORDER = {"X": (1, 0, 2), "Y": (0, 1, 2), "Z": (0, 2, 1)}
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 def band_edge(x: float) -> float:
@@ -119,62 +111,53 @@ def boundary_curve(region: str, points: int) -> BoundaryCurve:
     return BoundaryCurve(region, samples, branch)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60):
-    """Recursive Simpson bisection; returns (value, error_estimate).
+#: Gauss-Legendre node counts: the first rule, and the last before giving up
+_GAUSS_FIRST, _GAUSS_LAST = 8, 128
 
-    Raises QuadratureError when an interval hits max_depth while its local
-    error is still above budget.
+
+def _region_integrand(s: np.ndarray) -> np.ndarray:
+    """Twice the band width at cross weight b = E - s^2, times |db/ds| = 2s.
+
+    The width sqrt((1 - b^2)(1 - 4b - b^2)) / (1 + b) has a square-root zero
+    at the band edge E = band_edge(0) = sqrt(5) - 2.  With b = E - s^2,
+    1 - 4b - b^2 = s^2 (2 sqrt(5) - s^2), so in s the integrand
+    4 s^2 sqrt((1 - b)(2 sqrt(5) - s^2) / (1 + b)) is smooth on [0, sqrt(E)].
     """
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol:
-            return left + right + err, abs(err)
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature stalled at depth {depth} with local error {abs(err):.3e}",
-                achieved=abs(err),
-            )
-        lv, le = recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-        rv, re = recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1)
-        return lv + rv, le + re
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def _band_width_integrand(b: float) -> float:
-    poly = b**4 + 4.0 * b**3 - 2.0 * b**2 - 4.0 * b + 1.0
-    return math.sqrt(max(poly, 0.0)) / (b + 1.0)
+    b = band_edge(0.0) - s * s
+    return 4.0 * s * s * np.sqrt((1.0 - b) * (2.0 * math.sqrt(5.0) - s * s) / (1.0 + b))
 
 
 def _region_measure(tol: float) -> tuple:
+    """Measure of one region and its error estimate, by Gauss-Legendre rules.
+
+    Doubles the node count from _GAUSS_FIRST and stops at the first rule of
+    2n nodes whose distance from the n-node rule, plus the rounding scale
+    sqrt(2n) eps |Q| of its sum, is within tol.  Raises ValueError naming
+    tol when the _GAUSS_LAST rule is reached first.
+    """
     tol = _require_finite("tol", tol)
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    value, err = _adaptive_simpson(_band_width_integrand, 0.0, band_edge(0.0), tol / 2.0)
-    return 2.0 * value, 2.0 * err
+    # imported here: numpy.polynomial would add about 2 ms to every CLI start
+    from numpy.polynomial.legendre import leggauss
 
+    half = math.sqrt(band_edge(0.0)) / 2.0  # s runs over [0, 2 * half]
 
-def region_measure_quadrature(region: str = "Y", tol: float = 1e-8) -> float:
-    """Measure of one non-Markovian region by adaptive Simpson quadrature.
+    def rule(n: int) -> float:
+        x, w = leggauss(n)
+        return half * float(w @ _region_integrand(half * (x + 1.0)))
 
-    Integrates the band width over the cross weight up to band_edge(0) and
-    doubles for the simplex normalization.  The three regions are congruent,
-    so the region argument only labels the result.
-    """
-    if region not in AXES:
-        raise ValueError(f"region must be one of {AXES}, got {region!r}")
-    return _region_measure(tol)[0]
+    n, coarse = _GAUSS_FIRST, rule(_GAUSS_FIRST)
+    while n < _GAUSS_LAST:
+        n *= 2
+        fine = rule(n)
+        err = abs(fine - coarse) + math.sqrt(n) * np.finfo(float).eps * fine
+        if err <= tol:
+            return fine, err
+        coarse = fine
+    raise ValueError(
+        f"tol={tol} not reached: {n} Gauss-Legendre nodes leave an error estimate of {err:.3g}"
+    )
 
 
 @dataclass(frozen=True)
@@ -198,8 +181,10 @@ class MeasureReport:
 def total_measures(tol: float = 1e-8) -> MeasureReport:
     """Quadrature measures of all regions, their union, and the complement.
 
-    The error field carries the achieved quadrature error estimate for the
-    total (three times the per-region estimate).
+    The three regions are congruent, so one band-width integral gives all of
+    them; tol bounds its error estimate, and a tol that double precision
+    cannot certify raises ValueError.  The error field carries the achieved
+    estimate for the total (three times the per-region estimate).
     """
     region, err = _region_measure(tol)
     total = 3.0 * region
@@ -274,16 +259,6 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
         samples=n,
         seed=seed,
     )
-
-
-def to_pauli_neutral(w: MixtureWeights) -> tuple:
-    """Embed weights into the plane with the simplex as an equilateral triangle.
-
-    The three pure channels sit at (0,0), (1,0) and (1/2, sqrt(3)/2); the
-    map is affine and invertible on the simplex.
-    """
-    u, v = w.as_array() @ _TRIANGLE
-    return (float(u), float(v))
 
 
 def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:

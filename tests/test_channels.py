@@ -15,7 +15,7 @@ from pauli_simplex.channels import (
     three_mix_eigenvalues,
     two_mix_eigenvalues,
 )
-from pauli_simplex.choi import a_matrix, intermediate_ratios
+from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios
 from pauli_simplex.generator import rate_term, two_mix_cross_rate
 
 
@@ -217,10 +217,19 @@ class TestFractionValidation:
             (lambda: two_mix_cross_rate(1.5, 0.1, 1.0), "mixing fraction a=1.5 outside [0, 1]"),
             (lambda: intermediate_ratios(1.5, 0.3, 0.2), "mixing fraction a=1.5 outside [0, 1]"),
             (lambda: a_matrix(2.0, 0.2), "mixing fraction a=2.0 outside [0, 1]"),
+            (
+                lambda: intermediate_ratios(0.1, 0.3, 0.4),
+                "intermediate map runs forward: need p <= q, got p=0.4, q=0.3",
+            ),
+            (
+                lambda: a_matrix_choi(0.1, 0.3, 0.4),
+                "intermediate map runs forward: need p <= q, got p=0.4, q=0.3",
+            ),
         ],
         ids=[
             "rate_term", "rate_term_nan", "two_mix_eigenvalues", "two_mix_cross_rate",
-            "intermediate_ratios", "a_matrix",
+            "intermediate_ratios", "a_matrix", "intermediate_ratios_forward",
+            "a_matrix_choi_forward",
         ],
     )
     def test_one_message_everywhere(self, call, message):

@@ -5,14 +5,13 @@ import pytest
 
 from pauli_simplex.channels import two_mix_eigenvalues
 from pauli_simplex.choi import (
+    WITNESS_TOL,
     ChoiMatrix,
     a_matrix,
     a_matrix_choi,
     choi_eigenvalues,
     choi_matrix,
-    cp_ratio_bounds,
     intermediate_ratios,
-    is_cp,
     rhp_witness,
     sweep_for_ncp,
 )
@@ -105,10 +104,13 @@ class TestChoiMatrix:
 
 class TestCompletePositivity:
     def test_identity_is_cp(self):
-        assert is_cp(choi_matrix(1.0, 1.0, 1.0))
+        # q = p: the intermediate map is the identity, ratios (1, 1, 1)
+        report = rhp_witness(0.3, 0.2, 0.2)
+        assert report.ratios == (1.0, 1.0, 1.0)
+        assert not report.nonmarkovian
 
     def test_worked_example_is_not_cp(self):
-        assert not is_cp(choi_matrix(*intermediate_ratios(0.1, 0.45, 0.4)))
+        assert rhp_witness(0.1, 0.45, 0.4).nonmarkovian
 
     def test_full_map_always_cp(self):
         for a in np.linspace(0.0, 1.0, 50):
@@ -117,17 +119,19 @@ class TestCompletePositivity:
                 assert choi.min_eigenvalue() >= -1e-12
 
     def test_ratio_bounds_match_spectrum(self):
+        # the closed-form spectrum is nonnegative exactly when
+        # |x1 +/- x2| <= 1 +/- x3; the numerical spectrum gives the same verdict
         rng = np.random.default_rng(21)
         for _ in range(500):
             x = rng.uniform(-1.0, 1.0, size=3)
-            spectral = choi_eigenvalues(*x)[0] >= -1e-12
-            assert spectral == cp_ratio_bounds(*x)
+            closed = choi_eigenvalues(*x)[0] >= -1e-12
+            assert closed == (choi_matrix(*x).min_eigenvalue() >= -1e-12)
 
     def test_ratio_bounds_match_spectrum_on_intermediate_maps(self):
         for a, q, p in random_aqp(300, seed=22):
             ratios = intermediate_ratios(a, q, p)
-            spectral = choi_eigenvalues(*ratios)[0] >= -1e-12
-            assert spectral == cp_ratio_bounds(*ratios)
+            closed = choi_eigenvalues(*ratios)[0] >= -WITNESS_TOL
+            assert closed == (not rhp_witness(a, q, p).nonmarkovian)
 
 
 class TestWitness:

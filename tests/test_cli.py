@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import hashlib
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pauli_simplex
 from pauli_simplex import geometry
 from pauli_simplex.cli import cli
 
@@ -51,6 +54,13 @@ def run_ok(runner, args):
     result = runner.invoke(cli, args)
     assert result.exit_code == 0, result.output
     return result
+
+
+def child_env():
+    """The environment for a fresh interpreter that imports this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p
+    )}
 
 
 class TestRates:
@@ -218,15 +228,11 @@ class TestScan:
 
     @pytest.mark.skipif(not sys.platform.startswith(("linux", "darwin")), reason="needs ru_maxrss")
     def test_peak_memory_does_not_grow_with_n(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p
-        )}
-
         def peak_kib(n):
             argv = ["scan", "--n", str(n), "--out", str(tmp_path / f"grid{n}.csv")]
             child = subprocess.run(
                 [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
-                env=env, capture_output=True, text=True, check=True,
+                env=child_env(), capture_output=True, text=True, check=True,
             )
             return int(child.stdout.split()[-1])
 
@@ -354,6 +360,22 @@ class TestMeasure:
         result = runner.invoke(cli, ["measure", "--method", "mc", "--samples", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+    def test_unreachable_tolerance_is_usage_error(self, runner, tol):
+        args = ["measure", "--method", "quad", "--tol", tol]
+        start = time.perf_counter()
+        assert runner.invoke(cli, args).exit_code == 2
+        assert time.perf_counter() - start < 1.0
+        # a fresh interpreter shows what a user sees, traceback included
+        child = subprocess.run(
+            [sys.executable, "-m", "pauli_simplex.cli", *args],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 2
+        assert "Traceback" not in child.stderr
+        (line,) = [l for l in child.stderr.splitlines() if l.startswith("Error:")]
+        assert f"tol={tol} not reached" in line
+
 
 class TestBoundary:
     def test_curve_csv(self, runner, tmp_path):
@@ -456,3 +478,22 @@ class TestReadme:
         args = ["measure", "--method", params["method"], "--samples", str(params["samples"]),
                 "--seed", str(params["seed"]), "--json"]
         assert json.loads(run_ok(runner, args).output) == example
+
+    def test_library_example_is_real_output(self):
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        body = ast.parse(block).body
+        namespace, values = {}, {}
+        for node in body:
+            if isinstance(node, ast.Expr):  # a bare call: keep its value by name
+                code = compile(ast.Expression(node.value), "README", "eval")
+                values[node.value.func.id] = eval(code, namespace)
+            else:
+                exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+        (imports,) = [node for node in body if isinstance(node, ast.ImportFrom)]
+        assert sorted(pauli_simplex.__all__) == sorted(
+            ["__version__", *(alias.name for alias in imports.names)]
+        )
+        label = values["classify"]
+        assert (label.tag, label.region) == ("NONMARKOVIAN", "Y")
+        assert abs(values["total_measures"].region_y - 0.28980212068360562) <= 1e-12
+        assert abs(values["rhp_witness"].min_eigenvalue + 27 / 322) <= 1e-15

@@ -138,23 +138,22 @@ class TestTwoMixCrossRate:
         assert two_mix_cross_rate(0.4, 0.0, 1.0) == 0.0
 
     def test_balanced_blend_value(self):
-        assert two_mix_cross_rate(0.5, 0.25, 1.0) == pytest.approx(-1 / 6, abs=1e-15)
+        assert two_mix_cross_rate(0.5, 0.25, 1.0) == pytest.approx(-1 / 3, abs=1e-15)
 
     def test_always_negative_inside_square(self):
         for a in np.linspace(0.01, 0.99, 99):
             for p in np.linspace(0.01, 0.49, 49):
                 assert two_mix_cross_rate(a, p, 1.0) < 0
 
-    def test_half_the_generator_route(self):
-        # the closed form carries half the magnitude of the rate recovered
-        # from the blend's generator; identical sign everywhere
+    def test_equals_the_generator_route(self):
+        # the closed form is the physical x rate of the blend's generator
         for a in [0.2, 0.5, 0.8]:
             for p in [0.1, 0.25, 0.4]:
                 closed = two_mix_cross_rate(a, p, 1.0)
                 via_generator = three_mix_rates(
                     MixtureWeights(0.0, 1.0 - a, a), p, "physical", r=2.0 / (1 - 2 * p)
                 ).gx  # r chosen so pdot = 1
-                assert via_generator == pytest.approx(2 * closed, rel=1e-12)
+                assert via_generator == pytest.approx(closed, rel=1e-12)
 
     def test_rejects_nonpositive_pdot(self):
         with pytest.raises(ValueError):

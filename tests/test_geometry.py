@@ -10,18 +10,14 @@ from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.divisibility import classify, limit_rates_array, region_codes
 from pauli_simplex.generator import three_mix_rates
 from pauli_simplex.geometry import (
-    QuadratureError,
-    _adaptive_simpson,
     band_edge,
     boundary_curve,
     boundary_roots,
     grid_weights,
     monte_carlo_measures,
-    region_measure_quadrature,
     sample_simplex,
     scan_blocks,
     scan_grid,
-    to_pauli_neutral,
     to_pauli_neutral_array,
     total_measures,
 )
@@ -130,11 +126,17 @@ class TestBoundaryCurve:
 
 class TestQuadrature:
     def test_region_measure_reference(self):
-        value = region_measure_quadrature("Y", tol=1e-8)
+        value = total_measures(tol=1e-8).region_y
         assert abs(value - REGION_MEASURE_REF) < 1e-8
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_region_measure_at_double_precision(self, tol):
+        # the Gauss-Legendre rule converges geometrically: every tolerance
+        # lands within a few ulps of the 20-digit reference
+        assert abs(total_measures(tol).region_y - REGION_MEASURE_REF) <= 1e-15
+
     def test_region_measure_against_rounded_value(self):
-        assert abs(region_measure_quadrature("Y", 1e-6) - 0.2898) < 1e-3
+        assert abs(total_measures(1e-6).region_y - 0.2898) < 1e-3
 
     def test_total_report(self):
         report = total_measures(1e-8)
@@ -144,19 +146,14 @@ class TestQuadrature:
         assert abs(report.markovian - 0.133) < 3e-3
         assert report.method == "quadrature"
 
-    def test_simpson_on_polynomial_is_exact(self):
-        value, err = _adaptive_simpson(lambda t: t**3 - 2 * t, 0.0, 2.0, 1e-12)
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_simpson_reports_failure(self):
-        # a discontinuity cannot be resolved at this tolerance
-        step = lambda t: 0.0 if t < 0.5 else 1.0
-        with pytest.raises(QuadratureError):
-            _adaptive_simpson(step, 0.0, 1.0, 1e-14, max_depth=8)
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_unreachable_tolerance_is_rejected(self, tol):
+        with pytest.raises(ValueError, match=f"tol={tol}"):
+            total_measures(tol)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            region_measure_quadrature("Y", 0.0)
+            total_measures(0.0)
 
 
 class TestMonteCarlo:
@@ -245,29 +242,37 @@ class TestMonteCarlo:
         np.testing.assert_allclose(pts.var(axis=0), 1 / 18, atol=2e-3)
 
 
+def embed(a, b, c):
+    """Equilateral embedding of one blend, as a (u, v) tuple of floats."""
+    u, v = to_pauli_neutral_array(MixtureWeights(a, b, c).as_array())
+    return (float(u), float(v))
+
+
 class TestEmbedding:
     def test_vertices(self):
-        assert to_pauli_neutral(MixtureWeights(1, 0, 0)) == (0.0, 0.0)
-        assert to_pauli_neutral(MixtureWeights(0, 1, 0)) == (1.0, 0.0)
-        u, v = to_pauli_neutral(MixtureWeights(0, 0, 1))
+        assert embed(1, 0, 0) == (0.0, 0.0)
+        assert embed(0, 1, 0) == (1.0, 0.0)
+        u, v = embed(0, 0, 1)
         assert (u, v) == (0.5, pytest.approx(math.sqrt(3) / 2, abs=1e-15))
 
     def test_centroid(self):
-        u, v = to_pauli_neutral(MixtureWeights(1 / 3, 1 / 3, 1 / 3))
+        u, v = embed(1 / 3, 1 / 3, 1 / 3)
         assert u == pytest.approx(0.5, abs=1e-15)
         assert v == pytest.approx(math.sqrt(3) / 6, abs=1e-15)
 
     def test_edge_midpoint(self):
-        u, v = to_pauli_neutral(MixtureWeights(0.0, 0.5, 0.5))
+        u, v = embed(0.0, 0.5, 0.5)
         assert u == pytest.approx(0.75, abs=1e-15)
         assert v == pytest.approx(math.sqrt(3) / 4, abs=1e-15)
 
     def test_affine_on_array(self):
+        # row by row, the affine map that puts the vertices at (0,0), (1,0)
+        # and (1/2, sqrt(3)/2)
         pts = sample_simplex(50, np.random.default_rng(5))
         batch = to_pauli_neutral_array(pts)
         for k in range(50):
-            u, v = to_pauli_neutral(MixtureWeights(*pts[k]))
-            np.testing.assert_allclose(batch[k], [u, v], atol=1e-15)
+            a, b, c = pts[k]
+            np.testing.assert_allclose(batch[k], [b + c / 2, c * math.sqrt(3) / 2], atol=1e-15)
 
 
 class TestScanGrid:
