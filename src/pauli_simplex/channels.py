@@ -10,7 +10,7 @@ path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,51 +103,17 @@ MAXIMALLY_MIXED = DensityMatrix(0.5 * IDENTITY)
 
 
 @dataclass(frozen=True)
-class SemigroupParam:
-    """Dephasing progress of a constant-rate semigroup.
-
-    The decoherence parameter p = (1 - exp(-r t)) / 2 starts at 0, increases
-    strictly with t, and approaches 1/2; its rate of change is
-    pdot = r (1 - 2p) / 2.  Everything downstream is parametrized by p, so
-    r and t are carried only here.
-    """
-
-    r: float
-    t: float
-    p: float = field(init=False)
-    pdot: float = field(init=False)
-
-    def __post_init__(self):
-        r = _require_finite("r", self.r)
-        t = _require_finite("t", self.t)
-        if r <= 0:
-            raise ValueError(f"decay constant r must be > 0, got {r}")
-        if t < 0:
-            raise ValueError(f"time t must be >= 0, got {t}")
-        p = 0.5 * -math.expm1(-r * t)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "pdot", 0.5 * r * (1.0 - 2.0 * p))
-
-
-def semigroup_p(r: float, t: float) -> SemigroupParam:
-    """Dephasing parameter and its time derivative at time t for decay constant r."""
-    return SemigroupParam(r=r, t=t)
-
-
-@dataclass(frozen=True)
 class MixtureWeights:
     """Convex mixing fractions (a, b, c) of the three dephasing channels.
 
-    The fractions must be nonnegative and sum to 1 within WEIGHT_SUM_TOL.  By
-    default a slightly off sum is renormalized (random sampling produces sums
-    off by float error); with strict=True the raw values are kept and any
-    deviation beyond the tolerance is rejected either way.
+    The fractions must be nonnegative and sum to 1 within WEIGHT_SUM_TOL; a
+    slightly off sum is renormalized (random sampling produces sums off by
+    float error).
     """
 
     a: float
     b: float
     c: float
-    strict: bool = False
 
     def __post_init__(self):
         vals = [
@@ -159,18 +125,11 @@ class MixtureWeights:
         total = sum(vals)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-        if not self.strict and total != 1.0:
-            vals = [v / total for v in vals]
         for name, v in zip(("a", "b", "c"), vals):
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, v / total)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
-
-    def permuted(self, order: tuple) -> "MixtureWeights":
-        """Weights reordered so that component i comes from position order[i]."""
-        vals = (self.a, self.b, self.c)
-        return MixtureWeights(*(vals[i] for i in order))
 
 
 @dataclass(frozen=True)
@@ -234,9 +193,3 @@ def three_mix_eigenvalues(w: MixtureWeights, p: float) -> PauliEigenvalues:
         1.0 - 2.0 * (1.0 - w.c) * p,
     )
 
-
-def two_mix_eigenvalues(a: float, p: float) -> PauliEigenvalues:
-    """Channel eigenvalues of the two-way blend a Ez + (1-a) Ey."""
-    a = _check_fraction("a", a)
-    p = _check_p(p, upper_open=True)
-    return PauliEigenvalues(1.0 - 2.0 * p, 1.0 - 2.0 * a * p, 1.0 - 2.0 * (1.0 - a) * p)

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import SIGMA_Y, SIGMA_Z, _check_fraction, _check_p, _require_finite
+from .divisibility import MARKOVIAN, NONMARKOVIAN
 
 #: eigenvalue floor below which an intermediate map counts as NCP
 WITNESS_TOL = 1e-9
-
-MARKOVIAN_VERDICT = "MARKOVIAN"
-NONMARKOVIAN_VERDICT = "NONMARKOVIAN"
 
 
 def _check_aqp(a: float, q: float, p: float) -> tuple:
@@ -128,7 +126,7 @@ class WitnessReport:
 
     @property
     def nonmarkovian(self) -> bool:
-        return self.verdict == NONMARKOVIAN_VERDICT
+        return self.verdict == NONMARKOVIAN
 
 
 def rhp_witness(a: float, q: float, p: float, tol: float = WITNESS_TOL) -> WitnessReport:
@@ -143,32 +141,8 @@ def rhp_witness(a: float, q: float, p: float, tol: float = WITNESS_TOL) -> Witne
     """
     ratios = intermediate_ratios(a, q, p)
     min_eig = choi_matrix(*ratios).min_eigenvalue()
-    verdict = NONMARKOVIAN_VERDICT if min_eig < -tol else MARKOVIAN_VERDICT
+    verdict = NONMARKOVIAN if min_eig < -tol else MARKOVIAN
     return WitnessReport(a, q, p, ratios, min_eig, verdict)
-
-
-def sweep_for_ncp(
-    a: float, p: float = 0.4, steps: int = 64, tol: float = WITNESS_TOL
-) -> WitnessReport:
-    """Sweep q upward from p and return the most negative witness found.
-
-    Scans q over an even grid in (p, 1/2); the returned report is the one
-    with the smallest minimum eigenvalue, whether or not it crossed -tol.
-    """
-    _check_fraction("a", a)
-    p = _check_p(p, upper_open=True)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    best = None
-    for q in np.linspace(p, 0.5, steps + 2)[1:-1]:
-        report = rhp_witness(a, float(q), p, tol)
-        if best is None or report.min_eigenvalue < best.min_eigenvalue:
-            best = report
-    return best
-
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).reshape(-1)  # row stacking
 
 
 def a_matrix(a: float, p: float) -> np.ndarray:
@@ -188,7 +162,7 @@ def a_matrix(a: float, p: float) -> np.ndarray:
             + a * p * (SIGMA_Z @ unit @ SIGMA_Z)
             + (1.0 - a) * p * (SIGMA_Y @ unit @ SIGMA_Y)
         )
-        out[:, j] = _vec(image)
+        out[:, j] = image.reshape(-1)  # row stacking
     return out
 
 

@@ -150,7 +150,7 @@ def rates(a, b, c, p, r, convention, as_json):
     try:
         analytic = three_mix_rates(w, p, convention, r)
         r_check = 1.0 if r is None else r
-        h = min(1e-6, max((0.5 - p) / 4.0, 1e-12))
+        h = min(1e-6, (0.5 - p) / 4.0)
         fd = finite_difference_rates(w, p, h=h, r=r_check)
         scale = 1.0 if convention == "physical" else 0.25 * r_check * (1.0 - 2.0 * p)
         deltas = [f / scale - g for f, g in zip(fd.as_tuple(), analytic.as_tuple())]
@@ -289,7 +289,8 @@ def choi_cmd(a, q, p, oracle, as_json):
     try:
         witness = rhp_witness(a, q, p)
         ratios = witness.ratios
-        eigs = choi_matrix(*ratios).eigenvalues()
+        dynamical = choi_matrix(*ratios)
+        eigs = dynamical.eigenvalues()
     except ValueError as exc:
         raise click.UsageError(str(exc))
     results = {
@@ -298,11 +299,11 @@ def choi_cmd(a, q, p, oracle, as_json):
         "x3": ratios[2],
         "eigenvalues": [float(v) for v in eigs],
         "min_eigenvalue": witness.min_eigenvalue,
-        "cp": witness.verdict == "MARKOVIAN",
+        "cp": not witness.nonmarkovian,
         "verdict": witness.verdict,
     }
     if oracle:
-        dev = abs(a_matrix_choi(a, q, p).matrix - choi_matrix(*ratios).matrix).max()
+        dev = abs(a_matrix_choi(a, q, p).matrix - dynamical.matrix).max()
         results["oracle_max_deviation"] = float(dev)
     record = {
         "command": "choi",

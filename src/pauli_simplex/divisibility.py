@@ -70,12 +70,6 @@ def limit_rates_array(weights: np.ndarray) -> np.ndarray:
     return np.where(coeff > 0, np.inf, np.where(coeff < 0, -np.inf, finite))
 
 
-def limit_rates(w: MixtureWeights) -> tuple:
-    """Limiting reduced rates (x, y, z) at p -> 1/2; entries may be +/-inf."""
-    gx, gy, gz = limit_rates_array(w.as_array())[0]
-    return (float(gx), float(gy), float(gz))
-
-
 def _divisibility(rates: np.ndarray) -> np.ndarray:
     """Region codes of an (n, 3) rate array: -1 Markovian, else axis index.
 

@@ -311,9 +311,12 @@ def scan_blocks(n: int):
     Validates n at once, then returns an iterator over blocks of at most
     SCAN_BLOCK_ROWS consecutive grid rows in lexicographic (i, j) order.  Each
     block is a tuple (weights, uv, rates, codes) of (m, 3), (m, 2), (m, 3)
-    and (m,) arrays; codes are -1 for Markovian, else the region's axis
-    index.  Memory per block is bounded whatever n is; `scan_grid` is the
-    concatenation of the blocks.
+    and (m,) arrays: the codes of `region_codes` (-1 Markovian, else the
+    region's axis index) and the limiting rates.  Memory per block is bounded
+    whatever n is.  Where a row's float sum (w0 + w1) + w2 is not exactly 1
+    (4,432 rows at n = 400), `weights` holds the MixtureWeights
+    renormalization w / ((w0 + w1) + w2) while uv, rates and codes come from
+    the raw row.
     """
     _check_resolution(n)
     return (_classify_rows(points) for points in _grid_blocks(n))
@@ -325,20 +328,3 @@ def _classify_rows(points: np.ndarray) -> tuple:
     total = (points[:, :1] + points[:, 1:2]) + points[:, 2:]
     weights = np.where(total == 1.0, points, points / total)
     return weights, uv, rates, region_codes(points)
-
-
-def scan_grid(n: int) -> tuple:
-    """Classify and embed every point of the resolution-n triangular grid.
-
-    Returns the columns of `scan_blocks` concatenated over all blocks: the
-    (weights, uv, rates, codes) arrays over the m = (n+1)(n+2)/2 grid rows in
-    lexicographic (i, j) order.  The Markovian fraction of the grid converges
-    to the Markovian measure.
-
-    Codes come from the polynomial test of `region_codes`; the rates are the
-    reported limiting rates.  Where a row's float sum (w0 + w1) + w2 is not
-    exactly 1 (4,432 rows at n = 400), `weights` holds the MixtureWeights
-    renormalization w / ((w0 + w1) + w2) while uv, rates and codes come from
-    the raw row, as the scan CSV always has.
-    """
-    return tuple(np.concatenate(columns) for columns in zip(*scan_blocks(n)))

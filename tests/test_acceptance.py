@@ -13,14 +13,10 @@ import numpy as np
 from click.testing import CliRunner
 
 from pauli_simplex.channels import MixtureWeights
-from pauli_simplex.choi import (
-    a_matrix_choi,
-    choi_matrix,
-    intermediate_ratios,
-    sweep_for_ncp,
-)
+from pauli_simplex.choi import a_matrix_choi, choi_matrix, intermediate_ratios, rhp_witness
 from pauli_simplex.cli import cli
 from pauli_simplex.divisibility import (
+    _SIGNS,
     NEG_TOL,
     limit_rates_array,
     rate_minima_over_grid,
@@ -30,6 +26,7 @@ from pauli_simplex.generator import finite_difference_rates, three_mix_rates, tw
 from pauli_simplex.geometry import (
     band_edge,
     boundary_roots,
+    grid_weights,
     monte_carlo_measures,
     total_measures,
 )
@@ -37,21 +34,10 @@ from pauli_simplex.geometry import (
 MC_SAMPLES = 1_000_000
 MC_SEED = 42
 
-_SIGNS = np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
-
 
 def report(number: int, description: str, ok: bool) -> None:
     print(f"ACCEPTANCE {number}: {description} ... {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {number} failed: {description}"
-
-
-def simplex_grid(n: int) -> np.ndarray:
-    pts = [
-        (i / n, j / n, (n - i - j) / n)
-        for i in range(n + 1)
-        for j in range(n - i + 1)
-    ]
-    return np.array(pts)
 
 
 def test_criterion_1_quadrature_measure():
@@ -111,8 +97,9 @@ def test_criterion_4_two_channel_blends_never_divisible():
         for j in range(1, 50)
     )
     rng = np.random.default_rng(2024)
+    qs = np.linspace(0.4, 0.5, 66)[1:-1]  # 64 interior values of q
     sweep_ok = all(
-        sweep_for_ncp(float(a)).min_eigenvalue < -1e-9
+        min(rhp_witness(float(a), float(q), 0.4).min_eigenvalue for q in qs) < -1e-9
         for a in rng.uniform(0.0, 1.0, size=100) * 0.998 + 0.001
     )
     elapsed = time.perf_counter() - start
@@ -122,7 +109,7 @@ def test_criterion_4_two_channel_blends_never_divisible():
 
 
 def test_criterion_5_pairwise_sums_and_single_negative():
-    weights = simplex_grid(100)  # 101 x 101 lattice restricted to the simplex
+    weights = grid_weights(100)  # 101 x 101 lattice restricted to the simplex
     ps = np.linspace(0.0, 0.49, 50)
     u = 1.0 - weights
     terms = u[:, None, :] / (1.0 - 2.0 * u[:, None, :] * ps[None, :, None])

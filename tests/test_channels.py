@@ -11,12 +11,15 @@ from pauli_simplex.channels import (
     MixtureWeights,
     apply_eigenvalue_map,
     apply_pauli_channel,
-    semigroup_p,
     three_mix_eigenvalues,
-    two_mix_eigenvalues,
 )
-from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios
+from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios, rhp_witness
 from pauli_simplex.generator import rate_term, two_mix_cross_rate
+
+
+def two_way_eigenvalues(a, p):
+    """Channel eigenvalues of the two-way blend a Ez + (1-a) Ey."""
+    return three_mix_eigenvalues(MixtureWeights(0.0, 1.0 - a, a), p)
 
 
 def random_states(count, seed=0):
@@ -26,32 +29,6 @@ def random_states(count, seed=0):
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     vecs *= rng.uniform(size=(count, 1)) ** (1 / 3)
     return [DensityMatrix.from_bloch(BlochVector(*v)) for v in vecs]
-
-
-class TestSemigroup:
-    def test_starts_at_zero(self):
-        sp = semigroup_p(1.0, 0.0)
-        assert sp.p == 0.0
-        assert sp.pdot == 0.5
-
-    def test_long_time_limit(self):
-        assert semigroup_p(1.0, 1e9).p == pytest.approx(0.5, abs=1e-15)
-
-    def test_closed_form_value(self):
-        # (1 - exp(-1)) / 2 evaluated directly
-        assert semigroup_p(2.0, 0.5).p == pytest.approx(0.31606027941427884, abs=1e-15)
-
-    def test_monotone_in_t(self):
-        ts = np.linspace(0.0, 5.0, 50)
-        ps = [semigroup_p(0.7, t).p for t in ts]
-        assert all(b > a for a, b in zip(ps, ps[1:]))
-        assert all(p < 0.5 for p in ps)
-        assert all(semigroup_p(0.7, t).pdot > 0 for t in ts)
-
-    @pytest.mark.parametrize("r,t", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.1), (np.nan, 1.0)])
-    def test_rejects_bad_inputs(self, r, t):
-        with pytest.raises(ValueError):
-            semigroup_p(r, t)
 
 
 class TestApplyChannel:
@@ -104,23 +81,25 @@ class TestMixtureEigenvalues:
 
     def test_two_mix_pure_cases(self):
         np.testing.assert_allclose(
-            two_mix_eigenvalues(1.0, 0.2).as_array(), [0.6, 0.6, 1.0], atol=1e-15
+            two_way_eigenvalues(1.0, 0.2).as_array(), [0.6, 0.6, 1.0], atol=1e-15
         )
         np.testing.assert_allclose(
-            two_mix_eigenvalues(0.0, 0.2).as_array(), [0.6, 1.0, 0.6], atol=1e-15
+            two_way_eigenvalues(0.0, 0.2).as_array(), [0.6, 1.0, 0.6], atol=1e-15
         )
 
     def test_two_mix_closed_form(self):
         np.testing.assert_allclose(
-            two_mix_eigenvalues(0.4, 0.4).as_array(), [0.2, 0.68, 0.52], atol=1e-15
+            two_way_eigenvalues(0.4, 0.4).as_array(), [0.2, 0.68, 0.52], atol=1e-15
         )
 
     def test_two_mix_is_degenerate_three_mix(self):
+        # the two-way blend a Ez + (1-a) Ey scales x by 1-2p, y by 1-2ap and
+        # z by 1-2(1-a)p
         for a in [0.0, 0.17, 0.5, 0.93, 1.0]:
             for p in [0.0, 0.21, 0.49]:
                 np.testing.assert_allclose(
-                    two_mix_eigenvalues(a, p).as_array(),
-                    three_mix_eigenvalues(MixtureWeights(0.0, 1.0 - a, a), p).as_array(),
+                    two_way_eigenvalues(a, p).as_array(),
+                    [1.0 - 2.0 * p, 1.0 - 2.0 * a * p, 1.0 - 2.0 * (1.0 - a) * p],
                     atol=1e-15,
                 )
 
@@ -151,8 +130,9 @@ class TestMixtureEigenvalues:
         w = MixtureWeights(a, b, 1.0 - a - b)
         base = three_mix_eigenvalues(w, p).as_array()
         for order in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
-            permuted = three_mix_eigenvalues(w.permuted(order), p).as_array()
-            np.testing.assert_allclose(permuted, base[list(order)], atol=1e-12)
+            w_perm = MixtureWeights(*w.as_array()[list(order)])
+            reordered = three_mix_eigenvalues(w_perm, p).as_array()
+            np.testing.assert_allclose(reordered, base[list(order)], atol=1e-12)
 
     def test_strictly_decreasing_in_p(self):
         w = MixtureWeights(0.5, 0.3, 0.2)
@@ -166,14 +146,14 @@ class TestWeights:
         w = MixtureWeights(0.1, 0.2, 0.7 + 5e-13)
         assert w.a + w.b + w.c == pytest.approx(1.0, abs=1e-15)
 
-    def test_strict_keeps_raw_values(self):
-        w = MixtureWeights(0.1, 0.2, 0.7, strict=True)
-        assert (w.a, w.b, w.c) == (0.1, 0.2, 0.7)
+    def test_exact_sum_keeps_raw_values(self):
+        # renormalizing by a float sum of exactly 1 changes no bit
+        w = MixtureWeights(0.1, 0.3, 0.6)
+        assert (w.a, w.b, w.c) == (0.1, 0.3, 0.6)
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_rejects_bad_sum(self, strict):
+    def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
-            MixtureWeights(0.5, 0.5, 0.5, strict=strict)
+            MixtureWeights(0.5, 0.5, 0.5)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -213,7 +193,7 @@ class TestFractionValidation:
         [
             (lambda: rate_term(1.5, 0.1), "mixing fraction alpha=1.5 outside [0, 1]"),
             (lambda: rate_term(float("nan"), 0.1), "alpha must be finite, got nan"),
-            (lambda: two_mix_eigenvalues(-0.5, 0.1), "mixing fraction a=-0.5 outside [0, 1]"),
+            (lambda: rhp_witness(-0.5, 0.3, 0.2), "mixing fraction a=-0.5 outside [0, 1]"),
             (lambda: two_mix_cross_rate(1.5, 0.1, 1.0), "mixing fraction a=1.5 outside [0, 1]"),
             (lambda: intermediate_ratios(1.5, 0.3, 0.2), "mixing fraction a=1.5 outside [0, 1]"),
             (lambda: a_matrix(2.0, 0.2), "mixing fraction a=2.0 outside [0, 1]"),
@@ -227,7 +207,7 @@ class TestFractionValidation:
             ),
         ],
         ids=[
-            "rate_term", "rate_term_nan", "two_mix_eigenvalues", "two_mix_cross_rate",
+            "rate_term", "rate_term_nan", "rhp_witness", "two_mix_cross_rate",
             "intermediate_ratios", "a_matrix", "intermediate_ratios_forward",
             "a_matrix_choi_forward",
         ],

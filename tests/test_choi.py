@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pauli_simplex.channels import two_mix_eigenvalues
+from pauli_simplex.channels import MixtureWeights, three_mix_eigenvalues
 from pauli_simplex.choi import (
     WITNESS_TOL,
     ChoiMatrix,
@@ -13,7 +13,6 @@ from pauli_simplex.choi import (
     choi_matrix,
     intermediate_ratios,
     rhp_witness,
-    sweep_for_ncp,
 )
 
 # exact spectrum bottom of the (a, q, p) = (0.1, 0.45, 0.4) intermediate map:
@@ -52,9 +51,11 @@ class TestIntermediateRatios:
     def test_quotient_of_blend_eigenvalues(self):
         for a, q, p in random_aqp(50, seed=3):
             ratios = np.array(intermediate_ratios(a, q, p))
-            quotient = two_mix_eigenvalues(a, q).as_array() / two_mix_eigenvalues(
-                a, p
-            ).as_array()
+            # the two-way blend a Ez + (1-a) Ey as a three-way blend
+            w = MixtureWeights(0.0, 1.0 - a, a)
+            quotient = (
+                three_mix_eigenvalues(w, q).as_array() / three_mix_eigenvalues(w, p).as_array()
+            )
             np.testing.assert_allclose(ratios, quotient, rtol=1e-13)
 
     def test_ratios_in_unit_interval(self):
@@ -169,8 +170,10 @@ class TestWitness:
 
     def test_sweep_finds_ncp_for_any_blend(self):
         rng = np.random.default_rng(33)
+        qs = np.linspace(0.4, 0.5, 66)[1:-1]  # 64 interior values of q
         for a in rng.uniform(0.001, 0.999, size=25):
-            report = sweep_for_ncp(float(a))
+            reports = [rhp_witness(float(a), float(q), 0.4) for q in qs]
+            report = min(reports, key=lambda r: r.min_eigenvalue)
             assert report.nonmarkovian
             assert report.min_eigenvalue < -1e-9
 

@@ -122,6 +122,13 @@ class TestRates:
         assert result.exit_code == 2
         assert "p=" in result.output
 
+    @pytest.mark.parametrize("p", [0.5 - 1e-13, float(np.nextafter(0.5, 0.0))])
+    def test_p_just_below_half(self, runner, p):
+        # the finite-difference step shrinks with 1/2 - p instead of stopping
+        # at a floor that would carry p + h past 1/2
+        result = run_ok(runner, ["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", repr(p)])
+        assert f"p            {p:.9g}" in result.output
+
 
 class TestClassify:
     def test_centroid(self, runner):

@@ -14,12 +14,16 @@ from pauli_simplex.divisibility import (
     _divisibility,
     classify,
     classify_by_rate_scan,
-    limit_rates,
     limit_rates_array,
     rate_minima_over_grid,
     region_codes,
 )
 from pauli_simplex.geometry import band_edge, boundary_roots, grid_weights, sample_simplex
+
+
+def limit_rates_of(w: MixtureWeights) -> np.ndarray:
+    """Limiting rates (x, y, z) of one blend; entries may be +/-inf."""
+    return limit_rates_array(w.as_array())[0]
 
 
 def random_weights(count, seed=0):
@@ -30,24 +34,24 @@ def random_weights(count, seed=0):
 
 class TestLimitRates:
     def test_centroid(self):
-        rates = limit_rates(MixtureWeights(1 / 3, 1 / 3, 1 / 3))
+        rates = limit_rates_of(MixtureWeights(1 / 3, 1 / 3, 1 / 3))
         np.testing.assert_allclose(rates, [2.0, 2.0, 2.0], atol=1e-12)
 
     def test_two_channel_edge_diverges(self):
         # the absent axis' rate runs to -inf, the other two to +inf
-        gx, gy, gz = limit_rates(MixtureWeights(0.0, 0.6, 0.4))
+        gx, gy, gz = limit_rates_of(MixtureWeights(0.0, 0.6, 0.4))
         assert gx == -math.inf
         assert gy == math.inf and gz == math.inf
 
     def test_vertex_cancellation(self):
         # two zero weights share the identical divergent term, which cancels
         # exactly in the rates where they appear with opposite signs
-        gx, gy, gz = limit_rates(MixtureWeights(1.0, 0.0, 0.0))
+        gx, gy, gz = limit_rates_of(MixtureWeights(1.0, 0.0, 0.0))
         assert gx == math.inf
         assert gy == 0.0 and gz == 0.0
 
     def test_known_negative_point(self):
-        gx, gy, gz = limit_rates(MixtureWeights(0.45, 0.1, 0.45))
+        gx, gy, gz = limit_rates_of(MixtureWeights(0.45, 0.1, 0.45))
         assert gy == pytest.approx(-6.555555555555555, rel=1e-12)
         assert gx == pytest.approx(9.0, rel=1e-12)
         assert gz == pytest.approx(9.0, rel=1e-12)
@@ -58,7 +62,7 @@ class TestLimitRates:
 
         w = MixtureWeights(0.25, 0.35, 0.4)
         near = three_mix_rates(w, 0.5 - 1e-9).as_tuple()
-        np.testing.assert_allclose(limit_rates(w), near, rtol=1e-7)
+        np.testing.assert_allclose(limit_rates_of(w), near, rtol=1e-7)
 
     @pytest.mark.parametrize(
         "w, expected",
@@ -87,7 +91,7 @@ class TestLimitRates:
         batch = limit_rates_array(pts)
         for k in range(100):
             np.testing.assert_allclose(
-                batch[k], limit_rates(MixtureWeights(*pts[k])), rtol=1e-13
+                batch[k], limit_rates_of(MixtureWeights(*pts[k])), rtol=1e-13
             )
 
 
@@ -122,8 +126,8 @@ class TestClassify:
     def test_permutation_equivariance(self):
         w = MixtureWeights(0.45, 0.1, 0.45)
         assert classify(w).region == "Y"
-        assert classify(w.permuted((1, 0, 2))).region == "X"
-        assert classify(w.permuted((0, 2, 1))).region == "Z"
+        assert classify(MixtureWeights(*w.as_array()[[1, 0, 2]])).region == "X"
+        assert classify(MixtureWeights(*w.as_array()[[0, 2, 1]])).region == "Z"
 
     def test_agrees_with_rate_scan_oracle(self):
         for w in random_weights(2000, seed=17):
@@ -134,7 +138,7 @@ class TestClassify:
 
     def test_regions_are_disjoint(self):
         for w in random_weights(5000, seed=23):
-            rates = np.array(limit_rates(MixtureWeights(*w)))
+            rates = np.array(limit_rates_of(MixtureWeights(*w)))
             assert (rates < -1e-12).sum() <= 1
 
     def test_region_codes_match_classify(self):
@@ -158,13 +162,21 @@ def within_rounding_of_band(w, rates, code):
     return abs(rates[code] - NEG_TOL) <= 1e-13 * scale
 
 
+def exact_scaled_rates(w):
+    """Limiting rates (x, y, z) times w_x w_y w_z, in exact arithmetic."""
+    return tuple(
+        w[k] * (w[i] + w[j]) - w[i] * w[j] * (1 + w[k])
+        for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1)))
+    )
+
+
 def exact_code(w):
     """The NEG_TOL test on the scaled limiting rates, in exact arithmetic."""
     w = [Fraction(float(x)) for x in w]
+    band = Fraction(NEG_TOL) * w[0] * w[1] * w[2]
     code = -1
-    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
-        scaled = w[k] * (w[i] + w[j]) - w[i] * w[j] * (1 + w[k])
-        if scaled < Fraction(NEG_TOL) * w[i] * w[j] * w[k]:
+    for k, scaled in enumerate(exact_scaled_rates(w)):
+        if scaled < band:
             code = k
     return code
 
@@ -230,9 +242,9 @@ class TestRegionCodes:
         w = np.array(rows)
         w = w / w.sum(axis=1, keepdims=True)
         codes = region_codes(w)
-        permuted = region_codes(w[:, order])
+        reordered = region_codes(w[:, order])
         expected = [-1 if c < 0 else order.index(c) for c in codes.tolist()]
-        assert permuted.tolist() == expected
+        assert reordered.tolist() == expected
 
     @given(
         st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
@@ -313,3 +325,43 @@ class TestPDivisibility:
     def test_edge_with_diverging_rate(self):
         w = MixtureWeights(0.5, 0.5, 0.0)
         assert pairwise_sums_nonnegative(w, np.linspace(0.0, 0.4999, 500))
+
+
+def midpoint(u, v):
+    return tuple((s + t) / 2 for s, t in zip(u, v))
+
+
+class TestNonConvexity:
+    """Exact certificates that neither the Markovian set nor its complement is convex.
+
+    Each certificate is two blends of one set whose midpoint lies in the
+    other, checked in Fractions and then through the float classifiers.
+    """
+
+    def check_float_paths(self, points, codes):
+        weights = np.array(points, dtype=float)
+        assert region_codes(weights).tolist() == codes
+        for w, code in zip(weights, codes):
+            assert classify(MixtureWeights(*w)).region == (None if code < 0 else "XYZ"[code])
+
+    def test_markovian_set_is_not_convex(self):
+        F = Fraction
+        u, v = (F(1), F(0), F(0)), (F(0), F(1), F(0))
+        mid = midpoint(u, v)
+        assert mid == (F(1, 2), F(1, 2), F(0))
+        # vertices: every scaled rate is exactly zero, on the Markovian boundary
+        assert exact_scaled_rates(u) == exact_scaled_rates(v) == (0, 0, 0)
+        # the midpoint lies in region Z
+        assert exact_scaled_rates(mid) == (F(1, 4), F(1, 4), F(-1, 4))
+        self.check_float_paths([u, v, mid], [-1, -1, 2])
+
+    def test_nonmarkovian_set_is_not_convex(self):
+        F = Fraction
+        u, v = (F(0), F(1, 2), F(1, 2)), (F(1, 2), F(0), F(1, 2))
+        mid = midpoint(u, v)
+        assert mid == (F(1, 4), F(1, 4), F(1, 2))
+        assert exact_scaled_rates(u) == (F(-1, 4), F(1, 4), F(1, 4))  # region X
+        assert exact_scaled_rates(v) == (F(1, 4), F(-1, 4), F(1, 4))  # region Y
+        # the midpoint has three positive scaled rates: Markovian
+        assert exact_scaled_rates(mid) == (F(1, 32), F(1, 32), F(5, 32))
+        self.check_float_paths([u, v, mid], [0, 1, -1])

@@ -17,7 +17,6 @@ from pauli_simplex.geometry import (
     monte_carlo_measures,
     sample_simplex,
     scan_blocks,
-    scan_grid,
     to_pauli_neutral_array,
     total_measures,
 )
@@ -25,6 +24,11 @@ from pauli_simplex.geometry import (
 # band-width integral over the cross weight, evaluated to 20 digits with
 # arbitrary-precision quadrature; the region measure is twice this
 REGION_MEASURE_REF = 0.28980212068360561876
+
+
+def scan_columns(n):
+    """The (weights, uv, rates, codes) columns of `scan_blocks(n)`, concatenated."""
+    return tuple(np.concatenate(column) for column in zip(*scan_blocks(n)))
 
 
 class TestBandEdge:
@@ -277,12 +281,12 @@ class TestEmbedding:
 
 class TestScanGrid:
     def test_resolution_one_is_vertices(self):
-        weights, uv, rates, codes = scan_grid(1)
+        weights, uv, rates, codes = scan_columns(1)
         assert len(codes) == 3
         assert (codes == -1).all()
 
     def test_resolution_two(self):
-        weights, uv, rates, codes = scan_grid(2)
+        weights, uv, rates, codes = scan_columns(2)
         assert len(codes) == 6
         markovian = codes == -1
         assert markovian.sum() == 3  # the vertices
@@ -290,7 +294,7 @@ class TestScanGrid:
             assert 0.5 in row
 
     def test_columns_have_one_row_per_point(self):
-        weights, uv, rates, codes = scan_grid(9)
+        weights, uv, rates, codes = scan_columns(9)
         assert weights.shape == rates.shape == (55, 3)
         assert uv.shape == (55, 2)
         assert codes.shape == (55,)
@@ -308,19 +312,19 @@ class TestScanGrid:
         np.testing.assert_array_equal(grid_weights(n), np.array(rows))
 
     def test_matches_scalar_classify(self):
-        weights, uv, rates, codes = scan_grid(12)
+        weights, uv, rates, codes = scan_columns(12)
         for w, code in zip(weights, codes):
             label = classify(MixtureWeights(*w))
             assert label.tag == ("MARKOVIAN" if code < 0 else "NONMARKOVIAN")
             assert label.region == (None if code < 0 else "XYZ"[code])
 
     def test_region_counts_symmetric(self):
-        codes = scan_grid(30)[3]
+        codes = scan_columns(30)[3]
         counts = np.bincount(codes[codes >= 0], minlength=3)
         assert counts[0] == counts[1] == counts[2]
 
     def test_markovian_fraction_converges(self):
-        codes = scan_grid(150)[3]
+        codes = scan_columns(150)[3]
         fraction = (codes == -1).sum() / len(codes)
         assert abs(fraction - 0.1306) < 0.01
 
@@ -329,7 +333,7 @@ class TestScanGrid:
         # renormalization in a,b,c but the raw grid point in u,v and the rates
         n = 400
         raw = grid_weights(n)
-        weights, uv, rates, codes = scan_grid(n)
+        weights, uv, rates, codes = scan_columns(n)
         off = np.flatnonzero((raw[:, 0] + raw[:, 1]) + raw[:, 2] != 1.0)
         assert len(off) == 4432
         for k in off:
@@ -347,7 +351,7 @@ class TestScanGrid:
         if rows is not None:
             monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
         blocks = list(scan_blocks(n))
-        columns = scan_grid(n)
+        columns = scan_columns(n)
         for k, column in enumerate(columns):
             np.testing.assert_array_equal(np.concatenate([b[k] for b in blocks]), column)
         # the same rows, embedding, rates and codes as one pass over the whole grid
