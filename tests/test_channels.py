@@ -151,9 +151,11 @@ class TestWeights:
         w = MixtureWeights(0.1, 0.3, 0.6)
         assert (w.a, w.b, w.c) == (0.1, 0.3, 0.6)
 
-    def test_rejects_bad_sum(self):
+    @pytest.mark.parametrize("over", [False, True])
+    def test_rejects_bad_sum(self, over):
+        # a sum off by more than the tolerance is refused on either side of 1
         with pytest.raises(ValueError, match="sum"):
-            MixtureWeights(0.5, 0.5, 0.5)
+            MixtureWeights(0.5, 0.5, 0.5) if over else MixtureWeights(0.2, 0.2, 0.2)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
