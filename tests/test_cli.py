@@ -32,16 +32,22 @@ SCAN_SHA256 = {
     60: "b28032c8452fcdca5b9dd9452ed9307449d45aa2d8fd0c965d66b51ef03288c6",
 }
 
-#: run one CLI command in a fresh interpreter and print its peak RSS in KiB
+#: run one CLI command (none: import only) in a fresh interpreter and print
+#: its peak RSS in KiB; Linux carries ru_maxrss across exec, so there it would
+#: read the forking test process's RSS, and VmHWM is the child's own peak
 PEAK_RSS_CHILD = """
 import resource, sys
 from pauli_simplex.cli import cli
-try:
-    cli(sys.argv[1:])
-except SystemExit as exc:
-    assert not exc.code, exc.code
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(peak // 1024 if sys.platform == "darwin" else peak)
+if sys.argv[1:]:
+    try:
+        cli(sys.argv[1:])
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+if sys.platform == "darwin":
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+else:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
@@ -61,6 +67,20 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p
     )}
+
+
+needs_peak_rss = pytest.mark.skipif(
+    not sys.platform.startswith(("linux", "darwin")), reason="needs VmHWM or ru_maxrss"
+)
+
+
+def peak_rss_kib(*argv):
+    """Peak RSS in KiB of a fresh interpreter running one CLI command."""
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+        env=child_env(), capture_output=True, text=True, check=True,
+    )
+    return int(child.stdout.split()[-1])
 
 
 class TestRates:
@@ -233,15 +253,10 @@ class TestScan:
         assert result.output.startswith(f"wrote {(n + 1) * (n + 2) // 2} rows to {out} ")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[n]
 
-    @pytest.mark.skipif(not sys.platform.startswith(("linux", "darwin")), reason="needs ru_maxrss")
+    @needs_peak_rss
     def test_peak_memory_does_not_grow_with_n(self, tmp_path):
         def peak_kib(n):
-            argv = ["scan", "--n", str(n), "--out", str(tmp_path / f"grid{n}.csv")]
-            child = subprocess.run(
-                [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
-                env=child_env(), capture_output=True, text=True, check=True,
-            )
-            return int(child.stdout.split()[-1])
+            return peak_rss_kib("scan", "--n", str(n), "--out", str(tmp_path / f"grid{n}.csv"))
 
         small, large = peak_kib(300), peak_kib(1200)
         # 45,451 against 721,801 rows: 16 times the rows, under 10 MB more memory
@@ -359,6 +374,14 @@ class TestMeasure:
         one = json.loads(run_ok(runner, base + ["--threads", "1"]).output)
         four = json.loads(run_ok(runner, base + ["--threads", "4"]).output)
         assert one["results"] == four["results"]
+
+    @needs_peak_rss
+    def test_monte_carlo_peak_memory_is_bounded(self):
+        args = ["--method", "mc", "--samples", str(1 << 21), "--threads", "2"]
+        extra = peak_rss_kib("measure", *args) - peak_rss_kib()
+        # drawn and classified in slices: about 13 MB above the import, where
+        # whole 2^18-row chunks took about 51 MB
+        assert extra < 20 * 1024, extra
 
     def test_bad_method(self, runner):
         assert runner.invoke(cli, ["measure", "--method", "exact"]).exit_code == 2

@@ -237,6 +237,28 @@ class TestMonteCarlo:
         # the last chunk is a partial one
         assert monte_carlo_measures(n, seed, 1) == monte_carlo_measures(n, seed, 2)
 
+    @pytest.mark.parametrize("rows", [1000, geometry.MC_SLICE_ROWS])
+    def test_slice_draws_concatenate_to_chunk_draw(self, rows):
+        chunk = 1 << 18
+        whole = np.random.default_rng(3).exponential(size=(chunk, 3))
+        points = sample_simplex(chunk, np.random.default_rng(3))
+        draw, sample = np.random.default_rng(3), np.random.default_rng(3)
+        sizes = [min(rows, chunk - start) for start in range(0, chunk, rows)]
+        slices = np.concatenate([draw.exponential(size=(m, 3)) for m in sizes])
+        sampled = np.concatenate([sample_simplex(m, sample) for m in sizes])
+        np.testing.assert_array_equal(slices.view(np.uint64), whole.view(np.uint64))
+        np.testing.assert_array_equal(sampled.view(np.uint64), points.view(np.uint64))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows", [1000, 1 << 18, geometry.MC_SLICE_ROWS])
+    def test_slice_length_does_not_change_result(self, monkeypatch, rows, threads):
+        # a partial second chunk; 1000 divides neither chunk length
+        n = (1 << 18) + 12_345
+        monkeypatch.setattr(geometry, "MC_SLICE_ROWS", rows)
+        report = monte_carlo_measures(n, seed=11, threads=threads)
+        assert report.regions() == (79_352 / n, 79_728 / n, 79_363 / n)
+        assert report.total == 0.8686796192197137
+
     def test_sampler_is_uniform_on_simplex(self):
         pts = sample_simplex(200_000, np.random.default_rng(0))
         assert pts.shape == (200_000, 3)
