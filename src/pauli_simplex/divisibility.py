@@ -87,10 +87,6 @@ def _label(code: int, rates: np.ndarray) -> RegionLabel:
     return RegionLabel(tag, region, tuple(float(g) for g in rates))
 
 
-#: the other two axes (i, j) of each axis k
-_PAIRS = ((1, 2), (0, 2), (0, 1))
-
-
 def region_codes(weights: np.ndarray) -> np.ndarray:
     """Classify rows of an (n, 3) weight array; -1 Markovian, else axis index.
 
@@ -100,18 +96,28 @@ def region_codes(weights: np.ndarray) -> np.ndarray:
     the vertices where the plain w_k (w_i + w_j) - w_i w_j (1 + w_k) rounds
     to either sign.  A scaled rate that is exactly zero stays above the band,
     so boundary points and vertices are Markovian and the weight-zero edge
-    w_k = 0 (with w_i, w_j > 0) is region k.  In exact arithmetic at most one
-    axis is negative; if rounding lets two through, the larger index wins.
+    w_k = 0 (with w_i, w_j > 0) is region k.
+
+    Only the axis of a row's strict minimum can be negative, even in floats.
+    On any other axis k, w_k is at least the smaller of w_i, w_j, so w_k -
+    w_j rounds to >= 0; every other factor is >= 0 on the simplex, so the
+    float scaled rate is >= 0 and never below NEG_TOL w_i w_j w_k <= 0.  So
+    each row is sorted into lo <= mid <= hi and only the lo axis is tested,
+    with the same operands in the same order: hi (lo - mid) + (mid lo) (1 - hi)
+    against NEG_TOL (hi mid lo).  A tie at the minimum gives lo - mid = 0
+    and never flags.  The column reads are contiguous when the array is
+    column-major, as `geometry.sample_simplex` returns it.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    codes = np.full(w.shape[0], -1)
-    for k, (i, j) in enumerate(_PAIRS):
-        wk = w[:, k]
-        big, small = np.maximum(w[:, i], w[:, j]), np.minimum(w[:, i], w[:, j])
-        scaled = big * (wk - small) + (small * wk) * (1.0 - big)
-        negative = scaled < NEG_TOL * (big * small * wk)
-        np.maximum(codes, negative * (k + 1) - 1, out=codes)
-    return codes
+    a, b, c = w[:, 0], w[:, 1], w[:, 2]
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = np.minimum(low, c), np.maximum(high, c)
+    mid = np.maximum(low, np.minimum(high, c))
+    scaled = hi * (lo - mid) + (mid * lo) * (1.0 - hi)
+    negative = scaled < NEG_TOL * (hi * mid * lo)
+    # the axis of lo: 2 where c is below both others, else 1 where b < a
+    axis = np.maximum(b < a, np.int8(2) * (c < low))
+    return (negative * (axis + 1) - 1).astype(np.intp)
 
 
 def classify(w: MixtureWeights) -> RegionLabel:

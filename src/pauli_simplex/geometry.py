@@ -200,19 +200,26 @@ def total_measures(tol: float = 1e-8) -> MeasureReport:
 
 
 def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform on the weight simplex, by normalized exponential gaps."""
+    """n points uniform on the weight simplex, by normalized exponential gaps.
+
+    Returns an (n, 3) view of a (3, n) C-order array, so each weight column
+    points[:, k] is contiguous for the column-wise `region_codes`.  The values
+    are those of rng.exponential(size=(n, 3)) divided row by row by
+    (e0 + e1) + e2; only the memory layout differs from that array.
+    """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
-    e = rng.exponential(size=(n, 3))
-    # the same sum as e.sum(axis=1, keepdims=True), bit for bit, without the
-    # strided reduction that costs more than the draw itself
-    e /= (e[:, :1] + e[:, 1:2]) + e[:, 2:]
-    return e
+    e = rng.standard_exponential((n, 3)).T
+    points = np.empty((3, n))
+    # the same sum as e.sum(axis=0), bit for bit, without the strided
+    # reduction that costs more than the draw itself
+    np.divide(e, (e[0] + e[1]) + e[2], out=points)
+    return points.T
 
 
 #: rows per Monte Carlo slice, the unit of drawing and classifying: a slice's
-#: 0.75 MB draw and 0.25 MB classifier temporaries stay near cache size, where
-#: a whole 2^18-row chunk's came to about 25 MB per thread
+#: 0.75 MB draw, 0.75 MB of points and 0.25 MB classifier columns stay near
+#: cache size, where a whole 2^18-row chunk's came to about 25 MB per thread
 MC_SLICE_ROWS = 1 << 15
 
 
@@ -229,13 +236,15 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
     """Estimate the region measures by classifying n uniform simplex samples.
 
     Fully determined by (n, seed).  The chunk fixes the seeds: samples come
-    in chunks of 2^18 rows, each from its own generator spawned off one seed
-    sequence.  The slice bounds memory: a chunk is drawn and classified in
-    consecutive slices of at most MC_SLICE_ROWS rows from its generator, and
-    those draws concatenate bit for bit to one draw of the whole chunk.  So
-    neither the thread count nor the slice length changes the result.  The
-    error field is the binomial standard error of the total non-Markovian
-    fraction.
+    in chunks of 2^18 rows, and chunk i draws from the generator of
+    SeedSequence(seed, spawn_key=(i,)), which is SeedSequence(seed).spawn(m)[i]
+    for any m > i.  The slice bounds memory: a chunk is drawn and classified
+    in consecutive slices of at most MC_SLICE_ROWS rows from its generator,
+    and those draws concatenate bit for bit to one draw of the whole chunk.
+    Worker w counts chunks w, w + workers, ..., so neither the seeds nor the
+    work queue grow with n.  The counts are integer sums, so neither the
+    thread count nor the slice length changes the result.  The error field
+    is the binomial standard error of the total non-Markovian fraction.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
@@ -243,23 +252,23 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
         raise ValueError(f"threads must be >= 1, got {threads}")
     chunk, slice_rows = 1 << 18, MC_SLICE_ROWS
     n_chunks = (n + chunk - 1) // chunk
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
 
-    def count_chunk(i: int) -> np.ndarray:
-        size = min(chunk, n - i * chunk)
-        rng = np.random.default_rng(seeds[i])
+    def count_chunks(first: int) -> np.ndarray:
         counts = np.zeros(3, dtype=np.intp)
-        for start in range(0, size, slice_rows):
-            points = sample_simplex(min(slice_rows, size - start), rng)
-            counts += np.bincount(region_codes(points) + 1, minlength=4)[1:]
+        for i in range(first, n_chunks, workers):
+            size = min(chunk, n - i * chunk)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            for start in range(0, size, slice_rows):
+                points = sample_simplex(min(slice_rows, size - start), rng)
+                counts += np.bincount(region_codes(points) + 1, minlength=4)[1:]
         return counts
 
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
     if workers == 1:
-        counts = sum(count_chunk(i) for i in range(n_chunks))
+        counts = count_chunks(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(count_chunk, range(n_chunks)))
+            counts = sum(pool.map(count_chunks, range(workers)))
 
     fractions = counts / n
     total = float(fractions.sum())

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +19,13 @@ from pauli_simplex.divisibility import (
     rate_minima_over_grid,
     region_codes,
 )
-from pauli_simplex.geometry import band_edge, boundary_roots, grid_weights, sample_simplex
+from pauli_simplex.geometry import (
+    band_edge,
+    boundary_curve,
+    boundary_roots,
+    grid_weights,
+    sample_simplex,
+)
 
 
 def limit_rates_of(w: MixtureWeights) -> np.ndarray:
@@ -162,11 +169,14 @@ def within_rounding_of_band(w, rates, code):
     return abs(rates[code] - NEG_TOL) <= 1e-13 * scale
 
 
+#: the other two axes (i, j) of each axis k
+PAIRS = ((1, 2), (0, 2), (0, 1))
+
+
 def exact_scaled_rates(w):
     """Limiting rates (x, y, z) times w_x w_y w_z, in exact arithmetic."""
     return tuple(
-        w[k] * (w[i] + w[j]) - w[i] * w[j] * (1 + w[k])
-        for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1)))
+        w[k] * (w[i] + w[j]) - w[i] * w[j] * (1 + w[k]) for k, (i, j) in enumerate(PAIRS)
     )
 
 
@@ -284,6 +294,81 @@ class TestRegionCodes:
                 assert within_rounding_of_band(w[q], rates[q], code)
             # the polynomial test is the one that matches exact arithmetic
             assert int(fast[q]) == exact_code(w[q])
+
+
+def three_axis_scaled(weights):
+    """Float scaled rate and NEG_TOL band of every axis, (n, 3) arrays each.
+
+    The arithmetic of the three-axis classifier that `region_codes` replaced:
+    each axis k with big, small = max, min(w_i, w_j).
+    """
+    w = np.atleast_2d(weights)
+    scaled, band = np.empty_like(w), np.empty_like(w)
+    for k, (i, j) in enumerate(PAIRS):
+        wk = w[:, k]
+        big, small = np.maximum(w[:, i], w[:, j]), np.minimum(w[:, i], w[:, j])
+        scaled[:, k] = big * (wk - small) + (small * wk) * (1.0 - big)
+        band[:, k] = NEG_TOL * (big * small * wk)
+    return scaled, band
+
+
+def three_axis_codes(weights):
+    """Reference codes: all three axes tested, the larger index winning."""
+    scaled, band = three_axis_scaled(weights)
+    codes = np.full(len(scaled), -1)
+    for k in range(3):
+        np.maximum(codes, (scaled[:, k] < band[:, k]) * (k + 1) - 1, out=codes)
+    return codes
+
+
+def assert_matches_three_axis(weights):
+    np.testing.assert_array_equal(region_codes(weights), three_axis_codes(weights))
+
+
+#: zero, subnormals, tiny normals, values near the float spacing of 1, and 1/2, 1
+EXTREMES = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-17, 1e-16, 2.2e-16, 1e-8, 0.5, 1.0]
+
+
+class TestThreeAxisReference:
+    """`region_codes` equals the three-axis loop element for element.
+
+    The kernel tests only the axis of each row's strict minimum, with that
+    axis' operands in the old order, so no output bit may change.
+    """
+
+    def test_grids(self):
+        for n in [*range(1, 200), 400, 1000, 1001, 2048]:
+            assert_matches_three_axis(grid_weights(n))
+
+    def test_sampler_slices(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            assert_matches_three_axis(sample_simplex(2**15, rng))
+
+    def test_extreme_values_in_every_order(self):
+        rows = np.array([(a, b, 1.0 - a - b) for a in EXTREMES for b in EXTREMES])
+        rows = rows[rows[:, 2] >= 0.0]
+        orders = [list(order) for order in itertools.permutations(range(3))]
+        assert_matches_three_axis(np.concatenate([rows[:, order] for order in orders]))
+
+    @pytest.mark.parametrize("region", ["X", "Y", "Z"])
+    def test_shifted_boundary_samples(self, region):
+        samples = boundary_curve(region, 20_000).samples
+        steps = np.array([sign * d for d in (1e-16, 1e-13, 1e-12) for sign in (1, -1)])
+        shifted = samples + steps[:, None, None] * np.array([1.0, -1.0, 0.0])
+        rows = np.concatenate([samples, *shifted])
+        assert_matches_three_axis(rows[(rows >= 0.0).all(axis=1)])
+
+    @given(simplex_points)
+    @settings(max_examples=500, deadline=None)
+    def test_only_the_strict_minimum_can_be_negative(self, row):
+        # the fact the kernel rests on: w_k - small rounds to >= 0 unless w_k
+        # is the strict minimum, and every other factor is >= 0
+        w = np.array(row) / sum(row)
+        scaled, _ = three_axis_scaled(w)
+        for k, (i, j) in enumerate(PAIRS):
+            if not w[k] < min(w[i], w[j]):
+                assert scaled[0, k] >= 0.0
 
 
 class TestRateScan:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,44 @@ class TestMonteCarlo:
             e = np.random.default_rng(seed).exponential(size=(100_000, 3))
             points = sample_simplex(100_000, np.random.default_rng(seed))
             np.testing.assert_array_equal(points, e / e.sum(axis=1, keepdims=True))
+
+    def test_sampler_is_column_major(self):
+        # the row-sum normalization of rng.exponential's draw, bit for bit,
+        # in a layout whose weight columns are each contiguous
+        n = 2**15 + 7
+        e = np.random.default_rng(12).exponential(size=(n, 3))
+        expected = e / ((e[:, :1] + e[:, 1:2]) + e[:, 2:])
+        points = sample_simplex(n, np.random.default_rng(12))
+        np.testing.assert_array_equal(points.view(np.uint64), expected.view(np.uint64))
+        assert all(points[:, k].flags.c_contiguous for k in range(3))
+
+    @pytest.mark.parametrize("i", [0, 1, 38, 1000])
+    def test_chunk_seed_is_the_spawned_child(self, i):
+        # chunk i seeds from SeedSequence(seed, spawn_key=(i,)) without
+        # spawning the sequences of all chunks
+        spawned = np.random.SeedSequence(42).spawn(1001)[i]
+        direct = np.random.SeedSequence(42, spawn_key=(i,))
+        assert direct.generate_state(8).tolist() == spawned.generate_state(8).tolist()
+        draws = [np.random.default_rng(s).random(4).tolist() for s in (spawned, direct)]
+        assert draws[0] == draws[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_seeding_memory_does_not_grow_with_samples(self, monkeypatch, threads):
+        # 50,000 one-slice chunks with drawing and classifying stubbed out:
+        # what is left is seeding and scheduling, which held one seed
+        # sequence (and, on threads, one future) per chunk, 19 MB and 106 MB
+        chunks = 50_000
+        monkeypatch.setattr(geometry, "MC_SLICE_ROWS", 1 << 18)
+        monkeypatch.setattr(geometry, "sample_simplex", lambda m, rng: None)
+        monkeypatch.setattr(geometry, "region_codes", lambda points: np.zeros(1, dtype=np.intp))
+        tracemalloc.start()
+        try:
+            report = monte_carlo_measures(chunks << 18, seed=5, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.region_x == chunks / (chunks << 18)
+        assert peak < 5_000_000
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_seed_42_pins(self, threads):
