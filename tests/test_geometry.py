@@ -240,14 +240,12 @@ class TestMonteCarlo:
         spawned = np.random.SeedSequence(42).spawn(1001)[i]
         direct = np.random.SeedSequence(42, spawn_key=(i,))
         assert direct.generate_state(8).tolist() == spawned.generate_state(8).tolist()
-        draws = [np.random.default_rng(s).random(4).tolist() for s in (spawned, direct)]
-        assert draws[0] == draws[1]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_seeding_memory_does_not_grow_with_samples(self, monkeypatch, threads):
         # 50,000 one-slice chunks with drawing and classifying stubbed out:
-        # what is left is seeding and scheduling, which held one seed
-        # sequence (and, on threads, one future) per chunk, 19 MB and 106 MB
+        # what is left is seeding and scheduling, whose memory must not grow
+        # with the chunk count
         chunks = 50_000
         monkeypatch.setattr(geometry, "MC_SLICE_ROWS", 1 << 18)
         monkeypatch.setattr(geometry, "sample_simplex", lambda m, rng: None)
