@@ -5,22 +5,38 @@ semigroups.  `channels` holds the channel algebra, `generator` the time-local
 decay rates, `divisibility` the Markovian/non-Markovian classification,
 `geometry` the region boundaries and measures, and `choi` the intermediate-map
 dynamical-matrix witness.  The `cli` module exposes everything as subcommands.
+
+The names in `__all__` are imported from their submodule on first use
+(PEP 562), so `import pauli_simplex` alone loads neither the submodules nor
+numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .channels import MixtureWeights
-from .choi import rhp_witness
-from .divisibility import classify
-from .generator import three_mix_rates
-from .geometry import monte_carlo_measures, total_measures
+#: each public name and the submodule that defines it
+_EXPORTS = {
+    "MixtureWeights": "channels",
+    "three_mix_rates": "generator",
+    "classify": "divisibility",
+    "total_measures": "geometry",
+    "monte_carlo_measures": "geometry",
+    "rhp_witness": "choi",
+}
 
-__all__ = [
-    "__version__",
-    "MixtureWeights",
-    "three_mix_rates",
-    "classify",
-    "total_measures",
-    "monte_carlo_measures",
-    "rhp_witness",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

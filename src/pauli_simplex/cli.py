@@ -17,6 +17,11 @@ import math
 import os
 import sys
 
+# Every matrix product in the package is (n, 3) @ (3, k) or at most 4 x 4,
+# too narrow to share out, so an OpenBLAS thread pool would only spin and burn
+# CPU.  This must run before numpy loads; a value the caller set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import click
 import numpy as np
 
@@ -72,21 +77,26 @@ def _emit(record: dict, as_json: bool) -> None:
             click.echo(f"{key:<12} {_human(value)}")
 
 
-def _fields(column: np.ndarray) -> list:
-    """The CSV fields of one column, as Python strings.
+def _fields(columns: list) -> list:
+    """The CSV fields of a block's columns, one list of Python strings each.
 
-    A column of objects holds its strings already.  Numbers get the repr of
-    the Python float or int, made once per distinct value and gathered back
-    by the inverse index; floats are keyed by bit pattern, so -0.0 keeps its
-    sign.
+    A column of objects holds its strings already, and other columns get the
+    repr of each Python float or int.  The float64 columns share one
+    `np.unique` over their bit patterns, so each distinct value is formatted
+    once per block, whichever columns hold it, and gathered back by the
+    inverse index; keying by bits keeps -0.0 apart from 0.0.
     """
-    if column.dtype == object:
-        return column.tolist()
-    floats = column.dtype == np.float64
-    keys, inverse = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
-    values = keys.view(np.float64) if floats else keys
-    text = np.array([repr(v) for v in values.tolist()], dtype=object)
-    return text[inverse].tolist()
+    floats = [column.view(np.int64) for column in columns if column.dtype == np.float64]
+    if floats:
+        keys, inverse = np.unique(np.concatenate(floats), return_inverse=True)
+        text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        gathered = iter(text[inverse.reshape(len(floats), -1)].tolist())
+    return [
+        next(gathered) if column.dtype == np.float64
+        else column.tolist() if column.dtype == object
+        else list(map(repr, column.tolist()))
+        for column in columns
+    ]
 
 
 def _write_csv(out: str, header: list, blocks) -> None:
@@ -104,7 +114,7 @@ def _write_csv(out: str, header: list, blocks) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for columns in blocks:
-                rows = zip(*(_fields(column) for column in columns))
+                rows = zip(*_fields(columns))
                 fh.write("\n".join(map(",".join, rows)) + "\n")
         if atomic:
             os.replace(path, target)

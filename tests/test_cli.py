@@ -19,13 +19,15 @@ from click.testing import CliRunner
 
 import pauli_simplex
 from pauli_simplex import geometry
-from pauli_simplex.cli import cli
+from pauli_simplex.cli import _fields, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 #: SHA-256 of the `scan --n 400` CSV
 SCAN_400_SHA256 = "e4078959146d86a6e3016be2bc45d3fee182a7fd7e007a8342de308da8d126d5"
+#: SHA-256 of the `boundary --region Y --points 500` CSV
+BOUNDARY_Y500_SHA256 = "7e1d590530ddab7ceee9fe69340f4e565e3d1a28eab5c88a868defe926206ac6"
 #: SHA-256 of the `scan --n 9` and `scan --n 60` CSVs
 SCAN_SHA256 = {
     9: "14a2862e92238dae158c308892b5c4a443ff4b7852bf5489932d760e9579a31d",
@@ -67,6 +69,21 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p
     )}
+
+
+def run_child(code, **env):
+    """Run code in a fresh interpreter and return its stdout.
+
+    OPENBLAS_NUM_THREADS reaches the child only when passed here: this test
+    process imported the CLI, which set it in os.environ.
+    """
+    base = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**base, **env}, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 needs_peak_rss = pytest.mark.skipif(
@@ -231,6 +248,20 @@ class TestScan:
         result = run_ok(runner, ["scan", "--n", "400", "--out", str(out)])
         assert result.output == f"wrote 80601 rows to {out} (markovian fraction 0.130308557)\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_400_SHA256
+
+    def test_fields_match_repr_of_each_value(self):
+        columns = [
+            np.array([0.0, -0.0, np.nan, np.inf, 5e-324, 0.1]),
+            np.array([-1, 1, 1, -1, 0, 1]),
+            np.array([-0.0, 0.0, -np.inf, 5e-324, -5e-324, 0.1]),
+            np.array(["MARKOVIAN", "", "X", "Y", "Z", "NONMARKOVIAN"], dtype=object),
+            np.array([1.0, 0.0, 0.0, -0.0, np.nan, 1 / 3]),
+        ]
+        fields = _fields(columns)
+        assert fields[3] == columns[3].tolist()  # objects hold their strings already
+        numbers = [0, 1, 2, 4]
+        assert [fields[i] for i in numbers] == [[repr(x) for x in columns[i].tolist()] for i in numbers]
+        assert fields[0][:2] == ["0.0", "-0.0"] and fields[2][:2] == ["-0.0", "0.0"]
 
     def test_io_failure_exit_code(self, runner, tmp_path):
         result = runner.invoke(
@@ -422,6 +453,12 @@ class TestBoundary:
         assert join_lo == pytest.approx(join_hi, abs=1e-6)
         assert {row[5] for row in body} == {"-1", "1"}
 
+    def test_golden_y500(self, runner, tmp_path):
+        out = tmp_path / "curve.csv"
+        result = run_ok(runner, ["boundary", "--region", "Y", "--points", "500", "--out", str(out)])
+        assert result.output == f"wrote 1000 rows to {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y500_SHA256
+
     def test_branch_endpoints_on_simplex_edge(self, runner, tmp_path):
         out = tmp_path / "curve.csv"
         run_ok(runner, ["boundary", "--region", "Y", "--points", "10", "--out", str(out)])
@@ -527,3 +564,39 @@ class TestReadme:
         assert (label.tag, label.region) == ("NONMARKOVIAN", "Y")
         assert abs(values["total_measures"].region_y - 0.28980212068360562) <= 1e-12
         assert abs(values["rhp_witness"].min_eigenvalue + 27 / 322) <= 1e-15
+
+
+class TestImportCost:
+    """`import pauli_simplex` is light, and the CLI runs BLAS on one thread."""
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        code = "import sys, pauli_simplex; print('numpy' in sys.modules)"
+        assert run_child(code) == "False\n"
+
+    def test_every_public_name_resolves(self):
+        code = """
+import pauli_simplex
+for name in pauli_simplex.__all__:
+    assert getattr(pauli_simplex, name) is not None, name
+    assert name in dir(pauli_simplex), name
+from pauli_simplex import MixtureWeights, classify
+from pauli_simplex.channels import MixtureWeights as defined
+assert MixtureWeights is defined
+try:
+    pauli_simplex.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+        assert run_child(code) == "module 'pauli_simplex' has no attribute 'no_such_name'\n"
+
+    CLI_BLAS = """
+import os, sys, pauli_simplex.cli
+tasks = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else 1
+print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+"""
+
+    def test_cli_runs_blas_on_one_thread(self):
+        assert run_child(self.CLI_BLAS) == "1 1\n"
+
+    def test_caller_setting_wins(self):
+        assert run_child(self.CLI_BLAS, OPENBLAS_NUM_THREADS="2").split()[0] == "2"
