@@ -132,24 +132,6 @@ class MixtureWeights:
         return np.array([self.a, self.b, self.c])
 
 
-@dataclass(frozen=True)
-class PauliEigenvalues:
-    """Factors a Pauli-diagonal channel applies to the x, y, z Bloch components."""
-
-    lx: float
-    ly: float
-    lz: float
-
-    def __post_init__(self):
-        for name in ("lx", "ly", "lz"):
-            v = _require_finite(name, getattr(self, name))
-            if not 0.0 < v <= 1.0 + STATE_TOL:
-                raise ValueError(f"channel eigenvalue {name}={v} outside (0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lx, self.ly, self.lz])
-
-
 def _check_p(p: float, *, upper_open: bool) -> float:
     p = _require_finite("p", p)
     if p < 0 or (p >= 0.5 if upper_open else p > 0.5):
@@ -171,25 +153,18 @@ def apply_pauli_channel(rho: DensityMatrix, axis: str, p: float) -> DensityMatri
     return DensityMatrix((1.0 - p) * rho.matrix + p * (sigma @ rho.matrix @ sigma))
 
 
-def apply_eigenvalue_map(rho: DensityMatrix, eigs: PauliEigenvalues) -> DensityMatrix:
+def apply_eigenvalue_map(rho: DensityMatrix, eigs: np.ndarray) -> DensityMatrix:
     """Apply a Pauli-diagonal channel by rescaling the Bloch components."""
-    bl = rho.bloch()
-    return DensityMatrix.from_bloch(
-        BlochVector(eigs.lx * bl.a1, eigs.ly * bl.a2, eigs.lz * bl.a3)
-    )
+    return DensityMatrix.from_bloch(BlochVector(*(eigs * rho.bloch().as_array()).tolist()))
 
 
-def three_mix_eigenvalues(w: MixtureWeights, p: float) -> PauliEigenvalues:
-    """Channel eigenvalues of the three-way blend a Ex + b Ey + c Ez.
+def three_mix_eigenvalues(w: MixtureWeights, p: float) -> np.ndarray:
+    """Channel eigenvalues (lx, ly, lz) of the three-way blend a Ex + b Ey + c Ez.
 
     Each single-axis channel fixes its own Bloch axis and shrinks the other
     two by (1-2p), so by linearity the blend scales axis k by
-    1 - 2 (1 - w_k) p.
+    1 - 2 (1 - w_k) p.  For p in [0, 1/2) each lies in (0, 1], because
+    2 (1 - w_k) p rounds to at most 2p < 1.
     """
     p = _check_p(p, upper_open=True)
-    return PauliEigenvalues(
-        1.0 - 2.0 * (1.0 - w.a) * p,
-        1.0 - 2.0 * (1.0 - w.b) * p,
-        1.0 - 2.0 * (1.0 - w.c) * p,
-    )
-
+    return 1.0 - 2.0 * (1.0 - w.as_array()) * p

@@ -129,19 +129,19 @@ class WitnessReport:
         return self.verdict == NONMARKOVIAN
 
 
-def rhp_witness(a: float, q: float, p: float, tol: float = WITNESS_TOL) -> WitnessReport:
+def rhp_witness(a: float, q: float, p: float) -> WitnessReport:
     """Test the (p -> q) intermediate map of the blend for complete positivity.
 
-    A negative eigenvalue beyond tol means the intermediate map is NCP and
-    the blend non-Markovian: the divisibility criterion of Rivas, Huelga and
-    Plenio (PRL 105, 050403, 2010).  Every genuine blend (a strictly inside
-    (0, 1)) admits such a pair p < q; the pure channels a in {0, 1} never do.
-    At (a, q, p) = (1/10, 9/20, 2/5) the smallest eigenvalue is exactly
-    -27/322.
+    A negative eigenvalue beyond WITNESS_TOL means the intermediate map is
+    NCP and the blend non-Markovian: the divisibility criterion of Rivas,
+    Huelga and Plenio (PRL 105, 050403, 2010).  Every genuine blend (a
+    strictly inside (0, 1)) admits such a pair p < q; the pure channels a in
+    {0, 1} never do.  At (a, q, p) = (1/10, 9/20, 2/5) the smallest
+    eigenvalue is exactly -27/322.
     """
     ratios = intermediate_ratios(a, q, p)
     min_eig = choi_matrix(*ratios).min_eigenvalue()
-    verdict = NONMARKOVIAN if min_eig < -tol else MARKOVIAN
+    verdict = NONMARKOVIAN if min_eig < -WITNESS_TOL else MARKOVIAN
     return WitnessReport(a, q, p, ratios, min_eig, verdict)
 
 

@@ -12,6 +12,7 @@ Output conventions shared by all subcommands:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -47,13 +48,9 @@ _REGIONS = np.array(["", *AXES], dtype=object)
 
 
 def _token(value):
-    """Floats become finite numbers or "inf"/"-inf"/"nan" tokens."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(format(value, ".17g"))
+    """Non-finite floats become the tokens "inf", "-inf" and "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     if isinstance(value, dict):
         return {k: _token(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -67,14 +64,20 @@ def _human(value) -> str:
     return str(value)
 
 
-def _emit(record: dict, as_json: bool) -> None:
+def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> None:
+    """Print one record: command, version, params, results, then `extra` keys.
+
+    JSON mode prints the whole record on one line; human mode prints the
+    command, params and results as ``key  value`` lines and leaves out the
+    version and the `extra` keys.
+    """
     if as_json:
-        click.echo(json.dumps(_token(record)))
+        record = dict(command=command, version=__version__, params=params, results=results)
+        click.echo(json.dumps(_token({**record, **extra})))
         return
-    click.echo(f"command      {record['command']}")
-    for section in ("params", "results"):
-        for key, value in record[section].items():
-            click.echo(f"{key:<12} {_human(value)}")
+    click.echo(f"command      {command}")
+    for key, value in [*params.items(), *results.items()]:
+        click.echo(f"{key:<12} {_human(value)}")
 
 
 def _fields(columns: list) -> list:
@@ -128,11 +131,21 @@ def _write_csv(out: str, header: list, blocks) -> None:
             os.remove(path)
 
 
-def _weights(a: float, b: float, c: float) -> MixtureWeights:
-    try:
-        return MixtureWeights(a, b, c)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _usage_errors(command):
+    """Turn a ValueError from the library into a usage error (exit 2).
+
+    Goes innermost, under the click decorators, so the error is raised
+    inside the subcommand's context and its usage line names the subcommand.
+    """
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
+
+    return run
 
 
 @click.group()
@@ -154,33 +167,27 @@ def cli():
     show_default=True,
 )
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
+@_usage_errors
 def rates(a, b, c, p, r, convention, as_json):
     """Decay rates of a three-way blend, with a finite-difference cross-check."""
-    w = _weights(a, b, c)
-    try:
-        analytic = three_mix_rates(w, p, convention, r)
-        r_check = 1.0 if r is None else r
-        h = min(1e-6, (0.5 - p) / 4.0)
-        fd = finite_difference_rates(w, p, h=h, r=r_check)
-        scale = 1.0 if convention == "physical" else 0.25 * r_check * (1.0 - 2.0 * p)
-        deltas = [f / scale - g for f, g in zip(fd.as_tuple(), analytic.as_tuple())]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    record = {
-        "command": "rates",
-        "version": __version__,
-        "params": {"a": w.a, "b": w.b, "c": w.c, "p": p, "r": r, "convention": convention},
-        "results": {
-            "gamma_x": analytic.gx,
-            "gamma_y": analytic.gy,
-            "gamma_z": analytic.gz,
-            "fd_delta_x": deltas[0],
-            "fd_delta_y": deltas[1],
-            "fd_delta_z": deltas[2],
-            "fd_delta_max": max(abs(d) for d in deltas),
-        },
+    w = MixtureWeights(a, b, c)
+    analytic = three_mix_rates(w, p, convention, r)
+    r_check = 1.0 if r is None else r
+    h = min(1e-6, (0.5 - p) / 4.0)
+    fd = finite_difference_rates(w, p, h=h, r=r_check)
+    scale = 1.0 if convention == "physical" else 0.25 * r_check * (1.0 - 2.0 * p)
+    deltas = [f / scale - g for f, g in zip(fd.as_tuple(), analytic.as_tuple())]
+    params = {"a": w.a, "b": w.b, "c": w.c, "p": p, "r": r, "convention": convention}
+    results = {
+        "gamma_x": analytic.gx,
+        "gamma_y": analytic.gy,
+        "gamma_z": analytic.gz,
+        "fd_delta_x": deltas[0],
+        "fd_delta_y": deltas[1],
+        "fd_delta_z": deltas[2],
+        "fd_delta_max": max(abs(d) for d in deltas),
     }
-    _emit(record, as_json)
+    _emit("rates", params, results, as_json)
 
 
 @cli.command("classify")
@@ -188,35 +195,29 @@ def rates(a, b, c, p, r, convention, as_json):
 @click.option("--b", required=True, type=float)
 @click.option("--c", required=True, type=float)
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
+@_usage_errors
 def classify_cmd(a, b, c, as_json):
     """Markovian / non-Markovian verdict with the limiting rates."""
-    w = _weights(a, b, c)
+    w = MixtureWeights(a, b, c)
     label = classify(w)
     gx, gy, gz = label.limit_rates
-    record = {
-        "command": "classify",
-        "version": __version__,
-        "params": {"a": w.a, "b": w.b, "c": w.c},
-        "results": {
-            "label": label.tag,
-            "region": label.region or "",
-            "gamma_x": gx,
-            "gamma_y": gy,
-            "gamma_z": gz,
-        },
+    results = {
+        "label": label.tag,
+        "region": label.region or "",
+        "gamma_x": gx,
+        "gamma_y": gy,
+        "gamma_z": gz,
     }
-    _emit(record, as_json)
+    _emit("classify", {"a": w.a, "b": w.b, "c": w.c}, results, as_json)
 
 
 @cli.command()
 @click.option("--n", required=True, type=int, help="grid resolution (>= 1)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
+@_usage_errors
 def scan(n, out):
     """Classify the triangular grid and write one CSV row per point."""
-    try:
-        blocks = scan_grid(n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    blocks = scan_grid(n)
     rows = markovian = 0
 
     def columns():
@@ -243,45 +244,34 @@ def scan(n, out):
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
+@_usage_errors
 def measure(method, tol, samples, seed, threads, as_json):
     """Region measures by quadrature or seeded Monte Carlo."""
-    try:
-        if method == "quad":
-            report = total_measures(tol)
-            params = {"method": method, "tol": tol}
-        else:
-            report = monte_carlo_measures(samples, seed, threads)
-            params = {"method": method, "samples": samples, "seed": seed}
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    record = {
-        "command": "measure",
-        "version": __version__,
-        "params": params,
-        "results": {
-            "region_x": report.region_x,
-            "region_y": report.region_y,
-            "region_z": report.region_z,
-            "total": report.total,
-            "markovian": report.markovian,
-            "error": report.error,
-        },
+    if method == "quad":
+        report = total_measures(tol)
+        params, extra = {"method": method, "tol": tol}, {}
+    else:
+        report = monte_carlo_measures(samples, seed, threads)
+        params, extra = {"method": method, "samples": samples, "seed": seed}, {"seed": seed}
+    results = {
+        "region_x": report.region_x,
+        "region_y": report.region_y,
+        "region_z": report.region_z,
+        "total": report.total,
+        "markovian": report.markovian,
+        "error": report.error,
     }
-    if report.seed is not None:
-        record["seed"] = report.seed
-    _emit(record, as_json)
+    _emit("measure", params, results, as_json, **extra)
 
 
 @cli.command()
 @click.option("--region", required=True, type=click.Choice(["X", "Y", "Z"]))
 @click.option("--points", required=True, type=int, help="samples per branch (>= 2)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
+@_usage_errors
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
-    try:
-        curve = boundary_curve(region, points)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    curve = boundary_curve(region, points)
     uv = to_pauli_neutral_array(curve.samples)
     columns = [*curve.samples.T, *uv.T, curve.branch]
     _write_csv(out, ["a", "b", "c", "u", "v", "branch"], [columns])
@@ -294,15 +284,13 @@ def boundary(region, points, out):
 @click.option("--p", required=True, type=float, help="earlier dephasing parameter")
 @click.option("--oracle", is_flag=True, help="cross-check against the transfer-matrix route")
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
+@_usage_errors
 def choi_cmd(a, q, p, oracle, as_json):
     """Dynamical matrix of the intermediate map, spectrum, and CP verdict."""
-    try:
-        witness = rhp_witness(a, q, p)
-        ratios = witness.ratios
-        dynamical = choi_matrix(*ratios)
-        eigs = dynamical.eigenvalues()
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    witness = rhp_witness(a, q, p)
+    ratios = witness.ratios
+    dynamical = choi_matrix(*ratios)
+    eigs = dynamical.eigenvalues()
     results = {
         "x1": ratios[0],
         "x2": ratios[1],
@@ -315,16 +303,11 @@ def choi_cmd(a, q, p, oracle, as_json):
     if oracle:
         dev = abs(a_matrix_choi(a, q, p).matrix - dynamical.matrix).max()
         results["oracle_max_deviation"] = float(dev)
-    record = {
-        "command": "choi",
-        "version": __version__,
-        "params": {"a": a, "q": q, "p": p},
-        "results": results,
-    }
+    params = {"a": a, "q": q, "p": p}
     if as_json:
-        _emit(record, True)
+        _emit("choi", params, results, True)
     else:
-        _emit({**record, "results": {k: v for k, v in results.items() if k != "eigenvalues"}}, False)
+        _emit("choi", params, {k: v for k, v in results.items() if k != "eigenvalues"}, False)
         click.echo("eigenvalues  " + " ".join(_human(float(v)) for v in eigs))
 
 

@@ -41,10 +41,6 @@ class DecayRates:
     gz: float
     convention: str = "reduced"
 
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
-
     def as_tuple(self) -> tuple:
         return (self.gx, self.gy, self.gz)
 
@@ -143,7 +139,7 @@ def finite_difference_rates(
         raise ValueError(f"step p+h={p + h} reaches the p=1/2 boundary")
 
     def log_eigs(q: float) -> np.ndarray:
-        return np.log(three_mix_eigenvalues(w, q).as_array())
+        return np.log(three_mix_eigenvalues(w, q))
 
     if p - h >= 0.0:
         dlog_dp = (log_eigs(p + h) - log_eigs(p - h)) / (2.0 * h)

@@ -32,43 +32,31 @@ _TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 _REGION_ORDER = {"X": (1, 0, 2), "Y": (0, 1, 2), "Z": (0, 2, 1)}
 
 
-def band_edge(x: float) -> float:
-    """Largest cross weight at which a rate still reaches zero at p = 1/2 - x.
-
-    Closed form (2 - sqrt(4x^2 - 4x + 5)) / (2x - 1); equals sqrt(5) - 2 at
-    x = 0 and decreases as x grows, so the negative-rate band is widest in
-    the long-time limit.
-    """
-    x = _require_finite("x", x)
-    if not 0.0 <= x < 0.5:
-        raise ValueError(f"offset x={x} outside [0, 1/2)")
-    return (2.0 - math.sqrt(4.0 * x * x - 4.0 * x + 5.0)) / (2.0 * x - 1.0)
+#: largest cross weight at which a limiting rate still reaches zero: the band
+#: of negative y rates at p -> 1/2 closes at b = sqrt(5) - 2
+BAND_EDGE = math.sqrt(5.0) - 2.0
 
 
-def boundary_roots(b: float, x: float) -> tuple | None:
-    """Roots (a_minus, a_plus) of the y rate at p = 1/2 - x, or None.
+def boundary_roots(b: float) -> tuple | None:
+    """Roots (a_minus, a_plus) of the limiting y rate at p -> 1/2, or None.
 
-    Setting the y decay rate to zero at fixed cross weight b yields a
-    quadratic in a; for b beyond band_edge(x) the discriminant is negative
-    and the rate never reaches zero, so None is returned.  Inside the band,
-    blends with a strictly between the roots have a negative y rate.
+    Setting the y decay rate to zero at fixed cross weight b yields the
+    quadratic (1 - (1-b)/2) (a^2 - (1-b) a) + b (1-b)/2 in a; for b beyond
+    BAND_EDGE the discriminant is negative and the rate never reaches zero,
+    so None is returned.  Inside the band, blends with a strictly between the
+    roots have a negative limiting y rate.
     """
     b = _require_finite("b", b)
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"coordinate b={b} outside [0, 1]")
-    edge = band_edge(x)  # also validates x
-    x = float(x)
-    p = 0.5 - x
-    lead = 2.0 * p * (1.0 - p * (1.0 - b))
+    lead = 1.0 - 0.5 * (1.0 - b)
     mid = -(1.0 - b) * lead
-    const = b * (1.0 - 2.0 * p + 2.0 * p * p * (1.0 - b))
+    const = b * (0.5 * (1.0 - b))
     disc = mid * mid - 4.0 * lead * const
     if disc < 0.0:
-        if disc < -RADICAND_TOL and b <= edge:
-            raise ValueError(
-                f"negative radicand {disc:.3e} inside the band at b={b}, x={x}"
-            )
-        if b > edge:
+        if disc < -RADICAND_TOL and b <= BAND_EDGE:
+            raise ValueError(f"negative radicand {disc:.3e} inside the band at b={b}")
+        if b > BAND_EDGE:
             return None
         disc = 0.0
     root = math.sqrt(disc)
@@ -99,9 +87,8 @@ def boundary_curve(region: str, points: int) -> BoundaryCurve:
         raise ValueError(f"region must be one of {AXES}, got {region!r}")
     if points < 2:
         raise ValueError(f"need at least 2 points per branch, got {points}")
-    edge = band_edge(0.0)
-    bs = np.linspace(0.0, edge, points)
-    lo, hi = np.array([boundary_roots(float(b), 0.0) for b in bs]).T
+    bs = np.linspace(0.0, BAND_EDGE, points)
+    lo, hi = np.array([boundary_roots(float(b)) for b in bs]).T
     own = np.concatenate([bs, bs[::-1]])
     a_coord = np.concatenate([lo, hi[::-1]])
     other = 1.0 - own - a_coord
@@ -119,11 +106,11 @@ def _region_integrand(s: np.ndarray) -> np.ndarray:
     """Twice the band width at cross weight b = E - s^2, times |db/ds| = 2s.
 
     The width sqrt((1 - b^2)(1 - 4b - b^2)) / (1 + b) has a square-root zero
-    at the band edge E = band_edge(0) = sqrt(5) - 2.  With b = E - s^2,
+    at the band edge E = BAND_EDGE = sqrt(5) - 2.  With b = E - s^2,
     1 - 4b - b^2 = s^2 (2 sqrt(5) - s^2), so in s the integrand
     4 s^2 sqrt((1 - b)(2 sqrt(5) - s^2) / (1 + b)) is smooth on [0, sqrt(E)].
     """
-    b = band_edge(0.0) - s * s
+    b = BAND_EDGE - s * s
     return 4.0 * s * s * np.sqrt((1.0 - b) * (2.0 * math.sqrt(5.0) - s * s) / (1.0 + b))
 
 
@@ -141,7 +128,7 @@ def _region_measure(tol: float) -> tuple:
     # imported here: numpy.polynomial would add about 2 ms to every CLI start
     from numpy.polynomial.legendre import leggauss
 
-    half = math.sqrt(band_edge(0.0)) / 2.0  # s runs over [0, 2 * half]
+    half = math.sqrt(BAND_EDGE) / 2.0  # s runs over [0, 2 * half]
 
     def rule(n: int) -> float:
         x, w = leggauss(n)
@@ -290,7 +277,7 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
     return np.asarray(weights, dtype=float) @ _TRIANGLE
 
 
-#: rows per scan block: whole grid lines while they fit, a longer line in pieces
+#: rows per scan block, consecutive in grid order whatever the lines' lengths
 SCAN_BLOCK_ROWS = 1 << 13
 
 
@@ -302,25 +289,19 @@ def _check_resolution(n: int) -> None:
 def _grid_blocks(n: int):
     """Rows (i/n, j/n, (n-i-j)/n) of the grid in lexicographic (i, j) order.
 
-    Yields consecutive blocks of at most SCAN_BLOCK_ROWS rows, each built
-    from its own lines of fixed i, with no index over the whole grid.
+    Yields consecutive blocks of SCAN_BLOCK_ROWS rows (the last one shorter)
+    by flat row index k: line i starts at row starts[i], so k lies on the
+    last line starting at or before it.  Only the n + 1 line starts span the
+    whole grid.
     """
-    lines, pieces, rows = [], [], 0
-    for i in range(n + 1):
-        for j0 in range(0, n + 1 - i, SCAN_BLOCK_ROWS):
-            j = np.arange(j0, min(j0 + SCAN_BLOCK_ROWS, n + 1 - i))
-            if rows + j.size > SCAN_BLOCK_ROWS:
-                yield _grid_rows(n, lines, pieces)
-                lines, pieces, rows = [], [], 0
-            lines.append(np.full(j.size, i))
-            pieces.append(j)
-            rows += j.size
-    yield _grid_rows(n, lines, pieces)
-
-
-def _grid_rows(n: int, lines: list, pieces: list) -> np.ndarray:
-    i, j = np.concatenate(lines), np.concatenate(pieces)
-    return np.column_stack([i / n, j / n, (n - i - j) / n])
+    lengths = np.arange(n + 1, 0, -1)
+    starts = np.cumsum(lengths) - lengths
+    rows = (n + 1) * (n + 2) // 2
+    for k0 in range(0, rows, SCAN_BLOCK_ROWS):
+        k = np.arange(k0, min(k0 + SCAN_BLOCK_ROWS, rows))
+        i = np.searchsorted(starts, k, "right") - 1
+        j = k - starts[i]
+        yield np.column_stack([i / n, j / n, (n - i - j) / n])
 
 
 def grid_weights(n: int) -> np.ndarray:

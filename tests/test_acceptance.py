@@ -24,7 +24,7 @@ from pauli_simplex.divisibility import (
 )
 from pauli_simplex.generator import finite_difference_rates, three_mix_rates, two_mix_cross_rate
 from pauli_simplex.geometry import (
-    band_edge,
+    BAND_EDGE,
     boundary_roots,
     grid_weights,
     monte_carlo_measures,
@@ -153,12 +153,12 @@ def test_criterion_7_classifier_oracle_equivalence():
     brute = np.where((mins < NEG_TOL).any(axis=1), np.argmin(mins, axis=1), -1)
     matches = int((fast == brute).sum())
 
-    edge_ok = abs(band_edge(0.0) - (math.sqrt(5.0) - 2.0)) <= 1e-12
+    edge_ok = abs(BAND_EDGE - (math.sqrt(5.0) - 2.0)) <= 1e-12
 
     residual = 0.0
     flip_ok = True
-    for b in np.linspace(0.01, band_edge(0.0) * 0.9, 50):
-        lo, hi = boundary_roots(float(b), 0.0)
+    for b in np.linspace(0.01, BAND_EDGE * 0.9, 50):
+        lo, hi = boundary_roots(float(b))
         pts = np.array([[lo, b, 1 - b - lo], [hi, b, 1 - b - hi]])
         residual = max(residual, float(np.abs(limit_rates_array(pts)[:, 1]).max()))
         inner = region_codes(

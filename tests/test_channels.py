@@ -69,27 +69,27 @@ class TestApplyChannel:
 class TestMixtureEigenvalues:
     def test_identity_at_p_zero(self):
         eigs = three_mix_eigenvalues(MixtureWeights(0.2, 0.3, 0.5), 0.0)
-        assert (eigs.lx, eigs.ly, eigs.lz) == (1.0, 1.0, 1.0)
+        assert eigs.tolist() == [1.0, 1.0, 1.0]
 
     def test_pure_channel(self):
         eigs = three_mix_eigenvalues(MixtureWeights(1.0, 0.0, 0.0), 0.3)
-        np.testing.assert_allclose(eigs.as_array(), [1.0, 0.4, 0.4], atol=1e-15)
+        np.testing.assert_allclose(eigs, [1.0, 0.4, 0.4], atol=1e-15)
 
     def test_centroid_value(self):
         eigs = three_mix_eigenvalues(MixtureWeights(1 / 3, 1 / 3, 1 / 3), 0.25)
-        np.testing.assert_allclose(eigs.as_array(), [2 / 3, 2 / 3, 2 / 3], atol=1e-15)
+        np.testing.assert_allclose(eigs, [2 / 3, 2 / 3, 2 / 3], atol=1e-15)
 
     def test_two_mix_pure_cases(self):
         np.testing.assert_allclose(
-            two_way_eigenvalues(1.0, 0.2).as_array(), [0.6, 0.6, 1.0], atol=1e-15
+            two_way_eigenvalues(1.0, 0.2), [0.6, 0.6, 1.0], atol=1e-15
         )
         np.testing.assert_allclose(
-            two_way_eigenvalues(0.0, 0.2).as_array(), [0.6, 1.0, 0.6], atol=1e-15
+            two_way_eigenvalues(0.0, 0.2), [0.6, 1.0, 0.6], atol=1e-15
         )
 
     def test_two_mix_closed_form(self):
         np.testing.assert_allclose(
-            two_way_eigenvalues(0.4, 0.4).as_array(), [0.2, 0.68, 0.52], atol=1e-15
+            two_way_eigenvalues(0.4, 0.4), [0.2, 0.68, 0.52], atol=1e-15
         )
 
     def test_two_mix_is_degenerate_three_mix(self):
@@ -98,7 +98,7 @@ class TestMixtureEigenvalues:
         for a in [0.0, 0.17, 0.5, 0.93, 1.0]:
             for p in [0.0, 0.21, 0.49]:
                 np.testing.assert_allclose(
-                    two_way_eigenvalues(a, p).as_array(),
+                    two_way_eigenvalues(a, p),
                     [1.0 - 2.0 * p, 1.0 - 2.0 * a * p, 1.0 - 2.0 * (1.0 - a) * p],
                     atol=1e-15,
                 )
@@ -128,16 +128,16 @@ class TestMixtureEigenvalues:
         if a + b >= 0.999:
             return
         w = MixtureWeights(a, b, 1.0 - a - b)
-        base = three_mix_eigenvalues(w, p).as_array()
+        base = three_mix_eigenvalues(w, p)
         for order in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
             w_perm = MixtureWeights(*w.as_array()[list(order)])
-            reordered = three_mix_eigenvalues(w_perm, p).as_array()
+            reordered = three_mix_eigenvalues(w_perm, p)
             np.testing.assert_allclose(reordered, base[list(order)], atol=1e-12)
 
     def test_strictly_decreasing_in_p(self):
         w = MixtureWeights(0.5, 0.3, 0.2)
         ps = np.linspace(0.0, 0.49, 25)
-        lams = np.array([three_mix_eigenvalues(w, p).as_array() for p in ps])
+        lams = np.array([three_mix_eigenvalues(w, p) for p in ps])
         assert (np.diff(lams, axis=0) < 0).all()
 
 

@@ -53,9 +53,7 @@ class TestIntermediateRatios:
             ratios = np.array(intermediate_ratios(a, q, p))
             # the two-way blend a Ez + (1-a) Ey as a three-way blend
             w = MixtureWeights(0.0, 1.0 - a, a)
-            quotient = (
-                three_mix_eigenvalues(w, q).as_array() / three_mix_eigenvalues(w, p).as_array()
-            )
+            quotient = three_mix_eigenvalues(w, q) / three_mix_eigenvalues(w, p)
             np.testing.assert_allclose(ratios, quotient, rtol=1e-13)
 
     def test_ratios_in_unit_interval(self):

@@ -519,6 +519,43 @@ class TestChoi:
         assert "-0.0838509317" in result.output
 
 
+class TestUsageErrors:
+    """A domain error exits 2 with the subcommand's usage and the message alone."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["classify", "--a", "-0.1", "--b", ".6", "--c", ".5"],
+             "weights must be nonnegative, got (-0.1, 0.6, 0.5)"),
+            (["classify", "--a", "nan", "--b", ".5", "--c", ".5"], "a must be finite, got nan"),
+            (["choi", "--a", "1.5", "--q", ".3", "--p", ".2"],
+             "mixing fraction a=1.5 outside [0, 1]"),
+            # the transfer-matrix oracle at p next below 1/2
+            (["choi", "--a", ".1", "--q", "0.4999999999999999", "--p", "0.4999999999999999",
+              "--oracle"], "transfer matrix at p=0.4999999999999999 is singular"),
+            (["measure", "--method", "mc", "--samples", "10", "--threads", "0"],
+             "threads must be >= 1, got 0"),
+            (["measure", "--method", "quad", "--tol", "-1"], "tol must be > 0, got -1.0"),
+            (["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", ".3", "--r", "-1",
+              "--convention", "physical"], "decay constant r must be > 0, got -1.0"),
+        ],
+        ids=[
+            "classify-negative", "classify-nan", "choi-fraction", "choi-oracle-singular",
+            "measure-threads", "measure-tol", "rates-r",
+        ],
+    )
+    def test_usage_line_names_the_subcommand(self, runner, args, message):
+        result = runner.invoke(cli, args, prog_name="pauli-simplex")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        command = args[0]
+        assert result.stderr == (
+            f"Usage: pauli-simplex {command} [OPTIONS]\n"
+            f"Try 'pauli-simplex {command} --help' for help.\n"
+            f"\nError: {message}\n"
+        )
+
+
 class TestRecordFormat:
     def test_json_numbers_round_trip(self, runner):
         result = run_ok(

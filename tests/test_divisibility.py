@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pauli_simplex.channels import MixtureWeights
+from pauli_simplex.channels import MixtureWeights, three_mix_eigenvalues
 from pauli_simplex.divisibility import (
     MARKOVIAN,
     NEG_TOL,
@@ -20,7 +20,7 @@ from pauli_simplex.divisibility import (
     region_codes,
 )
 from pauli_simplex.geometry import (
-    band_edge,
+    BAND_EDGE,
     boundary_curve,
     boundary_roots,
     grid_weights,
@@ -266,9 +266,9 @@ class TestRegionCodes:
     )
     @settings(max_examples=300, deadline=None)
     def test_boundary_ulps_differ_only_within_rounding(self, frac, branch, steps):
-        # boundary_roots(b, 0) is the zero set of the limiting y rate
-        b = frac * band_edge(0.0)
-        a = shift_ulps(boundary_roots(b, 0.0)[branch], steps)
+        # boundary_roots(b) is the zero set of the limiting y rate
+        b = frac * BAND_EDGE
+        a = shift_ulps(boundary_roots(b)[branch], steps)
         c = 1.0 - b - a
         assume(a >= 0.0 and c >= 0.0)
         w = np.array([a, b, c])
@@ -281,8 +281,8 @@ class TestRegionCodes:
 
     def test_boundary_sweep_differs_only_within_rounding(self):
         rows = []
-        for b in np.linspace(0.0, band_edge(0.0), 2000):
-            for root in boundary_roots(float(b), 0.0):
+        for b in np.linspace(0.0, BAND_EDGE, 2000):
+            for root in boundary_roots(float(b)):
                 for steps in range(-8, 9):
                     a = shift_ulps(root, steps)
                     rows.append([a, b, 1.0 - b - a])
@@ -473,3 +473,50 @@ class TestNonConvexity:
         # the midpoint has three positive scaled rates: Markovian
         assert exact_scaled_rates(mid) == (F(1, 32), F(1, 32), F(5, 32))
         self.check_float_paths([u, v, mid], [0, 1, -1])
+
+
+def exact_eigenvalues(w, p):
+    """Channel eigenvalues 1 - 2 (1 - w_k) p of the blend, in Fractions."""
+    return tuple(1 - 2 * (1 - wk) * p for wk in w)
+
+
+class TestFiniteTimeCertificate:
+    """Exact certificate that the finite-time Markovian channels are not convex.
+
+    A Pauli channel with positive eigenvalues is a snapshot of a semigroup
+    when lambda_k >= lambda_i lambda_j for every axis k and the other two
+    i, j (Wolf, Eisert, Cubitt and Cirac, PRL 101, 150402, 2008).
+    """
+
+    #: p = k/64 on (0, 1/2), exact in binary so the float path sees the same p
+    P_GRID = [Fraction(k, 64) for k in range(1, 32)]
+    PURE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    @staticmethod
+    def margins(lam):
+        """lambda_k - lambda_i lambda_j for k = x, y, z."""
+        return tuple(lam[k] - lam[(k + 1) % 3] * lam[(k + 2) % 3] for k in range(3))
+
+    def test_pure_channels_pass_at_every_p(self):
+        for w in self.PURE:
+            for p in self.P_GRID:
+                lam = exact_eigenvalues([Fraction(wk) for wk in w], p)
+                assert min(lam) > 0
+                assert min(self.margins(lam)) >= 0
+
+    def test_midpoint_fails_by_p_squared(self):
+        mid = midpoint(*[tuple(map(Fraction, w)) for w in self.PURE[:2]])
+        assert mid == (Fraction(1, 2), Fraction(1, 2), 0)
+        for p in self.P_GRID:
+            lam = exact_eigenvalues(mid, p)
+            assert min(lam) > 0
+            assert self.margins(lam)[2] == -p * p < 0
+
+    def test_float_eigenvalues_match_fractions(self):
+        points = [*self.PURE, (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5)]
+        for w in points:
+            for p in self.P_GRID:
+                exact = exact_eigenvalues([Fraction(wk) for wk in w], p)
+                floats = three_mix_eigenvalues(MixtureWeights(*w), float(p))
+                for f, e in zip(floats.tolist(), exact):
+                    assert abs(Fraction(f) - e) <= Fraction(1, 10**15)

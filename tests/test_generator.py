@@ -5,7 +5,6 @@ import pytest
 
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.generator import (
-    DecayRates,
     finite_difference_rates,
     rate_term,
     three_mix_rates,
@@ -194,9 +193,3 @@ class TestFiniteDifferenceOracle:
     def test_rejects_step_over_boundary(self):
         with pytest.raises(ValueError, match="boundary"):
             finite_difference_rates(MixtureWeights(0.2, 0.3, 0.5), 0.4999999, h=1e-6)
-
-
-class TestDecayRates:
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            DecayRates(1.0, 1.0, 1.0, "absolute")

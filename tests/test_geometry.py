@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from pauli_simplex import geometry
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.divisibility import classify, limit_rates_array, region_codes
-from pauli_simplex.generator import three_mix_rates
 from pauli_simplex.geometry import (
-    band_edge,
+    BAND_EDGE,
     boundary_curve,
     boundary_roots,
     grid_weights,
@@ -34,61 +33,46 @@ def scan_columns(n):
 
 class TestBandEdge:
     def test_long_time_value(self):
-        assert abs(band_edge(0.0) - (math.sqrt(5.0) - 2.0)) < 1e-15
-
-    def test_decreasing(self):
-        xs = np.linspace(0.0, 0.49, 100)
-        vals = [band_edge(x) for x in xs]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            band_edge(0.5)
+        # the double nearest sqrt(5) - 2, as (2 - sqrt(4x^2 - 4x + 5)) / (2x - 1)
+        # gave it at x = 0
+        assert BAND_EDGE.hex() == "0x1.e3779b97f4a80p-3"
+        assert abs(BAND_EDGE - (math.sqrt(5.0) - 2.0)) < 1e-15
 
 
 class TestBoundaryRoots:
     def test_edge_of_simplex(self):
-        assert boundary_roots(0.0, 0.0) == (0.0, 1.0)
+        assert boundary_roots(0.0) == (0.0, 1.0)
 
     def test_band_closes_at_edge_value(self):
-        b = band_edge(0.0)
-        lo, hi = boundary_roots(b, 0.0)
+        b = BAND_EDGE
+        lo, hi = boundary_roots(b)
         assert lo == pytest.approx(hi, abs=1e-7)
         assert lo == pytest.approx(0.5 * (1.0 - b), abs=1e-7)
         assert lo == pytest.approx(0.38196601125, abs=1e-6)
 
     def test_outside_band(self):
-        assert boundary_roots(0.5, 0.0) is None
-        assert boundary_roots(band_edge(0.3) + 1e-6, 0.3) is None
+        assert boundary_roots(0.5) is None
+        assert boundary_roots(BAND_EDGE + 1e-6) is None
 
     def test_roots_zero_the_limit_rate(self):
-        for b in np.linspace(0.0, band_edge(0.0) * 0.999, 50):
-            lo, hi = boundary_roots(float(b), 0.0)
+        for b in np.linspace(0.0, BAND_EDGE * 0.999, 50):
+            lo, hi = boundary_roots(float(b))
             for a in (lo, hi):
                 rates = limit_rates_array(np.array([[a, b, 1.0 - a - b]]))[0]
                 assert abs(rates[1]) < 1e-9
 
-    @pytest.mark.parametrize("x", [0.05, 0.15, 0.3, 0.45])
-    def test_roots_zero_the_rate_at_earlier_times(self, x):
-        p = 0.5 - x
-        for b in np.linspace(0.001, band_edge(x) * 0.99, 20):
-            lo, hi = boundary_roots(float(b), x)
-            for a in (lo, hi):
-                w = MixtureWeights(a, float(b), 1.0 - a - float(b))
-                assert abs(three_mix_rates(w, p).gy) < 1e-9
-
     def test_width_tapers_to_zero(self):
-        edge = band_edge(0.0)
+        edge = BAND_EDGE
         widths = []
         for delta in [1e-2, 1e-4, 1e-6, 1e-8]:
-            lo, hi = boundary_roots(edge - delta, 0.0)
+            lo, hi = boundary_roots(edge - delta)
             widths.append(hi - lo)
         assert all(b < a for a, b in zip(widths, widths[1:]))
         assert widths[-1] < 1e-3
 
     def test_label_flips_across_curve(self):
-        for b in np.linspace(0.01, band_edge(0.0) * 0.9, 50):
-            lo, hi = boundary_roots(float(b), 0.0)
+        for b in np.linspace(0.01, BAND_EDGE * 0.9, 50):
+            lo, hi = boundary_roots(float(b))
             inside_lo = classify(MixtureWeights(lo + 1e-4, b, 1.0 - b - lo - 1e-4))
             inside_hi = classify(MixtureWeights(hi - 1e-4, b, 1.0 - b - hi + 1e-4))
             outside_lo = classify(MixtureWeights(lo - 1e-4, b, 1.0 - b - lo + 1e-4))
@@ -98,9 +82,26 @@ class TestBoundaryRoots:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            boundary_roots(-0.1, 0.0)
+            boundary_roots(-0.1)
         with pytest.raises(ValueError):
-            boundary_roots(0.1, 0.5)
+            boundary_roots(float("nan"))
+
+    def test_same_floats_as_the_quadratic_at_any_p(self):
+        # the y-rate quadratic at dephasing parameter p, evaluated at p = 1/2:
+        # every factor the fixed-p form drops is exact there
+        def roots_at(b, p):
+            lead = 2.0 * p * (1.0 - p * (1.0 - b))
+            mid = -(1.0 - b) * lead
+            const = b * (1.0 - 2.0 * p + 2.0 * p * p * (1.0 - b))
+            disc = max(mid * mid - 4.0 * lead * const, 0.0)
+            root = math.sqrt(disc)
+            return ((-mid - root) / (2.0 * lead), (-mid + root) / (2.0 * lead))
+
+        near_edge = [BAND_EDGE]
+        for _ in range(200):
+            near_edge.append(math.nextafter(near_edge[-1], 0.0))
+        for b in [*np.linspace(0.0, BAND_EDGE, 2001).tolist(), *near_edge]:
+            assert boundary_roots(b) == roots_at(b, 0.5)
 
 
 class TestBoundaryCurve:
@@ -122,7 +123,7 @@ class TestBoundaryCurve:
         rates = limit_rates_array(curve.samples)
         assert np.abs(rates[:, column]).max() < 1e-9
         # the own-axis weight is the small one, spanning the band
-        assert curve.samples[:, column].max() == pytest.approx(band_edge(0.0), abs=1e-12)
+        assert curve.samples[:, column].max() == pytest.approx(BAND_EDGE, abs=1e-12)
 
     def test_rejects_bad_region(self):
         with pytest.raises(ValueError):
@@ -423,14 +424,18 @@ class TestScanGrid:
         np.testing.assert_array_equal(rates, limit_rates_array(raw))
         np.testing.assert_array_equal(codes, region_codes(raw))
 
-    def test_blocks_hold_whole_lines(self):
-        # every line (fixed i) of the n = 400 grid fits a block, so each block
-        # starts at j = 0 and ends at i + j = n
-        blocks = list(scan_blocks(400))
-        assert len(blocks) > 1
-        for weights, uv, rates, codes in blocks:
-            assert len(codes) <= geometry.SCAN_BLOCK_ROWS
-            assert weights[0, 1] == 0.0 and weights[-1, 2] == 0.0
+    @pytest.mark.parametrize(
+        "n, rows", [(1, None), (126, None), (127, None), (400, None), (5, 7), (20, 7)]
+    )
+    def test_blocks_are_consecutive_ranges(self, monkeypatch, n, rows):
+        # full blocks of SCAN_BLOCK_ROWS rows and a shorter last one, whatever
+        # the lines' lengths; the 21 and 231 rows at n = 5 and 20 fill whole
+        # blocks of 7, with no empty block after them
+        if rows is not None:
+            monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+        q, r = divmod((n + 1) * (n + 2) // 2, geometry.SCAN_BLOCK_ROWS)
+        sizes = [len(codes) for *_, codes in scan_blocks(n)]
+        assert sizes == [geometry.SCAN_BLOCK_ROWS] * q + ([r] if r else [])
 
     def test_long_lines_are_split(self, monkeypatch):
         monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
