@@ -14,7 +14,7 @@ eigenvalue-ratio shortcut and serves as its independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,14 +115,16 @@ def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Outcome of the intermediate-map positivity test for one (a, q, p)."""
+    """Positivity test of one intermediate map: its Choi matrix and ascending spectrum."""
 
-    a: float
-    q: float
-    p: float
     ratios: tuple
-    min_eigenvalue: float
+    choi: ChoiMatrix = field(compare=False)  # the ratios determine it
+    eigenvalues: tuple
     verdict: str
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return self.eigenvalues[0]
 
     @property
     def nonmarkovian(self) -> bool:
@@ -140,9 +142,10 @@ def rhp_witness(a: float, q: float, p: float) -> WitnessReport:
     eigenvalue is exactly -27/322.
     """
     ratios = intermediate_ratios(a, q, p)
-    min_eig = choi_matrix(*ratios).min_eigenvalue()
-    verdict = NONMARKOVIAN if min_eig < -WITNESS_TOL else MARKOVIAN
-    return WitnessReport(a, q, p, ratios, min_eig, verdict)
+    choi = choi_matrix(*ratios)
+    eigs = tuple(choi.eigenvalues().tolist())
+    verdict = NONMARKOVIAN if eigs[0] < -WITNESS_TOL else MARKOVIAN
+    return WitnessReport(ratios, choi, eigs, verdict)
 
 
 def a_matrix(a: float, p: float) -> np.ndarray:

@@ -12,6 +12,7 @@ Output conventions shared by all subcommands:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .channels import AXES, MixtureWeights
-from .choi import a_matrix_choi, choi_matrix, rhp_witness
+from .choi import a_matrix_choi, rhp_witness
 from .divisibility import MARKOVIAN, NONMARKOVIAN, classify
 from .generator import finite_difference_rates, three_mix_rates
 from .geometry import (
@@ -253,15 +254,7 @@ def measure(method, tol, samples, seed, threads, as_json):
     else:
         report = monte_carlo_measures(samples, seed, threads)
         params, extra = {"method": method, "samples": samples, "seed": seed}, {"seed": seed}
-    results = {
-        "region_x": report.region_x,
-        "region_y": report.region_y,
-        "region_z": report.region_z,
-        "total": report.total,
-        "markovian": report.markovian,
-        "error": report.error,
-    }
-    _emit("measure", params, results, as_json, **extra)
+    _emit("measure", params, dataclasses.asdict(report), as_json, **extra)
 
 
 @cli.command()
@@ -288,27 +281,25 @@ def boundary(region, points, out):
 def choi_cmd(a, q, p, oracle, as_json):
     """Dynamical matrix of the intermediate map, spectrum, and CP verdict."""
     witness = rhp_witness(a, q, p)
-    ratios = witness.ratios
-    dynamical = choi_matrix(*ratios)
-    eigs = dynamical.eigenvalues()
+    x1, x2, x3 = witness.ratios
     results = {
-        "x1": ratios[0],
-        "x2": ratios[1],
-        "x3": ratios[2],
-        "eigenvalues": [float(v) for v in eigs],
+        "x1": x1,
+        "x2": x2,
+        "x3": x3,
+        "eigenvalues": witness.eigenvalues,
         "min_eigenvalue": witness.min_eigenvalue,
         "cp": not witness.nonmarkovian,
         "verdict": witness.verdict,
     }
     if oracle:
-        dev = abs(a_matrix_choi(a, q, p).matrix - dynamical.matrix).max()
+        dev = abs(a_matrix_choi(a, q, p).matrix - witness.choi.matrix).max()
         results["oracle_max_deviation"] = float(dev)
     params = {"a": a, "q": q, "p": p}
     if as_json:
         _emit("choi", params, results, True)
     else:
         _emit("choi", params, {k: v for k, v in results.items() if k != "eigenvalues"}, False)
-        click.echo("eigenvalues  " + " ".join(_human(float(v)) for v in eigs))
+        click.echo("eigenvalues  " + " ".join(map(_human, witness.eigenvalues)))
 
 
 def main():

@@ -39,26 +39,13 @@ class DecayRates:
     gx: float
     gy: float
     gz: float
-    convention: str = "reduced"
 
     def as_tuple(self) -> tuple:
         return (self.gx, self.gy, self.gz)
 
     def pairwise_sums(self) -> tuple:
-        """(gx+gy, gy+gz, gz+gx); each is nonnegative for every blend."""
+        """(gx+gy, gy+gz, gz+gx), reduced: 2 (f(c), f(a), f(b)), each nonnegative."""
         return (self.gx + self.gy, self.gy + self.gz, self.gz + self.gx)
-
-
-def rate_term(alpha: float, p: float) -> float:
-    """Contribution (1-alpha) / (1 - 2(1-alpha)p) of one mixing fraction.
-
-    Nonnegative for p in [0, 1/2) and alpha in [0, 1], equal to 1-alpha at
-    p=0, and strictly increasing in p whenever alpha < 1.  Each reduced decay
-    rate is a signed sum of three of these terms.
-    """
-    alpha = _check_fraction("alpha", alpha)
-    p = _check_p(p, upper_open=True)
-    return (1.0 - alpha) / (1.0 - 2.0 * (1.0 - alpha) * p)
 
 
 def _pdot(r: float, p: float) -> float:
@@ -73,25 +60,23 @@ def three_mix_rates(
 ) -> DecayRates:
     """Decay rates of the blend a Ex + b Ey + c Ez at dephasing parameter p.
 
-    In the reduced normalization the rate of axis k is the sum of the other
-    two axes' rate terms minus its own, e.g. gx = -f(a) + f(b) + f(c); at
-    p=0 this gives (2a, 2b, 2c).  The physical normalization multiplies by
-    pdot/2 and requires r.
+    Weight w has the rate term f(w) = (1-w) / (1 - 2(1-w)p), its complement
+    over its axis' channel eigenvalue: nonnegative, 1-w at p=0 and strictly
+    increasing in p if w < 1.  The reduced rate of axis k is the other two
+    axes' terms minus its own, e.g. gx = -f(a) + f(b) + f(c), so (2a, 2b, 2c)
+    at p=0.  The physical normalization multiplies by pdot/2 and requires r.
     """
-    p = _check_p(p, upper_open=True)
-    fa = rate_term(w.a, p)
-    fb = rate_term(w.b, p)
-    fc = rate_term(w.c, p)
+    fa, fb, fc = ((1.0 - w.as_array()) / three_mix_eigenvalues(w, p)).tolist()
     gx = -fa + fb + fc
     gy = fa - fb + fc
     gz = fa + fb - fc
     if convention == "reduced":
-        return DecayRates(gx, gy, gz, "reduced")
+        return DecayRates(gx, gy, gz)
     if convention == "physical":
         if r is None:
             raise ValueError("physical rates need the decay constant r")
         scale = 0.5 * _pdot(r, p)
-        return DecayRates(scale * gx, scale * gy, scale * gz, "physical")
+        return DecayRates(scale * gx, scale * gy, scale * gz)
     raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 
 
@@ -153,4 +138,4 @@ def finite_difference_rates(
     gx = 0.5 * (-u[0] + u[1] + u[2])
     gy = 0.5 * (u[0] - u[1] + u[2])
     gz = 0.5 * (u[0] + u[1] - u[2])
-    return DecayRates(gx, gy, gz, "physical")
+    return DecayRates(gx, gy, gz)

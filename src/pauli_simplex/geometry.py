@@ -71,7 +71,6 @@ class BoundaryCurve:
     with -1 or +1.  The two branches join where the band closes.
     """
 
-    region: str
     samples: np.ndarray
     branch: np.ndarray
 
@@ -95,7 +94,7 @@ def boundary_curve(region: str, points: int) -> BoundaryCurve:
     canonical = np.column_stack([a_coord, own, other])  # y-region layout
     samples = canonical[:, list(_REGION_ORDER[region])]
     branch = np.concatenate([np.full(points, -1), np.full(points, 1)])
-    return BoundaryCurve(region, samples, branch)
+    return BoundaryCurve(samples, branch)
 
 
 #: Gauss-Legendre node counts: the first rule, and the last before giving up
@@ -156,10 +155,7 @@ class MeasureReport:
     region_z: float
     total: float
     markovian: float
-    method: str
     error: float
-    samples: int | None = None
-    seed: int | None = None
 
     def regions(self) -> tuple:
         return (self.region_x, self.region_y, self.region_z)
@@ -181,7 +177,6 @@ def total_measures(tol: float = 1e-8) -> MeasureReport:
         region_z=region,
         total=total,
         markovian=1.0 - total,
-        method="quadrature",
         error=3.0 * err,
     )
 
@@ -265,10 +260,7 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
         region_z=float(fractions[2]),
         total=total,
         markovian=1.0 - total,
-        method="montecarlo",
         error=_binomial_se(total, n),
-        samples=n,
-        seed=seed,
     )
 
 

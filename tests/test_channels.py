@@ -14,7 +14,7 @@ from pauli_simplex.channels import (
     three_mix_eigenvalues,
 )
 from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios, rhp_witness
-from pauli_simplex.generator import rate_term, two_mix_cross_rate
+from pauli_simplex.generator import two_mix_cross_rate
 
 
 def two_way_eigenvalues(a, p):
@@ -193,8 +193,6 @@ class TestFractionValidation:
     @pytest.mark.parametrize(
         "call,message",
         [
-            (lambda: rate_term(1.5, 0.1), "mixing fraction alpha=1.5 outside [0, 1]"),
-            (lambda: rate_term(float("nan"), 0.1), "alpha must be finite, got nan"),
             (lambda: rhp_witness(-0.5, 0.3, 0.2), "mixing fraction a=-0.5 outside [0, 1]"),
             (lambda: two_mix_cross_rate(1.5, 0.1, 1.0), "mixing fraction a=1.5 outside [0, 1]"),
             (lambda: intermediate_ratios(1.5, 0.3, 0.2), "mixing fraction a=1.5 outside [0, 1]"),
@@ -209,7 +207,7 @@ class TestFractionValidation:
             ),
         ],
         ids=[
-            "rate_term", "rate_term_nan", "rhp_witness", "two_mix_cross_rate",
+            "rhp_witness", "two_mix_cross_rate",
             "intermediate_ratios", "a_matrix", "intermediate_ratios_forward",
             "a_matrix_choi_forward",
         ],

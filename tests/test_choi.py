@@ -166,6 +166,23 @@ class TestWitness:
             assert not report.nonmarkovian
             assert report.min_eigenvalue >= -1e-15
 
+    def test_keeps_the_matrix_and_its_spectrum(self):
+        for a, q, p in [(0.1, 0.45, 0.4), (0.3, 0.2, 0.2), *random_aqp(100, seed=8)]:
+            report = rhp_witness(a, q, p)
+            choi = choi_matrix(*intermediate_ratios(a, q, p))
+            assert np.array_equal(report.choi.matrix, choi.matrix)
+            assert report.eigenvalues == tuple(choi.eigenvalues().tolist())
+            assert report.min_eigenvalue == choi.min_eigenvalue()
+
+    def test_record_is_immutable_and_comparable(self):
+        report = rhp_witness(0.1, 0.45, 0.4)
+        assert report == rhp_witness(0.1, 0.45, 0.4)
+        assert report != rhp_witness(0.1, 0.45, 0.3)
+        assert hash(report) == hash(rhp_witness(0.1, 0.45, 0.4))
+        with pytest.raises(AttributeError):
+            report.verdict = "MARKOVIAN"
+        assert not report.choi.matrix.flags.writeable
+
     def test_sweep_finds_ncp_for_any_blend(self):
         rng = np.random.default_rng(33)
         qs = np.linspace(0.4, 0.5, 66)[1:-1]  # 64 interior values of q

@@ -383,6 +383,14 @@ class TestMeasure:
         assert record["results"]["total"] == pytest.approx(0.867, abs=3e-3)
         assert record["results"]["markovian"] == pytest.approx(0.133, abs=3e-3)
 
+    @pytest.mark.parametrize(
+        "args", [["--method", "quad"], ["--method", "mc", "--samples", "1000"]]
+    )
+    def test_results_are_the_report_fields(self, runner, args):
+        record = json.loads(run_ok(runner, ["measure", *args, "--json"]).output)
+        keys = ["region_x", "region_y", "region_z", "total", "markovian", "error"]
+        assert list(record["results"]) == keys
+
     def test_monte_carlo_reproducible(self, runner):
         args = ["measure", "--method", "mc", "--samples", "200000", "--seed", "42", "--json"]
         first = run_ok(runner, args).output
@@ -517,6 +525,26 @@ class TestChoi:
         result = run_ok(runner, ["choi", "--a", "0.1", "--q", "0.45", "--p", "0.4"])
         assert "eigenvalues" in result.output
         assert "-0.0838509317" in result.output
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--oracle"], ["--oracle", "--json"]])
+    def test_builds_and_diagonalizes_the_matrix_once(self, runner, monkeypatch, flags):
+        from pauli_simplex import choi
+
+        calls = {"choi_matrix": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        builder = counted("choi_matrix", choi.choi_matrix)
+        monkeypatch.setattr(choi, "choi_matrix", builder)
+        # a front end that imported the builder would call it under its own name
+        monkeypatch.setattr(pauli_simplex.cli, "choi_matrix", builder, raising=False)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        run_ok(runner, ["choi", "--a", "0.1", "--q", "0.45", "--p", "0.4", *flags])
+        assert calls == {"choi_matrix": 1, "eigvalsh": 1}
 
 
 class TestUsageErrors:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.generator import (
     finite_difference_rates,
-    rate_term,
     three_mix_rates,
     two_mix_cross_rate,
 )
@@ -18,36 +19,61 @@ def random_weights(count, seed=0):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def f(w, p):
+    """The rate term (1-w) / (1 - 2(1-w)p) of one weight, as a scalar formula."""
+    return (1.0 - w) / (1.0 - 2.0 * (1.0 - w) * p)
+
+
+def pair_sum_term(alpha, p):
+    """f(alpha) read off three_mix_rates: half the pairwise sum gy + gz = 2 f(a)."""
+    w = MixtureWeights(alpha, (1.0 - alpha) / 2, (1.0 - alpha) / 2)
+    return three_mix_rates(w, p).pairwise_sums()[1] / 2
+
+
 class TestRateTerm:
     def test_vanishes_for_pure_fraction(self):
         for p in [0.0, 0.2, 0.49]:
-            assert rate_term(1.0, p) == 0.0
+            assert pair_sum_term(1.0, p) == 0.0
 
     def test_zero_fraction(self):
-        assert rate_term(0.0, 0.3) == pytest.approx(1.0 / 0.4, abs=1e-15)
+        assert pair_sum_term(0.0, 0.3) == pytest.approx(1.0 / 0.4, abs=1e-15)
 
     def test_midpoint_value(self):
-        assert rate_term(0.5, 0.25) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert pair_sum_term(0.5, 0.25) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_nonnegative_and_increasing(self):
         ps = np.linspace(0.0, 0.499, 200)
         for alpha in [0.0, 0.1, 0.5, 0.9]:
-            vals = [rate_term(alpha, p) for p in ps]
+            vals = [pair_sum_term(alpha, p) for p in ps]
             assert vals[0] == pytest.approx(1 - alpha)
             assert min(vals) >= 0.0
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_p_at_half(self):
         with pytest.raises(ValueError):
-            rate_term(0.3, 0.5)
+            pair_sum_term(0.3, 0.5)
 
 
 class TestThreeMixRates:
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda e: sum(e) > 0),
+        st.floats(0.0, 0.5, exclude_max=True),
+        st.floats(1e-3, 1e3),
+    )
+    def test_rates_are_the_scalar_formula_bit_for_bit(self, e, p, r):
+        w = MixtureWeights(*(x / math.fsum(e) for x in e))
+        fa, fb, fc = f(w.a, p), f(w.b, p), f(w.c, p)
+        reduced = (-fa + fb + fc, fa - fb + fc, fa + fb - fc)
+        assert three_mix_rates(w, p).as_tuple() == reduced
+        scale = 0.5 * (0.5 * r * (1.0 - 2.0 * p))
+        physical = three_mix_rates(w, p, "physical", r).as_tuple()
+        assert physical == tuple(scale * g for g in reduced)
+
     def test_symmetric_blend(self):
         w = MixtureWeights(1 / 3, 1 / 3, 1 / 3)
         for p in [0.0, 0.2, 0.45]:
             rates = three_mix_rates(w, p)
-            expected = rate_term(1 / 3, p)
+            expected = f(1 / 3, p)
             np.testing.assert_allclose(rates.as_tuple(), [expected] * 3, rtol=1e-14)
             assert expected > 0
 
@@ -70,8 +96,8 @@ class TestThreeMixRates:
         # large middle weight: the small-weight terms cancel pairwise, so
         # every rate stays positive all the way to the p limit
         rates = three_mix_rates(MixtureWeights(0.1, 0.8, 0.1), 0.45)
-        fa = rate_term(0.1, 0.45)
-        fb = rate_term(0.8, 0.45)
+        fa = f(0.1, 0.45)
+        fb = f(0.8, 0.45)
         assert rates.gx == pytest.approx(fb, rel=1e-14)
         assert rates.gz == pytest.approx(fb, rel=1e-14)
         assert rates.gy == pytest.approx(2 * fa - fb, rel=1e-14)
@@ -113,9 +139,9 @@ class TestThreeMixRates:
                 for p in ps:
                     rates = three_mix_rates(w, p)
                     sxy, syz, szx = rates.pairwise_sums()
-                    assert abs(sxy - 2 * rate_term(w.c, p)) < 1e-12
-                    assert abs(syz - 2 * rate_term(w.a, p)) < 1e-12
-                    assert abs(szx - 2 * rate_term(w.b, p)) < 1e-12
+                    assert abs(sxy - 2 * f(w.c, p)) < 1e-12
+                    assert abs(syz - 2 * f(w.a, p)) < 1e-12
+                    assert abs(szx - 2 * f(w.b, p)) < 1e-12
 
     def test_at_most_one_negative(self):
         for w in random_weights(200, seed=2):
@@ -163,7 +189,6 @@ class TestFiniteDifferenceOracle:
     def test_pure_channel_semigroup_rate_is_constant(self):
         # a single channel has one constant physical rate r/2, others zero
         fd = finite_difference_rates(MixtureWeights(1.0, 0.0, 0.0), 0.1, r=1.0)
-        assert fd.convention == "physical"
         assert abs(fd.gx - 0.5) < 1e-8
         assert abs(fd.gy) < 1e-8
         assert abs(fd.gz) < 1e-8

