@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, geometry
 from .channels import AXES, MixtureWeights
 from .choi import a_matrix_choi, rhp_witness
 from .divisibility import MARKOVIAN, NONMARKOVIAN, classify
@@ -88,7 +88,9 @@ def _fields(columns: list) -> list:
     repr of each Python float or int.  The float64 columns share one
     `np.unique` over their bit patterns, so each distinct value is formatted
     once per block, whichever columns hold it, and gathered back by the
-    inverse index; keying by bits keeps -0.0 apart from 0.0.
+    inverse index; keying by bits keeps -0.0 apart from 0.0.  Every block
+    comes from a source of at most geometry.SCAN_BLOCK_ROWS rows, so the
+    strings held at once stay bounded whatever the command and its size.
     """
     floats = [column.view(np.int64) for column in columns if column.dtype == np.float64]
     if floats:
@@ -267,7 +269,9 @@ def boundary(region, points, out):
     curve = boundary_curve(region, points)
     uv = to_pauli_neutral_array(curve.samples)
     columns = [*curve.samples.T, *uv.T, curve.branch]
-    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], [columns])
+    step = geometry.SCAN_BLOCK_ROWS
+    blocks = ([column[k:k + step] for column in columns] for k in range(0, 2 * points, step))
+    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], blocks)
     click.echo(f"wrote {2 * points} rows to {out}")
 
 

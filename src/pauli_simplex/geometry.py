@@ -269,8 +269,12 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
     return np.asarray(weights, dtype=float) @ _TRIANGLE
 
 
-#: rows per scan block, consecutive in grid order whatever the lines' lengths
-SCAN_BLOCK_ROWS = 1 << 13
+#: rows per block of every CSV the CLI writes, consecutive in row order
+#: whatever the grid lines' lengths.  A block's Python strings live until it
+#: is written: at 2^13 rows they came to 11.6 MB above the import for
+#: `scan --n 400`, at 2^11 to 3.9 MB with the same formatting CPU; 2^10 took
+#: more CPU for 2.6 MB
+SCAN_BLOCK_ROWS = 1 << 11
 
 
 def _check_resolution(n: int) -> None:
@@ -278,21 +282,34 @@ def _check_resolution(n: int) -> None:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
 
 
+def _grid_line(n: int, k: int) -> int:
+    """The line i of flat row k: the last line whose start is at or before k.
+
+    Line i starts at row i (2n + 3 - i) / 2, which is at or before k exactly
+    when 2n + 3 - 2i >= sqrt((2n + 3)^2 - 8k), a positive radicand for every
+    row; the integer square root keeps it exact for any n.
+    """
+    m = 2 * n + 3
+    return (m - math.isqrt(m * m - 8 * k - 1) - 1) // 2
+
+
 def _grid_blocks(n: int):
     """Rows (i/n, j/n, (n-i-j)/n) of the grid in lexicographic (i, j) order.
 
     Yields consecutive blocks of SCAN_BLOCK_ROWS rows (the last one shorter)
-    by flat row index k: line i starts at row starts[i], so k lies on the
-    last line starting at or before it.  Only the n + 1 line starts span the
-    whole grid.
+    by flat row index k: k lies on the last line starting at or before it.
+    Only the starts of the lines a block touches are formed, so memory does
+    not grow with n.
     """
-    lengths = np.arange(n + 1, 0, -1)
-    starts = np.cumsum(lengths) - lengths
     rows = (n + 1) * (n + 2) // 2
     for k0 in range(0, rows, SCAN_BLOCK_ROWS):
-        k = np.arange(k0, min(k0 + SCAN_BLOCK_ROWS, rows))
-        i = np.searchsorted(starts, k, "right") - 1
-        j = k - starts[i]
+        k1 = min(k0 + SCAN_BLOCK_ROWS, rows)
+        lines = np.arange(_grid_line(n, k0), _grid_line(n, k1 - 1) + 1)
+        starts = lines * (2 * n + 3 - lines) // 2
+        k = np.arange(k0, k1)
+        at = np.searchsorted(starts, k, "right") - 1
+        i = lines[at]
+        j = k - starts[at]
         yield np.column_stack([i / n, j / n, (n - i - j) / n])
 
 
@@ -309,11 +326,12 @@ def scan_blocks(n: int):
     SCAN_BLOCK_ROWS consecutive grid rows in lexicographic (i, j) order.  Each
     block is a tuple (weights, uv, rates, codes) of (m, 3), (m, 2), (m, 3)
     and (m,) arrays: the codes of `region_codes` (-1 Markovian, else the
-    region's axis index) and the limiting rates.  Memory per block is bounded
-    whatever n is.  Where a row's float sum (w0 + w1) + w2 is not exactly 1
-    (4,432 rows at n = 400), `weights` holds the MixtureWeights
-    renormalization w / ((w0 + w1) + w2) while uv, rates and codes come from
-    the raw row.
+    region's axis index) and the limiting rates.  Memory is bounded by the
+    block, whatever n is: the grid rows themselves are formed block by block,
+    and the CLI formats each block before it draws the next.  Where a row's
+    float sum (w0 + w1) + w2 is not exactly 1 (4,432 rows at n = 400),
+    `weights` holds the MixtureWeights renormalization w / ((w0 + w1) + w2)
+    while uv, rates and codes come from the raw row.
     """
     _check_resolution(n)
     return (_classify_rows(points) for points in _grid_blocks(n))

@@ -28,6 +28,12 @@ README = ROOT / "README.md"
 SCAN_400_SHA256 = "e4078959146d86a6e3016be2bc45d3fee182a7fd7e007a8342de308da8d126d5"
 #: SHA-256 of the `boundary --region Y --points 500` CSV
 BOUNDARY_Y500_SHA256 = "7e1d590530ddab7ceee9fe69340f4e565e3d1a28eab5c88a868defe926206ac6"
+#: SHA-256 of the `boundary --points 500` CSV of each region
+BOUNDARY_500_SHA256 = {
+    "X": "9204b42bea868fa3e10f1d41a21232c9becec0ce064ff68187996fc5d8c1730a",
+    "Y": BOUNDARY_Y500_SHA256,
+    "Z": "352427f454fefc4c88635a3726d5670f24f94da91d8340d0d36b0647fff8aa85",
+}
 #: SHA-256 of the `scan --n 9` and `scan --n 60` CSVs
 SCAN_SHA256 = {
     9: "14a2862e92238dae158c308892b5c4a443ff4b7852bf5489932d760e9579a31d",
@@ -293,6 +299,12 @@ class TestScan:
         # 45,451 against 721,801 rows: 16 times the rows, under 10 MB more memory
         assert large - small < 10 * 1024, (small, large)
 
+    @needs_peak_rss
+    def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
+        extra = peak_rss_kib("scan", "--n", "400", "--out", str(tmp_path / "grid.csv")) - peak_rss_kib()
+        # about 3.9 MB in blocks of 2^11 rows, where blocks of 2^13 took 11.6 MB
+        assert extra < 6 * 1024, extra
+
 
 class TestAtomicWrite:
     """A CSV appears complete under its name, or not at all."""
@@ -466,6 +478,23 @@ class TestBoundary:
         result = run_ok(runner, ["boundary", "--region", "Y", "--points", "500", "--out", str(out)])
         assert result.output == f"wrote 1000 rows to {out}\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y500_SHA256
+
+    @pytest.mark.parametrize("rows", [1, 7, geometry.SCAN_BLOCK_ROWS])
+    @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
+    def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, region, rows):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+        out = tmp_path / "curve.csv"
+        result = run_ok(runner, ["boundary", "--region", region, "--points", "500", "--out", str(out)])
+        assert result.output == f"wrote 1000 rows to {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
+
+    @needs_peak_rss
+    def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
+        args = ["--region", "Y", "--points", "100000", "--out", str(tmp_path / "curve.csv")]
+        extra = peak_rss_kib("boundary", *args) - peak_rss_kib()
+        # about 23 MB, the curve's arrays, where formatting the whole curve
+        # as one block took 169 MB
+        assert extra < 40 * 1024, extra
 
     def test_branch_endpoints_on_simplex_edge(self, runner, tmp_path):
         out = tmp_path / "curve.csv"

@@ -87,6 +87,18 @@ def region_measure_oracle(n):
         return half * sum(w * integrand(half * (x + 1)) for x, w in zip(nodes, weights))
 
 
+def cumsum_grid_blocks(n):
+    """`geometry._grid_blocks` as it was: searchsorted over all n + 1 line starts."""
+    lengths = np.arange(n + 1, 0, -1)
+    starts = np.cumsum(lengths) - lengths
+    rows = (n + 1) * (n + 2) // 2
+    for k0 in range(0, rows, geometry.SCAN_BLOCK_ROWS):
+        k = np.arange(k0, min(k0 + geometry.SCAN_BLOCK_ROWS, rows))
+        i = np.searchsorted(starts, k, "right") - 1
+        j = k - starts[i]
+        yield np.column_stack([i / n, j / n, (n - i - j) / n])
+
+
 def scan_columns(n):
     """The (weights, uv, rates, codes) columns of `scan_blocks(n)`, concatenated."""
     return tuple(np.concatenate(column) for column in zip(*scan_blocks(n)))
@@ -521,6 +533,55 @@ class TestScanGrid:
         sizes = [len(codes) for *_, codes in scan_blocks(20)]
         assert max(sizes) <= 7
         assert sum(sizes) == 21 * 22 // 2
+
+    @pytest.mark.parametrize(
+        "rows, resolutions",
+        [
+            # one-row blocks over every n would take 16 s; every row's line is
+            # checked for all of these n by the test below
+            (1, range(1, 61)),
+            (7, [*range(1, 61), 400]),
+            (geometry.SCAN_BLOCK_ROWS, [*range(1, 201), 400, 1000]),
+        ],
+        ids=["rows1", "rows7", "default"],
+    )
+    def test_blocks_match_the_cumsum_reference(self, monkeypatch, rows, resolutions):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+        for n in resolutions:
+            pairs = zip(geometry._grid_blocks(n), cumsum_grid_blocks(n), strict=True)
+            for block, expected in pairs:
+                assert block.dtype == expected.dtype
+                np.testing.assert_array_equal(block.view(np.int64), expected.view(np.int64))
+
+    def test_line_of_every_row_matches_the_cumsum_reference(self):
+        for n in [*range(1, 201), 400, 1000]:
+            lengths = np.arange(n + 1, 0, -1)
+            starts = np.cumsum(lengths) - lengths
+            k = range((n + 1) * (n + 2) // 2)
+            expected = np.searchsorted(starts, k, "right") - 1
+            assert [geometry._grid_line(n, row) for row in k] == expected.tolist(), n
+
+    @pytest.mark.parametrize("n", [10**7, 3 * 10**7, 10**15])
+    def test_line_is_exact_for_large_n(self, n):
+        def start(i):
+            return i * (2 * n + 3 - i) // 2
+
+        # the first and the last row of each line; line n's is the last row
+        assert start(n + 1) == (n + 1) * (n + 2) // 2
+        for i in [0, 1, 2, n // 3, n // 2, n - 2, n - 1, n]:
+            for k in (start(i), start(i + 1) - 1):
+                assert geometry._grid_line(n, k) == i, (n, k)
+
+    def test_first_block_memory_does_not_grow_with_n(self):
+        tracemalloc.start()
+        try:
+            block = next(geometry._grid_blocks(10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (geometry.SCAN_BLOCK_ROWS, 3)
+        # the starts of all 10^7 + 1 lines took about 160 MB
+        assert peak < 2_000_000, peak
 
     def test_blocks_validate_before_iteration(self):
         with pytest.raises(ValueError, match="grid resolution must be >= 1, got 0"):
