@@ -271,9 +271,9 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
 
 #: rows per block of every CSV the CLI writes, consecutive in row order
 #: whatever the grid lines' lengths.  A block's Python strings live until it
-#: is written: at 2^13 rows they came to 11.6 MB above the import for
-#: `scan --n 400`, at 2^11 to 3.9 MB with the same formatting CPU; 2^10 took
-#: more CPU for 2.6 MB
+#: is written: at 2^13 rows they came to about 11.6 MB above the import for
+#: `scan --n 400`, at 2^11 to 3.9 MB for about the same formatting CPU; 2^10
+#: took more CPU to save another 1.2 MB
 SCAN_BLOCK_ROWS = 1 << 11
 
 

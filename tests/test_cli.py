@@ -301,7 +301,8 @@ class TestScan:
 
     @needs_peak_rss
     def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
-        extra = peak_rss_kib("scan", "--n", "400", "--out", str(tmp_path / "grid.csv")) - peak_rss_kib()
+        args = ["--n", "400", "--out", str(tmp_path / "grid.csv")]
+        extra = peak_rss_kib("scan", *args) - peak_rss_kib()
         # about 3.9 MB in blocks of 2^11 rows, where blocks of 2^13 took 11.6 MB
         assert extra < 6 * 1024, extra
 
@@ -484,7 +485,8 @@ class TestBoundary:
     def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, region, rows):
         monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
         out = tmp_path / "curve.csv"
-        result = run_ok(runner, ["boundary", "--region", region, "--points", "500", "--out", str(out)])
+        args = ["boundary", "--region", region, "--points", "500", "--out", str(out)]
+        result = run_ok(runner, args)
         assert result.output == f"wrote 1000 rows to {out}\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
 
