@@ -305,7 +305,7 @@ def _grid_blocks(n: int):
     for k0 in range(0, rows, SCAN_BLOCK_ROWS):
         k1 = min(k0 + SCAN_BLOCK_ROWS, rows)
         lines = np.arange(_grid_line(n, k0), _grid_line(n, k1 - 1) + 1)
-        starts = lines * (2 * n + 3 - lines) // 2
+        starts = lines * (2 * n + 3 - lines) // 2  # as in _grid_line
         k = np.arange(k0, k1)
         at = np.searchsorted(starts, k, "right") - 1
         i = lines[at]

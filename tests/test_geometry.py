@@ -87,10 +87,15 @@ def region_measure_oracle(n):
         return half * sum(w * integrand(half * (x + 1)) for x, w in zip(nodes, weights))
 
 
+def cumsum_line_starts(n):
+    """The first flat row of each of the n + 1 grid lines."""
+    lengths = np.arange(n + 1, 0, -1)
+    return np.cumsum(lengths) - lengths
+
+
 def cumsum_grid_blocks(n):
     """`geometry._grid_blocks` as it was: searchsorted over all n + 1 line starts."""
-    lengths = np.arange(n + 1, 0, -1)
-    starts = np.cumsum(lengths) - lengths
+    starts = cumsum_line_starts(n)
     rows = (n + 1) * (n + 2) // 2
     for k0 in range(0, rows, geometry.SCAN_BLOCK_ROWS):
         k = np.arange(k0, min(k0 + geometry.SCAN_BLOCK_ROWS, rows))
@@ -555,10 +560,8 @@ class TestScanGrid:
 
     def test_line_of_every_row_matches_the_cumsum_reference(self):
         for n in [*range(1, 201), 400, 1000]:
-            lengths = np.arange(n + 1, 0, -1)
-            starts = np.cumsum(lengths) - lengths
             k = range((n + 1) * (n + 2) // 2)
-            expected = np.searchsorted(starts, k, "right") - 1
+            expected = np.searchsorted(cumsum_line_starts(n), k, "right") - 1
             assert [geometry._grid_line(n, row) for row in k] == expected.tolist(), n
 
     @pytest.mark.parametrize("n", [10**7, 3 * 10**7, 10**15])
