@@ -87,7 +87,7 @@ def _label(code: int, rates: np.ndarray) -> RegionLabel:
     return RegionLabel(tag, region, tuple(float(g) for g in rates))
 
 
-def region_codes(weights: np.ndarray) -> np.ndarray:
+def region_codes(weights: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Classify rows of an (n, 3) weight array; -1 Markovian, else axis index.
 
     Axis k is negative when its limiting rate, scaled by w_i w_j w_k, is below
@@ -107,17 +107,51 @@ def region_codes(weights: np.ndarray) -> np.ndarray:
     against NEG_TOL (hi mid lo).  A tie at the minimum gives lo - mid = 0
     and never flags.  The column reads are contiguous when the array is
     column-major, as `geometry.sample_simplex` returns it.
+
+    Every step writes into scratch: five float columns, two bool masks and
+    an int8 code column.  Without `work` they are allocated for the call and
+    the codes come back as a new intp array.  With `work`, a tuple (floats,
+    masks, codes) of float64 (5, m), bool (2, m) and int8 (m,) arrays with
+    m >= n, nothing is allocated and the codes come back as codes[:n], a
+    view that the next call with the same `work` overwrites.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
+    n = len(w)
+    if work is None:
+        floats, masks = np.empty((5, n)), np.empty((2, n), dtype=bool)
+        codes = np.empty(n, dtype=np.int8)
+    else:
+        floats, masks, codes = work
     a, b, c = w[:, 0], w[:, 1], w[:, 2]
-    low, high = np.minimum(a, b), np.maximum(a, b)
-    lo, hi = np.minimum(low, c), np.maximum(high, c)
-    mid = np.maximum(low, np.minimum(high, c))
-    scaled = hi * (lo - mid) + (mid * lo) * (1.0 - hi)
-    negative = scaled < NEG_TOL * (hi * mid * lo)
+    lo, hi, mid, scaled, term = floats[:, :n]
+    below, flag, axis = masks[0, :n], masks[1, :n], codes[:n]
+    np.minimum(a, b, out=lo)  # the smaller of a, b until lo is formed
+    np.maximum(a, b, out=hi)  # the larger of a, b until hi is formed
     # the axis of lo: 2 where c is below both others, else 1 where b < a
-    axis = np.maximum(b < a, np.int8(2) * (c < low))
-    return (negative * (axis + 1) - 1).astype(np.intp)
+    np.less(b, a, out=flag)
+    np.less(c, lo, out=below)
+    np.add(below, below, out=axis, dtype=np.int8)
+    np.maximum(axis, flag, out=axis)
+    np.minimum(hi, c, out=mid)
+    np.maximum(lo, mid, out=mid)
+    np.minimum(lo, c, out=lo)
+    np.maximum(hi, c, out=hi)
+    # scaled = hi (lo - mid) + (mid lo) (1 - hi) against NEG_TOL (hi mid lo)
+    np.subtract(lo, mid, out=scaled)
+    np.multiply(hi, scaled, out=scaled)
+    np.multiply(mid, lo, out=term)
+    np.multiply(hi, mid, out=mid)
+    np.multiply(mid, lo, out=mid)
+    np.multiply(NEG_TOL, mid, out=mid)
+    np.subtract(1.0, hi, out=lo)
+    np.multiply(term, lo, out=term)
+    np.add(scaled, term, out=scaled)
+    np.less(scaled, mid, out=flag)
+    # negative (axis + 1) - 1
+    np.add(axis, 1, out=axis)
+    np.multiply(flag, axis, out=axis)
+    np.subtract(axis, 1, out=axis)
+    return axis.astype(np.intp) if work is None else axis
 
 
 def classify(w: MixtureWeights) -> RegionLabel:

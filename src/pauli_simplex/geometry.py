@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,28 +181,45 @@ def total_measures(tol: float = 1e-8) -> MeasureReport:
     )
 
 
-def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_simplex(n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """n points uniform on the weight simplex, by normalized exponential gaps.
 
-    Returns an (n, 3) view of a (3, n) C-order array, so each weight column
+    Returns an (n, 3) view of a (3, n) array, so each weight column
     points[:, k] is contiguous for the column-wise `region_codes`.  The values
     are those of rng.exponential(size=(n, 3)) divided row by row by
     (e0 + e1) + e2; only the memory layout differs from that array.
+
+    Without `out` the draw, the row sums and the points are allocated for
+    the call.  With `out`, a C-contiguous float64 (7, m) array with m >= n,
+    nothing is allocated: rows 3 to 5 hold the draw as one flat run of 3n
+    values, row 6 the row sums and rows 0 to 2 the points, and the result is
+    a view of out[:3, :n] that the next call with the same `out` overwrites.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
-    e = rng.standard_exponential((n, 3)).T
-    points = np.empty((3, n))
+    if out is None:
+        draw, total, points = np.empty((n, 3)), np.empty(n), np.empty((3, n))
+    else:
+        draw = out[3:6].reshape(-1)[: 3 * n].reshape(n, 3)
+        total, points = out[6, :n], out[:3, :n]
+    rng.standard_exponential(out=draw)
+    e = draw.T
     # the same sum as e.sum(axis=0), bit for bit, without the strided
     # reduction that costs more than the draw itself
-    np.divide(e, (e[0] + e[1]) + e[2], out=points)
+    np.add(e[0], e[1], out=total)
+    np.add(total, e[2], out=total)
+    np.divide(e, total, out=points)
     return points.T
 
 
-#: rows per Monte Carlo slice, the unit of drawing and classifying: a slice's
-#: 0.75 MB draw, 0.75 MB of points and 0.25 MB classifier columns stay near
-#: cache size, where a whole 2^18-row chunk's came to about 25 MB per thread
-MC_SLICE_ROWS = 1 << 15
+#: rows per Monte Carlo slice, the unit of drawing and classifying.  Each
+#: worker holds one workspace of this many rows for its whole run: eight
+#: float64 columns (points, draw, row sums, one more classifier column; the
+#: classifier's scratch reuses the draw) and three byte columns, about
+#: 1.1 MB in all.  With such a workspace, 2^15 rows gave 0.4-2.5 MB more peak
+#: memory, and 2^13 about 8 % more wall time in per-call overhead under the
+#: interpreter lock
+MC_SLICE_ROWS = 1 << 14
 
 
 def _binomial_se(phat: float, n: int) -> float:
@@ -214,6 +231,13 @@ def _binomial_se(phat: float, n: int) -> float:
     return math.sqrt(var / n)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
     """Estimate the region measures by classifying n uniform simplex samples.
 
@@ -223,10 +247,17 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
     for any m > i.  The slice bounds memory: a chunk is drawn and classified
     in consecutive slices of at most MC_SLICE_ROWS rows from its generator,
     and those draws concatenate bit for bit to one draw of the whole chunk.
+
+    There are at most as many workers as threads, chunks and usable CPUs.
     Worker w counts chunks w, w + workers, ..., so neither the seeds nor the
-    work queue grow with n.  The counts are integer sums, so neither the
-    thread count nor the slice length changes the result.  The error field
-    is the binomial standard error of the total non-Markovian fraction.
+    work queue grow with n.  Each worker allocates one workspace of
+    MC_SLICE_ROWS rows before its first slice and draws and classifies every
+    slice in it, so the slice loop allocates nothing.  The calling thread is
+    worker 0 and each other worker runs on a thread of its own; an exception
+    in any worker is raised here once all have stopped.  The counts are
+    integer sums, so neither the worker count nor the slice length changes
+    the result.  The error field is the binomial standard error of the total
+    non-Markovian fraction.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
@@ -234,23 +265,46 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
         raise ValueError(f"threads must be >= 1, got {threads}")
     chunk, slice_rows = 1 << 18, MC_SLICE_ROWS
     n_chunks = (n + chunk - 1) // chunk
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    workers = min(threads, n_chunks, _usable_cpus())
 
     def count_chunks(first: int) -> np.ndarray:
+        # rows 0-2 points, 3-5 draw, 6 row sums, 7 one more classifier
+        # column; the classifier's floats are rows 3-7
+        floats = np.empty((8, slice_rows))
+        work = (floats[3:], np.empty((2, slice_rows), dtype=bool), np.empty(slice_rows, np.int8))
         counts = np.zeros(3, dtype=np.intp)
         for i in range(first, n_chunks, workers):
             size = min(chunk, n - i * chunk)
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             for start in range(0, size, slice_rows):
-                points = sample_simplex(min(slice_rows, size - start), rng)
-                counts += np.bincount(region_codes(points) + 1, minlength=4)[1:]
+                points = sample_simplex(min(slice_rows, size - start), rng, floats[:7])
+                codes = region_codes(points, work)
+                for k in range(3):
+                    counts[k] += np.count_nonzero(codes == k)
         return counts
 
-    if workers == 1:
-        counts = count_chunks(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(count_chunks, range(workers)))
+    results = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            results[w] = count_chunks(w)
+        except Exception as exc:  # raised again below, in the calling thread
+            results[w] = exc
+
+    helpers = []
+    try:
+        for w in range(1, workers):
+            helper = threading.Thread(target=run, args=(w,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for t in helpers:
+            t.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    counts = sum(results)
 
     fractions = counts / n
     total = float(fractions.sum())

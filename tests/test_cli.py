@@ -431,9 +431,10 @@ class TestMeasure:
     def test_monte_carlo_peak_memory_is_bounded(self):
         args = ["--method", "mc", "--samples", str(1 << 21), "--threads", "2"]
         extra = peak_rss_kib("measure", *args) - peak_rss_kib()
-        # drawn and classified in slices: about 13 MB above the import, where
-        # whole 2^18-row chunks took about 51 MB
-        assert extra < 20 * 1024, extra
+        # one workspace of 2^14 rows per worker: about 8.8 MB above the
+        # import, where allocating 2^15-row slices took about 13.6 MB and
+        # whole 2^18-row chunks about 51 MB
+        assert extra < 12 * 1024, extra
 
     def test_bad_method(self, runner):
         assert runner.invoke(cli, ["measure", "--method", "exact"]).exit_code == 2

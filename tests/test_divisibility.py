@@ -318,6 +318,43 @@ class TestExactLattice:
         # 39,710 points, none of them misclassified by rounding
         assert disagreements == []
 
+    def test_workspace_path_up_to_n60(self):
+        # one workspace, sized for n = 60, through the grids largest first:
+        # every call but the first reuses it after a larger one
+        work = stale_workspace(len(grid_weights(60)))
+        for n in [*range(60, 0, -1), *range(1, 61)]:
+            points = grid_weights(n)
+            np.testing.assert_array_equal(region_codes(points, work), region_codes(points))
+
+
+class TestWorkspace:
+    """`region_codes` with a workspace gives the codes of the allocating path."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_rows(self, seed):
+        w = random_weights(100_000, seed)
+        work = stale_workspace(len(w))
+        codes = region_codes(w, work)
+        assert codes.dtype == np.int8
+        assert np.shares_memory(codes, work[2])
+        np.testing.assert_array_equal(codes, region_codes(w))
+
+    def test_partial_slice(self):
+        w = sample_simplex(1000, np.random.default_rng(4))
+        codes = region_codes(w, stale_workspace(1 << 14))
+        assert codes.shape == (1000,)
+        np.testing.assert_array_equal(codes, region_codes(w))
+
+    def test_reuse_after_a_larger_slice(self):
+        big, small = random_weights(50_000, 5), random_weights(1_000, 6)
+        work = stale_workspace(len(big))
+        region_codes(big, work)
+        np.testing.assert_array_equal(region_codes(small, work), region_codes(small))
+
+    def test_allocating_path_returns_intp(self):
+        assert region_codes(random_weights(10)).dtype == np.intp
+        assert region_codes(np.array([0.45, 0.1, 0.45])).dtype == np.intp
+
 
 def three_axis_scaled(weights):
     """Float scaled rate and NEG_TOL band of every axis, (n, 3) arrays each.
@@ -344,8 +381,20 @@ def three_axis_codes(weights):
     return codes
 
 
+def stale_workspace(rows):
+    """A `region_codes` workspace for up to `rows` rows, holding values no step writes."""
+    return (
+        np.full((5, rows), np.nan),
+        np.ones((2, rows), dtype=bool),
+        np.full(rows, 7, dtype=np.int8),
+    )
+
+
 def assert_matches_three_axis(weights):
-    np.testing.assert_array_equal(region_codes(weights), three_axis_codes(weights))
+    expected = three_axis_codes(weights)
+    np.testing.assert_array_equal(region_codes(weights), expected)
+    # the workspace path, in a workspace longer than the rows
+    np.testing.assert_array_equal(region_codes(weights, stale_workspace(len(weights) + 3)), expected)
 
 
 #: zero, subnormals, tiny normals, values near the float spacing of 1, and 1/2, 1

@@ -1,5 +1,6 @@
 import functools
 import math
+import threading
 import tracemalloc
 from decimal import Decimal, getcontext, localcontext
 
@@ -102,6 +103,11 @@ def cumsum_grid_blocks(n):
         i = np.searchsorted(starts, k, "right") - 1
         j = k - starts[i]
         yield np.column_stack([i / n, j / n, (n - i - j) / n])
+
+
+def stale_sampler_workspace(rows):
+    """A `sample_simplex` workspace for up to `rows` rows, holding NaN."""
+    return np.full((7, rows), np.nan)
 
 
 def scan_columns(n):
@@ -265,35 +271,56 @@ class TestMonteCarlo:
         b = monte_carlo_measures(50_000, seed=7)
         assert a == b
 
-    def test_worker_count_is_capped(self, monkeypatch):
-        # a huge thread request gets no more workers than chunks or cores;
-        # the fake pool records the request and maps serially, so no real
-        # pool is ever started with a large worker count
-        requested = []
+    @pytest.fixture
+    def drawing(self, monkeypatch):
+        """The thread of every `sample_simplex` call: the workers actually started."""
+        threads, sample = [], geometry.sample_simplex
 
-        class FakePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return sample(*args)
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(geometry, "sample_simplex", recording)
+        return threads
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(geometry, "ThreadPoolExecutor", FakePool)
+    def test_worker_count_is_capped(self, monkeypatch, drawing):
+        # a huge thread request starts no more workers than chunks or usable
+        # CPUs, the calling thread among them
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: 64)
         n = 3 * (1 << 18)
         serial = monte_carlo_measures(n, seed=9, threads=1)
-        for cores, workers in ((64, 3), (2, 2)):
-            monkeypatch.setattr(geometry.os, "cpu_count", lambda: cores)
+        for cpus, workers in ((64, 3), (2, 2), (1, 1)):
+            affinity = set(range(cpus))
+            monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            drawing.clear()
             assert monte_carlo_measures(n, seed=9, threads=10**6) == serial
-            assert requested[-1] == workers
-        monkeypatch.setattr(geometry.os, "cpu_count", lambda: None)
-        assert monte_carlo_measures(n, seed=9, threads=10**6) == serial
-        assert requested == [3, 2]  # one usable core runs serially
+            assert len(set(drawing)) == workers
+            assert threading.current_thread() in drawing
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch, drawing):
+        # where the OS has no affinity set, os.cpu_count caps the workers
+        monkeypatch.delattr(geometry.os, "sched_getaffinity", raising=False)
+        n = 3 * (1 << 18)
+        for cores, workers in ((2, 2), (None, 1)):
+            monkeypatch.setattr(geometry.os, "cpu_count", lambda: cores)
+            drawing.clear()
+            monte_carlo_measures(n, seed=9, threads=10**6)
+            assert len(set(drawing)) == workers
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        caller, sample = threading.current_thread(), geometry.sample_simplex
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                raise MemoryError("no room for a workspace")
+            return sample(*args)
+
+        monkeypatch.setattr(geometry, "sample_simplex", failing)
+        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room"):
+            monte_carlo_measures(2 << 18, seed=1, threads=2)
+        assert threading.active_count() == before
 
     def test_thread_count_does_not_change_result(self):
         a = monte_carlo_measures(600_000, seed=3, threads=1)
@@ -340,21 +367,44 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_seeding_memory_does_not_grow_with_samples(self, monkeypatch, threads):
-        # 50,000 one-slice chunks with drawing and classifying stubbed out:
-        # what is left is seeding and scheduling, whose memory must not grow
-        # with the chunk count
-        chunks = 50_000
+        # one-slice chunks with drawing and classifying stubbed out: what is
+        # left is seeding, scheduling and each worker's workspace, fixed at
+        # about 17 MB for 2^18-row slices.  One chunk runs on one worker, so
+        # past the workspaces of the other workers the peak at 50,000 chunks
+        # may exceed the peak at one chunk by little
         monkeypatch.setattr(geometry, "MC_SLICE_ROWS", 1 << 18)
-        monkeypatch.setattr(geometry, "sample_simplex", lambda m, rng: None)
-        monkeypatch.setattr(geometry, "region_codes", lambda points: np.zeros(1, dtype=np.intp))
-        tracemalloc.start()
-        try:
-            report = monte_carlo_measures(chunks << 18, seed=5, threads=threads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.region_x == chunks / (chunks << 18)
-        assert peak < 5_000_000
+        monkeypatch.setattr(geometry, "sample_simplex", lambda m, rng, out: None)
+        monkeypatch.setattr(geometry, "region_codes", lambda points, work: np.zeros(1, np.int8))
+        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        workspace = (8 * 8 + 3) << 18
+        peaks = []
+        for chunks in (1, 50_000):
+            tracemalloc.start()
+            try:
+                report = monte_carlo_measures(chunks << 18, seed=5, threads=threads)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.region_x == chunks / (chunks << 18)
+        assert peaks[1] - peaks[0] < (threads - 1) * workspace + 5_000_000, peaks
+
+    def test_peak_memory_is_one_workspace(self):
+        # the slice loop allocates nothing: the traced peak is the worker's
+        # workspace of eight float and three byte columns, whatever n is.
+        # Allocating a slice's arrays anew, as the loop once did, peaked at
+        # 1.58 MB for 2^14-row slices, above this bound of 1.36 MB
+        monte_carlo_measures(1, seed=3)  # numpy loads numpy.random on first use
+        peaks = []
+        for n in (1 << 19, 1 << 21):
+            tracemalloc.start()
+            try:
+                monte_carlo_measures(n, seed=3, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        workspace = (8 * 8 + 3) * geometry.MC_SLICE_ROWS
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
+        assert peaks[1] < workspace + (256 << 10), peaks
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_seed_42_pins(self, threads):
@@ -382,6 +432,27 @@ class TestMonteCarlo:
         sampled = np.concatenate([sample_simplex(m, sample) for m in sizes])
         np.testing.assert_array_equal(slices.view(np.uint64), whole.view(np.uint64))
         np.testing.assert_array_equal(sampled.view(np.uint64), points.view(np.uint64))
+        # the same slices drawn into one workspace, the last one partial
+        again, out = np.random.default_rng(3), stale_sampler_workspace(rows)
+        in_place = np.concatenate([sample_simplex(m, again, out).copy() for m in sizes])
+        np.testing.assert_array_equal(in_place.view(np.uint64), points.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 1000, geometry.MC_SLICE_ROWS])
+    def test_sampler_workspace_is_bit_identical(self, n):
+        out = stale_sampler_workspace(geometry.MC_SLICE_ROWS)
+        for seed in (0, 1, 2):
+            points = sample_simplex(n, np.random.default_rng(seed), out)
+            expected = sample_simplex(n, np.random.default_rng(seed))
+            np.testing.assert_array_equal(points.view(np.uint64), expected.view(np.uint64))
+            assert np.shares_memory(points, out)
+            assert all(points[:, k].flags.c_contiguous for k in range(3))
+
+    def test_sampler_workspace_reused_after_a_larger_slice(self):
+        out = stale_sampler_workspace(5000)
+        sample_simplex(5000, np.random.default_rng(1), out)
+        points = sample_simplex(123, np.random.default_rng(2), out)
+        expected = sample_simplex(123, np.random.default_rng(2))
+        np.testing.assert_array_equal(points.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows", [1000, 1 << 18, geometry.MC_SLICE_ROWS])
