@@ -252,12 +252,13 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
     Worker w counts chunks w, w + workers, ..., so neither the seeds nor the
     work queue grow with n.  Each worker allocates one workspace of
     MC_SLICE_ROWS rows before its first slice and draws and classifies every
-    slice in it, so the slice loop allocates nothing.  The calling thread is
-    worker 0 and each other worker runs on a thread of its own; an exception
-    in any worker is raised here once all have stopped.  The counts are
-    integer sums, so neither the worker count nor the slice length changes
-    the result.  The error field is the binomial standard error of the total
-    non-Markovian fraction.
+    slice in it, so no slice allocates a draw, points or classifier arrays;
+    only counting makes a short-lived bool mask per region.  The calling
+    thread is worker 0 and each other worker runs on a thread of its own; an
+    exception in any worker is raised here once all have stopped.  The
+    counts are integer sums, so neither the worker count nor the slice
+    length changes the result.  The error field is the binomial standard
+    error of the total non-Markovian fraction.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")

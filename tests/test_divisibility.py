@@ -394,7 +394,8 @@ def assert_matches_three_axis(weights):
     expected = three_axis_codes(weights)
     np.testing.assert_array_equal(region_codes(weights), expected)
     # the workspace path, in a workspace longer than the rows
-    np.testing.assert_array_equal(region_codes(weights, stale_workspace(len(weights) + 3)), expected)
+    work = stale_workspace(len(weights) + 3)
+    np.testing.assert_array_equal(region_codes(weights, work), expected)
 
 
 #: zero, subnormals, tiny normals, values near the float spacing of 1, and 1/2, 1

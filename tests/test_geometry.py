@@ -291,7 +291,9 @@ class TestMonteCarlo:
         serial = monte_carlo_measures(n, seed=9, threads=1)
         for cpus, workers in ((64, 3), (2, 2), (1, 1)):
             affinity = set(range(cpus))
-            monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            monkeypatch.setattr(
+                geometry.os, "sched_getaffinity", lambda pid: affinity, raising=False
+            )
             drawing.clear()
             assert monte_carlo_measures(n, seed=9, threads=10**6) == serial
             assert len(set(drawing)) == workers
@@ -389,7 +391,7 @@ class TestMonteCarlo:
         assert peaks[1] - peaks[0] < (threads - 1) * workspace + 5_000_000, peaks
 
     def test_peak_memory_is_one_workspace(self):
-        # the slice loop allocates nothing: the traced peak is the worker's
+        # no slice allocates its arrays anew: the traced peak is the worker's
         # workspace of eight float and three byte columns, whatever n is.
         # Allocating a slice's arrays anew, as the loop once did, peaked at
         # 1.58 MB for 2^14-row slices, above this bound of 1.36 MB
