@@ -27,17 +27,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 import numpy as np
 
-from . import __version__, geometry
+from . import __version__
 from .channels import AXES, MixtureWeights
 from .choi import a_matrix_choi, rhp_witness
 from .divisibility import MARKOVIAN, NONMARKOVIAN, classify
-from .generator import finite_difference_rates, three_mix_rates
+from .generator import finite_difference_rates, physical_scale, three_mix_rates
 from .geometry import (
-    boundary_curve,
+    boundary_blocks,
     monte_carlo_measures,
     # the name under which perfbench/traced.py times the scan's block source
     scan_blocks as scan_grid,
-    to_pauli_neutral_array,
     total_measures,
 )
 
@@ -178,7 +177,7 @@ def rates(a, b, c, p, r, convention, as_json):
     r_check = 1.0 if r is None else r
     h = min(1e-6, (0.5 - p) / 4.0)
     fd = finite_difference_rates(w, p, h=h, r=r_check)
-    scale = 1.0 if convention == "physical" else 0.25 * r_check * (1.0 - 2.0 * p)
+    scale = 1.0 if convention == "physical" else physical_scale(r_check, p)
     deltas = [f / scale - g for f, g in zip(fd.as_tuple(), analytic.as_tuple())]
     params = {"a": w.a, "b": w.b, "c": w.c, "p": p, "r": r, "convention": convention}
     results = {
@@ -266,12 +265,9 @@ def measure(method, tol, samples, seed, threads, as_json):
 @_usage_errors
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
-    curve = boundary_curve(region, points)
-    uv = to_pauli_neutral_array(curve.samples)
-    columns = [*curve.samples.T, *uv.T, curve.branch]
-    step = geometry.SCAN_BLOCK_ROWS
-    blocks = ([column[k:k + step] for column in columns] for k in range(0, 2 * points, step))
-    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], blocks)
+    blocks = boundary_blocks(region, points)
+    columns = ([*samples.T, *uv.T, branch] for samples, uv, branch in blocks)
+    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], columns)
     click.echo(f"wrote {2 * points} rows to {out}")
 
 

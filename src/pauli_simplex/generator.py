@@ -55,6 +55,11 @@ def _pdot(r: float, p: float) -> float:
     return 0.5 * r * (1.0 - 2.0 * p)
 
 
+def physical_scale(r: float, p: float) -> float:
+    """pdot/2, the factor that turns reduced rates into physical ones."""
+    return 0.5 * _pdot(r, p)
+
+
 def three_mix_rates(
     w: MixtureWeights, p: float, convention: str = "reduced", r: float | None = None
 ) -> DecayRates:
@@ -75,7 +80,7 @@ def three_mix_rates(
     if convention == "physical":
         if r is None:
             raise ValueError("physical rates need the decay constant r")
-        scale = 0.5 * _pdot(r, p)
+        scale = physical_scale(r, p)
         return DecayRates(scale * gx, scale * gy, scale * gz)
     raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 

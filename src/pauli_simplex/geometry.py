@@ -37,64 +37,62 @@ _REGION_ORDER = {"X": (1, 0, 2), "Y": (0, 1, 2), "Z": (0, 2, 1)}
 BAND_EDGE = math.sqrt(5.0) - 2.0
 
 
-def boundary_roots(b: float) -> tuple | None:
-    """Roots (a_minus, a_plus) of the limiting y rate at p -> 1/2, or None.
+def boundary_roots(b: np.ndarray) -> tuple:
+    """Roots (a_minus, a_plus) of the limiting y rate at p -> 1/2, elementwise.
 
     Setting the y decay rate to zero at fixed cross weight b yields the
     quadratic (1 - (1-b)/2) (a^2 - (1-b) a) + b (1-b)/2 in a; for b beyond
     BAND_EDGE the discriminant is negative and the rate never reaches zero,
-    so None is returned.  Inside the band, blends with a strictly between the
-    roots have a negative limiting y rate.
+    so both roots are NaN there.  Inside the band, blends with a strictly
+    between the roots have a negative limiting y rate.  Returns two float
+    arrays shaped like b.
     """
-    b = _require_finite("b", b)
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"coordinate b={b} outside [0, 1]")
+    b = np.asarray(b, dtype=float)
+    bad = ~((0.0 <= b) & (b <= 1.0))  # NaN too
+    if bad.any():
+        raise ValueError(f"coordinate b={b[bad].flat[0]} outside [0, 1]")
     lead = 1.0 - 0.5 * (1.0 - b)
     mid = -(1.0 - b) * lead
     const = b * (0.5 * (1.0 - b))
     disc = mid * mid - 4.0 * lead * const
-    if disc < 0.0:
-        if disc < -RADICAND_TOL and b <= BAND_EDGE:
-            raise ValueError(f"negative radicand {disc:.3e} inside the band at b={b}")
-        if b > BAND_EDGE:
-            return None
-        disc = 0.0
-    root = math.sqrt(disc)
+    inside = b <= BAND_EDGE
+    bad = inside & (disc < -RADICAND_TOL)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"negative radicand {disc.flat[i]:.3e} inside the band at b={b.flat[i]}")
+    root = np.sqrt(np.where(disc < 0.0, np.where(inside, 0.0, np.nan), disc))
     return ((-mid - root) / (2.0 * lead), (-mid + root) / (2.0 * lead))
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Closed zero-rate curve of one region, traversed minus branch then plus.
+def boundary_blocks(region: str, points: int):
+    """Sample the closed boundary of one non-Markovian region, block by block.
 
-    `samples` is an (m, 3) array of simplex points; `branch` marks each row
-    with -1 or +1.  The two branches join where the band closes.
-    """
-
-    samples: np.ndarray
-    branch: np.ndarray
-
-
-def boundary_curve(region: str, points: int) -> BoundaryCurve:
-    """Sample the closed boundary of one non-Markovian region.
-
-    `points` samples per branch; the minus branch runs from the simplex edge
-    to the closing point of the band, the plus branch back.  Rows permute the
-    canonical y-region parametrization onto the requested region.
+    Validates at once, then returns an iterator over blocks (samples, uv,
+    branch) of at most SCAN_BLOCK_ROWS consecutive rows: (m, 3) simplex
+    points, their (m, 2) embedding and the branch, -1 or +1.  With
+    b = np.linspace(0, BAND_EDGE, points), row r < points is the minus root
+    at b[r], from the simplex edge to where the band closes, and row
+    r >= points the plus root at b[2 points - 1 - r], back again.  Rows
+    permute the canonical y-region layout onto the requested region.
     """
     if region not in AXES:
         raise ValueError(f"region must be one of {AXES}, got {region!r}")
     if points < 2:
         raise ValueError(f"need at least 2 points per branch, got {points}")
-    bs = np.linspace(0.0, BAND_EDGE, points)
-    lo, hi = np.array([boundary_roots(float(b)) for b in bs]).T
-    own = np.concatenate([bs, bs[::-1]])
-    a_coord = np.concatenate([lo, hi[::-1]])
-    other = 1.0 - own - a_coord
-    canonical = np.column_stack([a_coord, own, other])  # y-region layout
+    rows, block = 2 * points, SCAN_BLOCK_ROWS
+    return (_boundary_rows(region, points, r, min(r + block, rows)) for r in range(0, rows, block))
+
+
+def _boundary_rows(region: str, points: int, r0: int, r1: int) -> tuple:
+    r = np.arange(r0, r1)
+    minus = r < points
+    k = np.minimum(r, 2 * points - 1 - r)
+    # np.linspace(0.0, BAND_EDGE, points)[k], bit for bit
+    own = np.where(k == points - 1, BAND_EDGE, k * (BAND_EDGE / (points - 1)) + 0.0)
+    a_coord = np.where(minus, *boundary_roots(own))  # the minus root, else the plus root
+    canonical = np.column_stack([a_coord, own, 1.0 - own - a_coord])  # y-region layout
     samples = canonical[:, list(_REGION_ORDER[region])]
-    branch = np.concatenate([np.full(points, -1), np.full(points, 1)])
-    return BoundaryCurve(samples, branch)
+    return samples, to_pauli_neutral_array(samples), np.where(minus, -1, 1)
 
 
 #: Gauss-Legendre node counts: the first rule, and the last before giving up

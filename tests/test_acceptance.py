@@ -157,8 +157,8 @@ def test_criterion_7_classifier_oracle_equivalence():
 
     residual = 0.0
     flip_ok = True
-    for b in np.linspace(0.01, BAND_EDGE * 0.9, 50):
-        lo, hi = boundary_roots(float(b))
+    bs = np.linspace(0.01, BAND_EDGE * 0.9, 50)
+    for b, lo, hi in zip(bs, *boundary_roots(bs)):
         pts = np.array([[lo, b, 1 - b - lo], [hi, b, 1 - b - hi]])
         residual = max(residual, float(np.abs(limit_rates_array(pts)[:, 1]).max()))
         inner = region_codes(

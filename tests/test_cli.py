@@ -28,6 +28,9 @@ README = ROOT / "README.md"
 SCAN_400_SHA256 = "e4078959146d86a6e3016be2bc45d3fee182a7fd7e007a8342de308da8d126d5"
 #: SHA-256 of the `boundary --region Y --points 500` CSV
 BOUNDARY_Y500_SHA256 = "7e1d590530ddab7ceee9fe69340f4e565e3d1a28eab5c88a868defe926206ac6"
+#: SHA-256 of the `boundary --region Y --points 4097` CSV: 8,194 rows in five
+#: blocks of 2^11, with the branch join and the b = BAND_EDGE rows in the third
+BOUNDARY_Y4097_SHA256 = "cc6a6c74ea803026f939b4fc3ad5a5d5fb28c539738c8107d4ddf29cdd5b5bbb"
 #: SHA-256 of the `boundary --points 500` CSV of each region
 BOUNDARY_500_SHA256 = {
     "X": "9204b42bea868fa3e10f1d41a21232c9becec0ce064ff68187996fc5d8c1730a",
@@ -481,6 +484,14 @@ class TestBoundary:
         assert result.output == f"wrote 1000 rows to {out}\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y500_SHA256
 
+    def test_golden_y4097_over_five_blocks(self, runner, tmp_path):
+        out = tmp_path / "curve.csv"
+        args = ["boundary", "--region", "Y", "--points", "4097", "--out", str(out)]
+        result = run_ok(runner, args)
+        assert result.output == f"wrote 8194 rows to {out}\n"
+        assert math.ceil(8194 / geometry.SCAN_BLOCK_ROWS) == 5  # the blocks the hash spans
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y4097_SHA256
+
     @pytest.mark.parametrize("rows", [1, 7, geometry.SCAN_BLOCK_ROWS])
     @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
     def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, region, rows):
@@ -492,12 +503,23 @@ class TestBoundary:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
 
     @needs_peak_rss
+    def test_peak_memory_does_not_grow_with_points(self, tmp_path):
+        def peak_kib(points):
+            out = str(tmp_path / f"curve{points}.csv")
+            return peak_rss_kib("boundary", "--region", "Y", "--points", str(points), "--out", out)
+
+        small, large = peak_kib(30_000), peak_kib(120_000)
+        # 60,000 against 240,000 rows: about 0.1 MB more memory, where the
+        # whole curve's arrays took 19 MB more
+        assert large - small < 10 * 1024, (small, large)
+
+    @needs_peak_rss
     def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
         args = ["--region", "Y", "--points", "100000", "--out", str(tmp_path / "curve.csv")]
         extra = peak_rss_kib("boundary", *args) - peak_rss_kib()
-        # about 23 MB, the curve's arrays, where formatting the whole curve
-        # as one block took 169 MB
-        assert extra < 40 * 1024, extra
+        # about 3.4 MB in blocks of 2^11 rows, where the whole curve's arrays
+        # took 23 MB and formatting them as one block 169 MB
+        assert extra < 10 * 1024, extra
 
     def test_branch_endpoints_on_simplex_edge(self, runner, tmp_path):
         out = tmp_path / "curve.csv"

@@ -21,7 +21,7 @@ from pauli_simplex.divisibility import (
 )
 from pauli_simplex.geometry import (
     BAND_EDGE,
-    boundary_curve,
+    boundary_blocks,
     boundary_roots,
     grid_weights,
     sample_simplex,
@@ -268,7 +268,7 @@ class TestRegionCodes:
     def test_boundary_ulps_differ_only_within_rounding(self, frac, branch, steps):
         # boundary_roots(b) is the zero set of the limiting y rate
         b = frac * BAND_EDGE
-        a = shift_ulps(boundary_roots(b)[branch], steps)
+        a = shift_ulps(boundary_roots(np.array([b]))[branch][0], steps)
         c = 1.0 - b - a
         assume(a >= 0.0 and c >= 0.0)
         w = np.array([a, b, c])
@@ -281,8 +281,9 @@ class TestRegionCodes:
 
     def test_boundary_sweep_differs_only_within_rounding(self):
         rows = []
-        for b in np.linspace(0.0, BAND_EDGE, 2000):
-            for root in boundary_roots(float(b)):
+        bs = np.linspace(0.0, BAND_EDGE, 2000)
+        for b, *roots in zip(bs, *boundary_roots(bs)):
+            for root in roots:
                 for steps in range(-8, 9):
                     a = shift_ulps(root, steps)
                     rows.append([a, b, 1.0 - b - a])
@@ -426,7 +427,7 @@ class TestThreeAxisReference:
 
     @pytest.mark.parametrize("region", ["X", "Y", "Z"])
     def test_shifted_boundary_samples(self, region):
-        samples = boundary_curve(region, 20_000).samples
+        samples = np.concatenate([samples for samples, _, _ in boundary_blocks(region, 20_000)])
         steps = np.array([sign * d for d in (1e-16, 1e-13, 1e-12) for sign in (1, -1)])
         shifted = samples + steps[:, None, None] * np.array([1.0, -1.0, 0.0])
         rows = np.concatenate([samples, *shifted])

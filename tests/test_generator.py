@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.generator import (
     finite_difference_rates,
+    physical_scale,
     three_mix_rates,
     two_mix_cross_rate,
 )
@@ -66,6 +67,8 @@ class TestThreeMixRates:
         reduced = (-fa + fb + fc, fa - fb + fc, fa + fb - fc)
         assert three_mix_rates(w, p).as_tuple() == reduced
         scale = 0.5 * (0.5 * r * (1.0 - 2.0 * p))
+        # pdot/2 both ways: the two differ by exact powers of two only
+        assert physical_scale(r, p) == scale == 0.25 * r * (1.0 - 2.0 * p)
         physical = three_mix_rates(w, p, "physical", r).as_tuple()
         assert physical == tuple(scale * g for g in reduced)
 

@@ -14,7 +14,7 @@ from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.divisibility import classify, limit_rates_array, region_codes
 from pauli_simplex.geometry import (
     BAND_EDGE,
-    boundary_curve,
+    boundary_blocks,
     boundary_roots,
     grid_weights,
     monte_carlo_measures,
@@ -115,6 +115,16 @@ def scan_columns(n):
     return tuple(np.concatenate(column) for column in zip(*scan_blocks(n)))
 
 
+def boundary_columns(region, points):
+    """The (samples, uv, branch) columns of `boundary_blocks`, concatenated."""
+    return tuple(np.concatenate(column) for column in zip(*boundary_blocks(region, points)))
+
+
+def bits(x):
+    """The bit patterns of a float array, so -0.0 and 0.0 compare unequal."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 class TestBandEdge:
     def test_long_time_value(self):
         # the double nearest sqrt(5) - 2, as (2 - sqrt(4x^2 - 4x + 5)) / (2x - 1)
@@ -125,38 +135,36 @@ class TestBandEdge:
 
 class TestBoundaryRoots:
     def test_edge_of_simplex(self):
-        assert boundary_roots(0.0) == (0.0, 1.0)
+        lo, hi = boundary_roots(np.array([0.0]))
+        assert (lo.tolist(), hi.tolist()) == ([0.0], [1.0])
 
     def test_band_closes_at_edge_value(self):
         b = BAND_EDGE
-        lo, hi = boundary_roots(b)
+        (lo,), (hi,) = boundary_roots(np.array([b]))
         assert lo == pytest.approx(hi, abs=1e-7)
         assert lo == pytest.approx(0.5 * (1.0 - b), abs=1e-7)
         assert lo == pytest.approx(0.38196601125, abs=1e-6)
 
     def test_outside_band(self):
-        assert boundary_roots(0.5) is None
-        assert boundary_roots(BAND_EDGE + 1e-6) is None
+        lo, hi = boundary_roots(np.array([0.5, BAND_EDGE + 1e-6, 0.2]))
+        assert np.isnan(lo[:2]).all() and np.isnan(hi[:2]).all()
+        assert np.isfinite(lo[2]) and np.isfinite(hi[2])
 
     def test_roots_zero_the_limit_rate(self):
-        for b in np.linspace(0.0, BAND_EDGE * 0.999, 50):
-            lo, hi = boundary_roots(float(b))
-            for a in (lo, hi):
-                rates = limit_rates_array(np.array([[a, b, 1.0 - a - b]]))[0]
-                assert abs(rates[1]) < 1e-9
+        b = np.linspace(0.0, BAND_EDGE * 0.999, 50)
+        for a in boundary_roots(b):
+            rates = limit_rates_array(np.column_stack([a, b, 1.0 - a - b]))
+            assert np.abs(rates[:, 1]).max() < 1e-9
 
     def test_width_tapers_to_zero(self):
-        edge = BAND_EDGE
-        widths = []
-        for delta in [1e-2, 1e-4, 1e-6, 1e-8]:
-            lo, hi = boundary_roots(edge - delta)
-            widths.append(hi - lo)
+        lo, hi = boundary_roots(BAND_EDGE - np.array([1e-2, 1e-4, 1e-6, 1e-8]))
+        widths = (hi - lo).tolist()
         assert all(b < a for a, b in zip(widths, widths[1:]))
         assert widths[-1] < 1e-3
 
     def test_label_flips_across_curve(self):
-        for b in np.linspace(0.01, BAND_EDGE * 0.9, 50):
-            lo, hi = boundary_roots(float(b))
+        bs = np.linspace(0.01, BAND_EDGE * 0.9, 50)
+        for b, lo, hi in zip(*[bs, *boundary_roots(bs)]):
             inside_lo = classify(MixtureWeights(lo + 1e-4, b, 1.0 - b - lo - 1e-4))
             inside_hi = classify(MixtureWeights(hi - 1e-4, b, 1.0 - b - hi + 1e-4))
             outside_lo = classify(MixtureWeights(lo - 1e-4, b, 1.0 - b - lo + 1e-4))
@@ -165,10 +173,19 @@ class TestBoundaryRoots:
             assert outside_lo.region != "Y" and outside_hi.region != "Y"
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            boundary_roots(-0.1)
-        with pytest.raises(ValueError):
-            boundary_roots(float("nan"))
+        with pytest.raises(ValueError, match=r"coordinate b=-0.1 outside \[0, 1\]"):
+            boundary_roots(np.array([0.2, -0.1]))
+        with pytest.raises(ValueError, match="coordinate b=nan"):
+            boundary_roots(np.array([float("nan")]))
+
+    def test_radicand_clamp_and_in_band_error(self, monkeypatch):
+        # the radicand rounds to about -8e-17 at the band edge: within
+        # RADICAND_TOL it counts as 0, beyond it the roots are refused
+        (lo,), (hi,) = boundary_roots(np.array([BAND_EDGE]))
+        assert lo == hi
+        monkeypatch.setattr(geometry, "RADICAND_TOL", 0.0)
+        with pytest.raises(ValueError, match="negative radicand .* inside the band"):
+            boundary_roots(np.array([0.1, BAND_EDGE]))
 
     def test_same_floats_as_the_quadratic_at_any_p(self):
         # the y-rate quadratic at dephasing parameter p, evaluated at p = 1/2:
@@ -184,34 +201,59 @@ class TestBoundaryRoots:
         near_edge = [BAND_EDGE]
         for _ in range(200):
             near_edge.append(math.nextafter(near_edge[-1], 0.0))
-        for b in [*np.linspace(0.0, BAND_EDGE, 2001).tolist(), *near_edge]:
-            assert boundary_roots(b) == roots_at(b, 0.5)
+        bs = [*np.linspace(0.0, BAND_EDGE, 2001).tolist(), *near_edge]
+        lo, hi = boundary_roots(np.array(bs))
+        expected_lo, expected_hi = zip(*[roots_at(b, 0.5) for b in bs])
+        np.testing.assert_array_equal(bits(lo), bits(expected_lo))
+        np.testing.assert_array_equal(bits(hi), bits(expected_hi))
 
 
 class TestBoundaryCurve:
     def test_samples_inside_simplex_and_on_curve(self):
-        curve = boundary_curve("Y", 200)
-        assert curve.samples.shape == (400, 3)
-        assert (curve.samples > -1e-12).all()
-        np.testing.assert_allclose(curve.samples.sum(axis=1), 1.0, atol=1e-12)
-        rates = limit_rates_array(curve.samples)
+        samples, uv, branch = boundary_columns("Y", 200)
+        assert samples.shape == (400, 3)
+        assert (samples > -1e-12).all()
+        np.testing.assert_allclose(samples.sum(axis=1), 1.0, atol=1e-12)
+        rates = limit_rates_array(samples)
         assert np.abs(rates[:, 1]).max() < 1e-9
+        np.testing.assert_array_equal(uv, to_pauli_neutral_array(samples))
+        assert branch.tolist() == [-1] * 200 + [1] * 200
 
     def test_branches_join_at_band_edge(self):
-        curve = boundary_curve("Z", 64)
-        np.testing.assert_allclose(curve.samples[63], curve.samples[64], atol=1e-7)
+        samples = boundary_columns("Z", 64)[0]
+        np.testing.assert_allclose(samples[63], samples[64], atol=1e-7)
 
     @pytest.mark.parametrize("region,column", [("X", 0), ("Y", 1), ("Z", 2)])
     def test_region_permutation(self, region, column):
-        curve = boundary_curve(region, 50)
-        rates = limit_rates_array(curve.samples)
+        samples = boundary_columns(region, 50)[0]
+        rates = limit_rates_array(samples)
         assert np.abs(rates[:, column]).max() < 1e-9
         # the own-axis weight is the small one, spanning the band
-        assert curve.samples[:, column].max() == pytest.approx(BAND_EDGE, abs=1e-12)
+        assert samples[:, column].max() == pytest.approx(BAND_EDGE, abs=1e-12)
 
     def test_rejects_bad_region(self):
-        with pytest.raises(ValueError):
-            boundary_curve("W", 10)
+        # raised by the call, before any block is drawn
+        with pytest.raises(ValueError, match="region must be one of"):
+            boundary_blocks("W", 10)
+        with pytest.raises(ValueError, match="need at least 2 points per branch, got 1"):
+            boundary_blocks("Y", 1)
+
+    @pytest.mark.parametrize("points", [2, 3, 7, 200, 500, 10**6])
+    def test_b_column_is_linspace(self, points):
+        b = np.concatenate([samples[:, 1] for samples, _, _ in boundary_blocks("Y", points)])
+        expected = np.linspace(0.0, BAND_EDGE, points)
+        np.testing.assert_array_equal(bits(b[:points]), bits(expected))
+        np.testing.assert_array_equal(bits(b[points:]), bits(expected[::-1]))
+
+    def test_blocks_are_consecutive_rows_of_at_most_scan_block_rows(self, monkeypatch):
+        whole = boundary_columns("X", 10)
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 3)
+        blocks = boundary_blocks("X", 10)
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 5)  # read at the call
+        blocks = list(blocks)
+        assert [len(branch) for _, _, branch in blocks] == [3, 3, 3, 3, 3, 3, 2]
+        for column, parts in zip(whole, zip(*blocks)):
+            np.testing.assert_array_equal(bits(column), bits(np.concatenate(parts)))
 
 
 class TestQuadrature:
