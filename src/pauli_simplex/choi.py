@@ -54,10 +54,9 @@ def intermediate_ratios(a: float, q: float, p: float) -> tuple:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """4x4 Hermitian dynamical matrix with its eigenvalue-ratio metadata."""
+    """4x4 Hermitian dynamical matrix of a trace-preserving qubit map (trace 2)."""
 
     matrix: np.ndarray
-    ratios: tuple
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -69,7 +68,6 @@ class ChoiMatrix:
             raise ValueError(f"dynamical matrix trace {np.trace(m).real!r}, expected 2")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "ratios", tuple(float(x) for x in self.ratios))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending numerical spectrum."""
@@ -96,7 +94,7 @@ def choi_matrix(x1: float, x2: float, x3: float) -> ChoiMatrix:
         ],
         dtype=complex,
     )
-    return ChoiMatrix(m, (x1, x2, x3))
+    return ChoiMatrix(m)
 
 
 def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
@@ -182,16 +180,11 @@ def a_matrix_choi(a: float, q: float, p: float) -> ChoiMatrix:
     """Dynamical matrix of the intermediate map via explicit transfer matrices.
 
     Composes the blend at q with the numerical inverse of the blend at p and
-    reshuffles.  Must agree entrywise with choi_matrix(intermediate_ratios(...));
-    the ratio metadata is read back off the reshuffled matrix itself.
+    reshuffles.  Must agree entrywise with choi_matrix(intermediate_ratios(...)).
     """
     a, q, p = _check_aqp(a, q, p)
     forward = a_matrix(a, q)
     base = a_matrix(a, p)
     if abs(np.linalg.det(base)) < 1e-14:
         raise ValueError(f"transfer matrix at p={p} is singular")
-    dyn = _reshuffle(forward @ np.linalg.inv(base))
-    x3 = 2.0 * dyn[0, 0].real - 1.0
-    x1 = dyn[0, 3].real + dyn[1, 2].real
-    x2 = dyn[0, 3].real - dyn[1, 2].real
-    return ChoiMatrix(dyn, (x1, x2, x3))
+    return ChoiMatrix(_reshuffle(forward @ np.linalg.inv(base)))

@@ -196,11 +196,11 @@ def rate_minima_over_grid(weights: np.ndarray, p_grid: np.ndarray | None = None)
     return mins
 
 
-def classify_by_rate_scan(w: MixtureWeights, p_grid: np.ndarray | None = None) -> RegionLabel:
+def classify_by_rate_scan(w: MixtureWeights) -> RegionLabel:
     """Brute-force verdict: minimize the analytic rates over a dense p grid.
 
     Independent of the limiting-rate shortcut; `classify` must agree with
     this on every input.  The reported rates are the grid minima per axis.
     """
-    rates = rate_minima_over_grid(w.as_array(), p_grid)
+    rates = rate_minima_over_grid(w.as_array())
     return _label(int(_divisibility(rates)[0]), rates[0])

@@ -187,19 +187,18 @@ def sample_simplex(n: int, rng: np.random.Generator, out: np.ndarray | None = No
     are those of rng.exponential(size=(n, 3)) divided row by row by
     (e0 + e1) + e2; only the memory layout differs from that array.
 
-    Without `out` the draw, the row sums and the points are allocated for
-    the call.  With `out`, a C-contiguous float64 (7, m) array with m >= n,
-    nothing is allocated: rows 3 to 5 hold the draw as one flat run of 3n
-    values, row 6 the row sums and rows 0 to 2 the points, and the result is
-    a view of out[:3, :n] that the next call with the same `out` overwrites.
+    The work happens in `out`, a C-contiguous float64 (7, m) array with
+    m >= n, allocated as (7, n) when not given: rows 3 to 5 hold the draw as
+    one flat run of 3n values, row 6 the row sums and rows 0 to 2 the points.
+    The result is a view of out[:3, :n], which the next call with the same
+    `out` overwrites.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
     if out is None:
-        draw, total, points = np.empty((n, 3)), np.empty(n), np.empty((3, n))
-    else:
-        draw = out[3:6].reshape(-1)[: 3 * n].reshape(n, 3)
-        total, points = out[6, :n], out[:3, :n]
+        out = np.empty((7, n))
+    draw = out[3:6].reshape(-1)[: 3 * n].reshape(n, 3)
+    total, points = out[6, :n], out[:3, :n]
     rng.standard_exponential(out=draw)
     e = draw.T
     # the same sum as e.sum(axis=0), bit for bit, without the strided

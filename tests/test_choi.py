@@ -98,7 +98,7 @@ class TestChoiMatrix:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            ChoiMatrix(np.eye(2, dtype=complex), (1.0, 1.0, 1.0))
+            ChoiMatrix(np.eye(2, dtype=complex))
 
 
 class TestCompletePositivity:
@@ -218,7 +218,6 @@ class TestTransferMatrixOracle:
             oracle = a_matrix_choi(a, q, p)
             closed = choi_matrix(*intermediate_ratios(a, q, p))
             assert np.abs(oracle.matrix - closed.matrix).max() < 1e-12
-            np.testing.assert_allclose(oracle.ratios, closed.ratios, atol=1e-12)
 
     def test_coincident_times_give_identity_choi(self):
         oracle = a_matrix_choi(0.3, 0.2, 0.2)

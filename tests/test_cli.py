@@ -26,6 +26,8 @@ README = ROOT / "README.md"
 
 #: SHA-256 of the `scan --n 400` CSV
 SCAN_400_SHA256 = "e4078959146d86a6e3016be2bc45d3fee182a7fd7e007a8342de308da8d126d5"
+#: SHA-256 of the `scan --n 1000` CSV
+SCAN_1000_SHA256 = "ce73951b771c74123595763a2c78b21344a6587ec1329c65fc74227b7efb2c4e"
 #: SHA-256 of the `boundary --region Y --points 500` CSV
 BOUNDARY_Y500_SHA256 = "7e1d590530ddab7ceee9fe69340f4e565e3d1a28eab5c88a868defe926206ac6"
 #: SHA-256 of the `boundary --region Y --points 4097` CSV: 8,194 rows in five
@@ -188,10 +190,12 @@ class TestClassify:
         result = run_ok(
             runner, ["classify", "--a", ".45", "--b", ".1", "--c", ".45", "--json"]
         )
-        record = json.loads(result.output)
-        assert record["results"]["label"] == "NONMARKOVIAN"
-        assert record["results"]["region"] == "Y"
-        assert record["results"]["gamma_y"] < 0
+        assert result.stdout == (
+            '{"command": "classify", "version": "0.1.0", '
+            '"params": {"a": 0.45, "b": 0.1, "c": 0.45}, '
+            '"results": {"label": "NONMARKOVIAN", "region": "Y", "gamma_x": 9.0, '
+            '"gamma_y": -6.555555555555555, "gamma_z": 9.0}}\n'
+        )
 
     def test_vertex_infinite_rate_token(self, runner):
         result = run_ok(runner, ["classify", "--a", "1", "--b", "0", "--c", "0", "--json"])
@@ -252,11 +256,19 @@ class TestScan:
         run_ok(runner, ["scan", "--n", "15", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.golden
     def test_golden_n400(self, runner, tmp_path):
         out = tmp_path / "grid.csv"
         result = run_ok(runner, ["scan", "--n", "400", "--out", str(out)])
         assert result.output == f"wrote 80601 rows to {out} (markovian fraction 0.130308557)\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_400_SHA256
+
+    @pytest.mark.golden
+    def test_golden_n1000(self, runner, tmp_path):
+        out = tmp_path / "grid.csv"
+        result = run_ok(runner, ["scan", "--n", "1000", "--out", str(out)])
+        assert result.output.startswith(f"wrote 501501 rows to {out} ")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_1000_SHA256
 
     def test_fields_match_repr_of_each_value(self):
         columns = [
@@ -284,6 +296,7 @@ class TestScan:
         assert "grid resolution must be >= 1, got 0" in result.output
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.golden
     @pytest.mark.parametrize("rows", [1, 7, geometry.SCAN_BLOCK_ROWS])
     @pytest.mark.parametrize("n", sorted(SCAN_SHA256))
     def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, n, rows):
@@ -359,6 +372,7 @@ class TestAtomicWrite:
         assert result.stderr == f"cannot write {out}: {reason}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.golden
     def test_replaces_longer_file(self, runner, tmp_path):
         out = tmp_path / "grid.csv"
         out.write_bytes(b"x" * 100_000)
@@ -366,6 +380,7 @@ class TestAtomicWrite:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
         assert os.listdir(tmp_path) == ["grid.csv"]
 
+    @pytest.mark.golden
     @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
     def test_writes_through_symlink(self, runner, tmp_path):
         (tmp_path / "data").mkdir()
@@ -378,6 +393,7 @@ class TestAtomicWrite:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_SHA256[9]
         assert os.listdir(tmp_path / "data") == ["grid.csv"]
 
+    @pytest.mark.golden
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_written_in_place(self, runner, tmp_path):
         pipe = tmp_path / "pipe"
@@ -478,12 +494,14 @@ class TestBoundary:
         assert join_lo == pytest.approx(join_hi, abs=1e-6)
         assert {row[5] for row in body} == {"-1", "1"}
 
+    @pytest.mark.golden
     def test_golden_y500(self, runner, tmp_path):
         out = tmp_path / "curve.csv"
         result = run_ok(runner, ["boundary", "--region", "Y", "--points", "500", "--out", str(out)])
         assert result.output == f"wrote 1000 rows to {out}\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y500_SHA256
 
+    @pytest.mark.golden
     def test_golden_y4097_over_five_blocks(self, runner, tmp_path):
         out = tmp_path / "curve.csv"
         args = ["boundary", "--region", "Y", "--points", "4097", "--out", str(out)]
@@ -492,6 +510,7 @@ class TestBoundary:
         assert math.ceil(8194 / geometry.SCAN_BLOCK_ROWS) == 5  # the blocks the hash spans
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y4097_SHA256
 
+    @pytest.mark.golden
     @pytest.mark.parametrize("rows", [1, 7, geometry.SCAN_BLOCK_ROWS])
     @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
     def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, region, rows):
@@ -551,10 +570,12 @@ class TestBoundary:
 class TestChoi:
     def test_worked_example(self, runner):
         result = run_ok(runner, ["choi", "--a", "0.1", "--q", "0.45", "--p", "0.4", "--json"])
-        record = json.loads(result.output)
-        assert record["results"]["min_eigenvalue"] == pytest.approx(-0.0839, abs=5e-4)
-        assert record["results"]["verdict"] == "NONMARKOVIAN"
-        assert record["results"]["cp"] is False
+        results = json.loads(result.output)["results"]
+        # meaning, not bytes: LAPACK and BLAS may differ in the last bits across CPUs
+        assert results["eigenvalues"][0] == results["min_eigenvalue"]
+        assert abs(results["min_eigenvalue"] + 27 / 322) <= 1e-12
+        assert results["verdict"] == "NONMARKOVIAN"
+        assert results["cp"] is False
 
     def test_identity_intermediate_map(self, runner):
         result = run_ok(runner, ["choi", "--a", "0.3", "--q", "0.2", "--p", "0.2", "--json"])
@@ -663,7 +684,10 @@ class TestReadme:
         params = example["params"]
         args = ["measure", "--method", params["method"], "--samples", str(params["samples"]),
                 "--seed", str(params["seed"]), "--json"]
-        assert json.loads(run_ok(runner, args).output) == example
+        # byte for byte the one line the CLI prints, on one thread and on two
+        for threads in ("1", "2"):
+            result = run_ok(runner, [*args, "--threads", threads])
+            assert result.stdout == json.dumps(example) + "\n", threads
 
     def test_library_example_is_real_output(self):
         (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
@@ -691,6 +715,13 @@ class TestImportCost:
     def test_package_import_leaves_numpy_unloaded(self):
         code = "import sys, pauli_simplex; print('numpy' in sys.modules)"
         assert run_child(code) == "False\n"
+
+    def test_cli_import_leaves_futures_and_logging_unloaded(self):
+        code = """
+import sys, pauli_simplex.cli
+print(sorted({"concurrent.futures", "logging"} & set(sys.modules)))
+"""
+        assert run_child(code) == "[]\n"
 
     def test_every_public_name_resolves(self):
         code = """
