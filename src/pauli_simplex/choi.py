@@ -28,8 +28,8 @@ WITNESS_TOL = 1e-9
 def _check_aqp(a: float, q: float, p: float) -> tuple:
     """Validated (a, q, p) of an intermediate map, which must run forward."""
     a = _check_fraction("a", a)
-    q = _check_p(q, upper_open=True)
-    p = _check_p(p, upper_open=True)
+    q = _check_p(q)
+    p = _check_p(p)
     if q < p:
         raise ValueError(f"intermediate map runs forward: need p <= q, got p={p}, q={q}")
     return a, q, p
@@ -73,9 +73,6 @@ class ChoiMatrix:
         """Ascending numerical spectrum."""
         return np.linalg.eigvalsh(self.matrix)
 
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
-
 
 def choi_matrix(x1: float, x2: float, x3: float) -> ChoiMatrix:
     """Dynamical matrix of the Pauli-diagonal map with eigenvalues (x1, x2, x3).
@@ -95,20 +92,6 @@ def choi_matrix(x1: float, x2: float, x3: float) -> ChoiMatrix:
         dtype=complex,
     )
     return ChoiMatrix(m)
-
-
-def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
-    """Closed-form spectrum of choi_matrix(x1, x2, x3), ascending.
-
-    The exact oracle for the numerical spectrum that rhp_witness tests: it is
-    nonnegative exactly when |x1 +/- x2| <= 1 +/- x3.  Exact for exact
-    inputs: given fractions.Fraction ratios it returns an object array of
-    Fractions.
-    """
-    eigs = np.array(
-        [1 + x3 + (x1 + x2), 1 + x3 - (x1 + x2), 1 - x3 + (x1 - x2), 1 - x3 - (x1 - x2)]
-    ) / 2
-    return np.sort(eigs)
 
 
 @dataclass(frozen=True)
@@ -153,7 +136,7 @@ def a_matrix(a: float, p: float) -> np.ndarray:
     is independent of any eigenvalue bookkeeping.
     """
     a = _check_fraction("a", a)
-    p = _check_p(p, upper_open=True)
+    p = _check_p(p)
     out = np.zeros((4, 4), dtype=complex)
     for j in range(4):
         unit = np.zeros((2, 2), dtype=complex)

@@ -70,17 +70,6 @@ def limit_rates_array(weights: np.ndarray) -> np.ndarray:
     return np.where(coeff > 0, np.inf, np.where(coeff < 0, -np.inf, finite))
 
 
-def _divisibility(rates: np.ndarray) -> np.ndarray:
-    """Region codes of an (n, 3) rate array: -1 Markovian, else axis index.
-
-    The rule on rate values, used by the brute-force oracle: any two rates
-    sum to 2 f(w_k) >= 0, so at most one falls below NEG_TOL, and the most
-    negative rate names the region.
-    """
-    rates = np.atleast_2d(rates)
-    return np.where((rates < NEG_TOL).any(axis=1), np.argmin(rates, axis=1), -1)
-
-
 def _label(code: int, rates: np.ndarray) -> RegionLabel:
     """Verdict of one blend from its region code and its reported rates."""
     tag, region = (MARKOVIAN, None) if code < 0 else (NONMARKOVIAN, AXES[code])
@@ -194,13 +183,3 @@ def rate_minima_over_grid(weights: np.ndarray, p_grid: np.ndarray | None = None)
         rates = terms @ _SIGNS.T  # (m, len(p), 3)
         mins[lo : lo + step] = rates.min(axis=1)
     return mins
-
-
-def classify_by_rate_scan(w: MixtureWeights) -> RegionLabel:
-    """Brute-force verdict: minimize the analytic rates over a dense p grid.
-
-    Independent of the limiting-rate shortcut; `classify` must agree with
-    this on every input.  The reported rates are the grid minima per axis.
-    """
-    rates = rate_minima_over_grid(w.as_array())
-    return _label(int(_divisibility(rates)[0]), rates[0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    MixtureWeights, _check_fraction, _check_p, _require_finite, three_mix_eigenvalues,
+    MixtureWeights, _check_p, _require_finite, three_mix_eigenvalues,
 )
 
 CONVENTIONS = ("reduced", "physical")
@@ -48,16 +48,12 @@ class DecayRates:
         return (self.gx + self.gy, self.gy + self.gz, self.gz + self.gx)
 
 
-def _pdot(r: float, p: float) -> float:
+def physical_scale(r: float, p: float) -> float:
+    """pdot/2, the factor that turns reduced rates into physical ones."""
     r = _require_finite("r", r)
     if r <= 0:
         raise ValueError(f"decay constant r must be > 0, got {r}")
-    return 0.5 * r * (1.0 - 2.0 * p)
-
-
-def physical_scale(r: float, p: float) -> float:
-    """pdot/2, the factor that turns reduced rates into physical ones."""
-    return 0.5 * _pdot(r, p)
+    return 0.5 * (0.5 * r * (1.0 - 2.0 * p))
 
 
 def three_mix_rates(
@@ -85,28 +81,6 @@ def three_mix_rates(
     raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 
 
-def two_mix_cross_rate(a: float, p: float, pdot: float) -> float:
-    """Physical rate picked up by the unmixed x axis when blending a Ez + (1-a) Ey.
-
-    Closed form
-
-        -2 [(1-a) a (1-p) p] / [(1-2p)(1 - 2(1-a)p)(1 - 2ap)] * pdot
-
-    which is strictly negative for a in (0, 1) and p in (0, 1/2), and zero on
-    the boundary of that square: any genuine two-channel blend is CP
-    indivisible.  Equal to the x rate of three_mix_rates for the same blend
-    in the physical convention, with r chosen so that dp/dt = pdot.
-    """
-    a = _check_fraction("a", a)
-    p = _check_p(p, upper_open=True)
-    pdot = _require_finite("pdot", pdot)
-    if pdot <= 0:
-        raise ValueError(f"pdot must be > 0, got {pdot}")
-    num = (1.0 - a) * a * (1.0 - p) * p
-    den = (1.0 - 2.0 * p) * (1.0 - 2.0 * (1.0 - a) * p) * (1.0 - 2.0 * a * p)
-    return -2.0 * (num / den) * pdot
-
-
 def finite_difference_rates(
     w: MixtureWeights, p: float, h: float = 1e-6, r: float = 1.0
 ) -> DecayRates:
@@ -121,7 +95,7 @@ def finite_difference_rates(
     chain rule through pdot.  A forward difference is used when p - h would
     leave the domain.  Independent of the closed forms; used to validate them.
     """
-    p = _check_p(p, upper_open=True)
+    p = _check_p(p)
     h = _require_finite("h", h)
     if h <= 0:
         raise ValueError(f"step h must be > 0, got {h}")
@@ -139,7 +113,7 @@ def finite_difference_rates(
             -3.0 * log_eigs(p) + 4.0 * log_eigs(p + h) - log_eigs(p + 2.0 * h)
         ) / (2.0 * h)
 
-    u = -0.5 * dlog_dp * _pdot(r, p)  # u[k] = g_i + g_j for the other two axes
+    u = -dlog_dp * physical_scale(r, p)  # u[k] = g_i + g_j for the other two axes
     gx = 0.5 * (-u[0] + u[1] + u[2])
     gy = 0.5 * (u[0] - u[1] + u[2])
     gz = 0.5 * (u[0] + u[1] - u[2])

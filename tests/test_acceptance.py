@@ -22,7 +22,7 @@ from pauli_simplex.divisibility import (
     rate_minima_over_grid,
     region_codes,
 )
-from pauli_simplex.generator import finite_difference_rates, three_mix_rates, two_mix_cross_rate
+from pauli_simplex.generator import finite_difference_rates, three_mix_rates
 from pauli_simplex.geometry import (
     BAND_EDGE,
     boundary_roots,
@@ -30,6 +30,7 @@ from pauli_simplex.geometry import (
     monte_carlo_measures,
     total_measures,
 )
+from pauli_simplex.oracles import two_mix_cross_rate
 
 MC_SAMPLES = 1_000_000
 MC_SEED = 42
@@ -81,11 +82,11 @@ def test_criterion_3_intermediate_map_witness():
     oracle = a_matrix_choi(0.1, 0.45, 0.4)
     deviation = float(np.abs(closed.matrix - oracle.matrix).max())
     ok = (
-        abs(closed.min_eigenvalue() - (-0.0839)) <= 5e-4
-        and abs(oracle.min_eigenvalue() - (-0.0839)) <= 5e-4
+        abs(closed.eigenvalues()[0] - (-0.0839)) <= 5e-4
+        and abs(oracle.eigenvalues()[0] - (-0.0839)) <= 5e-4
         and deviation < 1e-12
     )
-    report(3, f"intermediate-map witness (min eig {closed.min_eigenvalue():.6f}, "
+    report(3, f"intermediate-map witness (min eig {closed.eigenvalues()[0]:.6f}, "
               f"route deviation {deviation:.2e})", ok)
 
 
@@ -179,7 +180,7 @@ def test_criterion_8_full_map_always_cp():
     for a in np.linspace(0.0, 1.0, 50):
         for p in np.linspace(0.0, 0.49, 50):
             choi = choi_matrix(*intermediate_ratios(float(a), float(p), 0.0))
-            worst = min(worst, choi.min_eigenvalue())
+            worst = min(worst, choi.eigenvalues()[0])
     ok = worst >= -1e-12
     report(8, f"full blend map PSD on 50x50 grid (worst eigenvalue {worst:.2e})", ok)
 

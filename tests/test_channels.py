@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauli_simplex.channels import (
-    AXES,
+from pauli_simplex.channels import AXES, MixtureWeights, three_mix_eigenvalues
+from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios, rhp_witness
+from pauli_simplex.oracles import (
     BlochVector,
     DensityMatrix,
     MAXIMALLY_MIXED,
-    MixtureWeights,
     apply_eigenvalue_map,
     apply_pauli_channel,
-    three_mix_eigenvalues,
+    two_mix_cross_rate,
 )
-from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios, rhp_witness
-from pauli_simplex.generator import two_mix_cross_rate
 
 
 def two_way_eigenvalues(a, p):

@@ -9,11 +9,11 @@ from pauli_simplex.choi import (
     ChoiMatrix,
     a_matrix,
     a_matrix_choi,
-    choi_eigenvalues,
     choi_matrix,
     intermediate_ratios,
     rhp_witness,
 )
+from pauli_simplex.oracles import choi_eigenvalues
 
 # exact spectrum bottom of the (a, q, p) = (0.1, 0.45, 0.4) intermediate map:
 # ratios are (1/2, 91/92, 19/28) and the smallest eigenvalue is -27/322
@@ -86,8 +86,8 @@ class TestChoiMatrix:
 
     def test_worked_example_minimum_eigenvalue(self):
         choi = choi_matrix(*intermediate_ratios(0.1, 0.45, 0.4))
-        assert choi.min_eigenvalue() == pytest.approx(WORKED_MIN_EIG, abs=1e-13)
-        assert choi.min_eigenvalue() == pytest.approx(-0.0839, abs=5e-4)
+        assert choi.eigenvalues()[0] == pytest.approx(WORKED_MIN_EIG, abs=1e-13)
+        assert choi.eigenvalues()[0] == pytest.approx(-0.0839, abs=5e-4)
 
     def test_closed_form_spectrum(self):
         for a, q, p in random_aqp(1000, seed=13):
@@ -115,7 +115,7 @@ class TestCompletePositivity:
         for a in np.linspace(0.0, 1.0, 50):
             for p in np.linspace(0.0, 0.49, 50):
                 choi = choi_matrix(*intermediate_ratios(float(a), float(p), 0.0))
-                assert choi.min_eigenvalue() >= -1e-12
+                assert choi.eigenvalues()[0] >= -1e-12
 
     def test_ratio_bounds_match_spectrum(self):
         # the closed-form spectrum is nonnegative exactly when
@@ -124,7 +124,7 @@ class TestCompletePositivity:
         for _ in range(500):
             x = rng.uniform(-1.0, 1.0, size=3)
             closed = choi_eigenvalues(*x)[0] >= -1e-12
-            assert closed == (choi_matrix(*x).min_eigenvalue() >= -1e-12)
+            assert closed == (choi_matrix(*x).eigenvalues()[0] >= -1e-12)
 
     def test_ratio_bounds_match_spectrum_on_intermediate_maps(self):
         for a, q, p in random_aqp(300, seed=22):
@@ -172,7 +172,7 @@ class TestWitness:
             choi = choi_matrix(*intermediate_ratios(a, q, p))
             assert np.array_equal(report.choi.matrix, choi.matrix)
             assert report.eigenvalues == tuple(choi.eigenvalues().tolist())
-            assert report.min_eigenvalue == choi.min_eigenvalue()
+            assert report.min_eigenvalue == choi.eigenvalues()[0]
 
     def test_record_is_immutable_and_comparable(self):
         report = rhp_witness(0.1, 0.45, 0.4)
@@ -206,7 +206,7 @@ class TestTransferMatrixOracle:
         oracle = a_matrix_choi(0.1, 0.45, 0.4)
         closed = choi_matrix(*intermediate_ratios(0.1, 0.45, 0.4))
         assert np.abs(oracle.matrix - closed.matrix).max() < 1e-12
-        assert oracle.min_eigenvalue() == pytest.approx(WORKED_MIN_EIG, abs=1e-12)
+        assert oracle.eigenvalues()[0] == pytest.approx(WORKED_MIN_EIG, abs=1e-12)
 
     def test_matches_closed_form_elsewhere(self):
         oracle = a_matrix_choi(0.7, 0.3, 0.1)

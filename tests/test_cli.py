@@ -138,6 +138,26 @@ class TestRates:
         record = json.loads(result.output)
         assert min(record["results"][k] for k in ("gamma_x", "gamma_y", "gamma_z")) >= 0
 
+    @pytest.mark.parametrize(
+        "args,gammas",
+        [
+            ([], (0.38272072754831343, 1.0458507010231153, 2.031072375899962)),
+            (
+                ["--r", "2", "--convention", "physical"],
+                (0.0765441455096627, 0.20917014020462307, 0.4062144751799924),
+            ),
+        ],
+        ids=["reduced", "physical"],
+    )
+    def test_example_rates_exactly(self, runner, args, gammas):
+        # the fd_delta_* fields go through np.log, whose last bits may differ
+        # across CPUs, so only the closed-form rates are pinned
+        result = run_ok(
+            runner, ["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", ".3", *args, "--json"]
+        )
+        results = json.loads(result.output)["results"]
+        assert tuple(results[k] for k in ("gamma_x", "gamma_y", "gamma_z")) == gammas
+
     def test_physical_convention(self, runner):
         result = run_ok(
             runner,
@@ -716,10 +736,12 @@ class TestImportCost:
         code = "import sys, pauli_simplex; print('numpy' in sys.modules)"
         assert run_child(code) == "False\n"
 
-    def test_cli_import_leaves_futures_and_logging_unloaded(self):
+    def test_cli_import_leaves_futures_logging_and_oracles_unloaded(self):
+        # the CLI loads every core module, so this also holds if any of them
+        # imported the oracles
         code = """
 import sys, pauli_simplex.cli
-print(sorted({"concurrent.futures", "logging"} & set(sys.modules)))
+print(sorted({"concurrent.futures", "logging", "pauli_simplex.oracles"} & set(sys.modules)))
 """
         assert run_child(code) == "[]\n"
 

@@ -12,9 +12,7 @@ from pauli_simplex.divisibility import (
     MARKOVIAN,
     NEG_TOL,
     NONMARKOVIAN,
-    _divisibility,
     classify,
-    classify_by_rate_scan,
     limit_rates_array,
     rate_minima_over_grid,
     region_codes,
@@ -26,6 +24,7 @@ from pauli_simplex.geometry import (
     grid_weights,
     sample_simplex,
 )
+from pauli_simplex.oracles import _divisibility, classify_by_rate_scan
 
 
 def limit_rates_of(w: MixtureWeights) -> np.ndarray:
