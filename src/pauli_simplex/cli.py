@@ -19,9 +19,10 @@ import math
 import os
 import sys
 
-# Every matrix product in the package is (n, 3) @ (3, k) or at most 4 x 4,
-# too narrow to share out, so an OpenBLAS thread pool would only spin and burn
-# CPU.  This must run before numpy loads; a value the caller set still wins.
+# The package's matrix products (the (n, 3) @ (3, 2) embedding, the dot product
+# over at most 128 quadrature nodes, the 4 x 4 Choi and transfer products) are
+# too narrow to share out, so an idle OpenBLAS thread pool would only spin and
+# burn CPU.  This must run before numpy loads; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click

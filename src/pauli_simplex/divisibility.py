@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AXES, MixtureWeights
+from .generator import signed_sums
 
 #: a limiting rate below this counts as negative (guards boundary rounding)
 NEG_TOL = -1e-12
-
-#: sign pattern of the three rate terms inside (gx, gy, gz)
-_SIGNS = np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
 
 MARKOVIAN = "MARKOVIAN"
 NONMARKOVIAN = "NONMARKOVIAN"
@@ -63,10 +61,10 @@ def limit_rates_array(weights: np.ndarray) -> np.ndarray:
     zero = w == 0.0
     g = np.zeros_like(w)
     np.divide(1.0 - w, w * _SCALE, out=g, where=~zero)
-    scaled = g @ _SIGNS.T
+    scaled = signed_sums(g)
     finite = np.copysign(np.inf, scaled)
     np.multiply(scaled, _SCALE, out=finite, where=np.abs(scaled) <= _SCALED_MAX)
-    coeff = zero.astype(float) @ _SIGNS.T
+    coeff = signed_sums(zero.astype(float))
     return np.where(coeff > 0, np.inf, np.where(coeff < 0, -np.inf, finite))
 
 
@@ -180,6 +178,6 @@ def rate_minima_over_grid(weights: np.ndarray, p_grid: np.ndarray | None = None)
     for lo in range(0, w.shape[0], step):
         u = 1.0 - w[lo : lo + step]  # (m, 3)
         terms = u[:, None, :] / (1.0 - 2.0 * u[:, None, :] * p[None, :, None])
-        rates = terms @ _SIGNS.T  # (m, len(p), 3)
+        rates = signed_sums(terms)  # (m, len(p), 3)
         mins[lo : lo + step] = rates.min(axis=1)
     return mins

@@ -56,6 +56,17 @@ def physical_scale(r: float, p: float) -> float:
     return 0.5 * (0.5 * r * (1.0 - 2.0 * p))
 
 
+def signed_sums(f: np.ndarray) -> np.ndarray:
+    """(-fx + fy) + fz, (fx - fy) + fz and (fx + fy) - fz over the last axis of f.
+
+    The sign pattern that turns the three rate terms into the reduced rates
+    (gx, gy, gz), and the pairwise rate sums back into the rates, in one
+    fixed summation order.
+    """
+    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    return np.stack([(-fx + fy) + fz, (fx - fy) + fz, (fx + fy) - fz], axis=-1)
+
+
 def three_mix_rates(
     w: MixtureWeights, p: float, convention: str = "reduced", r: float | None = None
 ) -> DecayRates:
@@ -67,10 +78,7 @@ def three_mix_rates(
     axes' terms minus its own, e.g. gx = -f(a) + f(b) + f(c), so (2a, 2b, 2c)
     at p=0.  The physical normalization multiplies by pdot/2 and requires r.
     """
-    fa, fb, fc = ((1.0 - w.as_array()) / three_mix_eigenvalues(w, p)).tolist()
-    gx = -fa + fb + fc
-    gy = fa - fb + fc
-    gz = fa + fb - fc
+    gx, gy, gz = signed_sums((1.0 - w.as_array()) / three_mix_eigenvalues(w, p)).tolist()
     if convention == "reduced":
         return DecayRates(gx, gy, gz)
     if convention == "physical":
@@ -99,13 +107,15 @@ def finite_difference_rates(
     h = _require_finite("h", h)
     if h <= 0:
         raise ValueError(f"step h must be > 0, got {h}")
-    if p + h >= 0.5:
-        raise ValueError(f"step p+h={p + h} reaches the p=1/2 boundary")
+    central = p - h >= 0.0  # else the forward stencil, which reaches p+2h
+    step, reach = ("p+h", p + h) if central else ("p+2h", p + 2.0 * h)
+    if reach >= 0.5:
+        raise ValueError(f"step {step}={reach} reaches the p=1/2 boundary")
 
     def log_eigs(q: float) -> np.ndarray:
         return np.log(three_mix_eigenvalues(w, q))
 
-    if p - h >= 0.0:
+    if central:
         dlog_dp = (log_eigs(p + h) - log_eigs(p - h)) / (2.0 * h)
     else:
         # one-sided second-order stencil keeps accuracy at the p=0 boundary
@@ -114,7 +124,4 @@ def finite_difference_rates(
         ) / (2.0 * h)
 
     u = -dlog_dp * physical_scale(r, p)  # u[k] = g_i + g_j for the other two axes
-    gx = 0.5 * (-u[0] + u[1] + u[2])
-    gy = 0.5 * (u[0] - u[1] + u[2])
-    gz = 0.5 * (u[0] + u[1] - u[2])
-    return DecayRates(gx, gy, gz)
+    return DecayRates(*(0.5 * signed_sums(u)).tolist())

@@ -1,14 +1,11 @@
 """Independent checks of the core's closed forms, used only for verification.
 
-No command imports this module.  It holds the 2x2 state action of the three
-Pauli channels, the closed-form Choi spectrum, the two-channel cross rate and
-the brute-force p-scan classifier.
+No command imports this module.  It holds the action of the three Pauli
+channels on 2x2 state arrays, the closed-form Choi spectrum, the two-channel
+cross rate and the brute-force p-scan classifier.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,70 +18,15 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 PAULI = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
-#: absolute tolerance used by all state validity checks
-STATE_TOL = 1e-12
+
+def bloch_state(r) -> np.ndarray:
+    """The 2x2 qubit state (I + r_x X + r_y Y + r_z Z)/2 of Bloch vector r."""
+    rx, ry, rz = r
+    return 0.5 * (IDENTITY + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Point of the Bloch ball, components dimensionless."""
-
-    a1: float
-    a2: float
-    a3: float
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3"):
-            _require_finite(name, getattr(self, name))
-        if self.norm() > 1.0 + STATE_TOL:
-            raise ValueError(f"Bloch vector has length {self.norm():.6g} > 1")
-
-    def norm(self) -> float:
-        return math.sqrt(self.a1**2 + self.a2**2 + self.a3**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3])
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """2x2 qubit state: Hermitian, unit trace, positive up to STATE_TOL."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=STATE_TOL):
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > STATE_TOL or abs(np.trace(m).imag) > STATE_TOL:
-            raise ValueError(f"density matrix trace is {np.trace(m):.6g}, expected 1")
-        if np.linalg.eigvalsh(m).min() < -STATE_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_bloch(cls, bloch: BlochVector) -> "DensityMatrix":
-        m = 0.5 * (
-            IDENTITY + bloch.a1 * SIGMA_X + bloch.a2 * SIGMA_Y + bloch.a3 * SIGMA_Z
-        )
-        return cls(m)
-
-    def bloch(self) -> BlochVector:
-        return BlochVector(
-            np.trace(self.matrix @ SIGMA_X).real,
-            np.trace(self.matrix @ SIGMA_Y).real,
-            np.trace(self.matrix @ SIGMA_Z).real,
-        )
-
-
-MAXIMALLY_MIXED = DensityMatrix(0.5 * IDENTITY)
-
-
-def apply_pauli_channel(rho: DensityMatrix, axis: str, p: float) -> DensityMatrix:
-    """Apply (1-p) rho + p sigma_k rho sigma_k for the given axis k.
+def apply_pauli_channel(rho: np.ndarray, axis: str, p: float) -> np.ndarray:
+    """Apply (1-p) rho + p sigma_k rho sigma_k to a 2x2 array, k the given axis.
 
     p may reach 1/2 here (the infinite-time limit of the semigroup), unlike
     the generator-side operations which need p strictly below 1/2.
@@ -95,12 +37,7 @@ def apply_pauli_channel(rho: DensityMatrix, axis: str, p: float) -> DensityMatri
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"dephasing parameter p={p} outside [0, 1/2]")
     sigma = PAULI[axis]
-    return DensityMatrix((1.0 - p) * rho.matrix + p * (sigma @ rho.matrix @ sigma))
-
-
-def apply_eigenvalue_map(rho: DensityMatrix, eigs: np.ndarray) -> DensityMatrix:
-    """Apply a Pauli-diagonal channel by rescaling the Bloch components."""
-    return DensityMatrix.from_bloch(BlochVector(*(eigs * rho.bloch().as_array()).tolist()))
+    return (1.0 - p) * rho + p * (sigma @ rho @ sigma)
 
 
 def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:

@@ -16,13 +16,12 @@ from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.choi import a_matrix_choi, choi_matrix, intermediate_ratios, rhp_witness
 from pauli_simplex.cli import cli
 from pauli_simplex.divisibility import (
-    _SIGNS,
     NEG_TOL,
     limit_rates_array,
     rate_minima_over_grid,
     region_codes,
 )
-from pauli_simplex.generator import finite_difference_rates, three_mix_rates
+from pauli_simplex.generator import finite_difference_rates, signed_sums, three_mix_rates
 from pauli_simplex.geometry import (
     BAND_EDGE,
     boundary_roots,
@@ -114,7 +113,7 @@ def test_criterion_5_pairwise_sums_and_single_negative():
     ps = np.linspace(0.0, 0.49, 50)
     u = 1.0 - weights
     terms = u[:, None, :] / (1.0 - 2.0 * u[:, None, :] * ps[None, :, None])
-    rates = terms @ _SIGNS.T
+    rates = signed_sums(terms)
     sums = np.stack(
         [rates[..., 0] + rates[..., 1], rates[..., 1] + rates[..., 2],
          rates[..., 2] + rates[..., 0]],

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from pauli_simplex.channels import AXES, MixtureWeights, three_mix_eigenvalues
 from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios, rhp_witness
 from pauli_simplex.oracles import (
-    BlochVector,
-    DensityMatrix,
-    MAXIMALLY_MIXED,
-    apply_eigenvalue_map,
+    PAULI,
     apply_pauli_channel,
+    bloch_state,
     two_mix_cross_rate,
 )
+
+MIXED = bloch_state((0.0, 0.0, 0.0))
 
 
 def two_way_eigenvalues(a, p):
@@ -20,48 +20,53 @@ def two_way_eigenvalues(a, p):
     return three_mix_eigenvalues(MixtureWeights(0.0, 1.0 - a, a), p)
 
 
-def random_states(count, seed=0):
-    """Random qubit states drawn uniformly inside the Bloch ball."""
+def random_bloch_vectors(count, seed=0):
+    """Random Bloch vectors drawn uniformly inside the unit ball."""
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(count, 3))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    vecs *= rng.uniform(size=(count, 1)) ** (1 / 3)
-    return [DensityMatrix.from_bloch(BlochVector(*v)) for v in vecs]
+    return vecs * rng.uniform(size=(count, 1)) ** (1 / 3)
 
 
 class TestApplyChannel:
     def test_identity_at_p_zero(self):
-        for rho in random_states(5):
+        for rho in map(bloch_state, random_bloch_vectors(5)):
             for axis in AXES:
                 out = apply_pauli_channel(rho, axis, 0.0)
-                np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
+                np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_full_dephasing_kills_cross_component(self):
-        rho = DensityMatrix.from_bloch(BlochVector(1.0, 0.0, 0.0))
-        out = apply_pauli_channel(rho, "Z", 0.5)
-        np.testing.assert_allclose(out.bloch().as_array(), [0.0, 0.0, 0.0], atol=1e-15)
+        out = apply_pauli_channel(bloch_state((1.0, 0.0, 0.0)), "Z", 0.5)
+        np.testing.assert_allclose(out, MIXED, atol=1e-15)
 
     @pytest.mark.parametrize("axis", AXES)
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
     def test_unital(self, axis, p):
-        out = apply_pauli_channel(MAXIMALLY_MIXED, axis, p)
-        np.testing.assert_allclose(out.matrix, MAXIMALLY_MIXED.matrix, atol=1e-15)
+        out = apply_pauli_channel(MIXED, axis, p)
+        np.testing.assert_allclose(out, MIXED, atol=1e-15)
 
     def test_preserves_state_validity(self):
-        # trace and hermiticity exact, positivity within tolerance; all
-        # enforced by the DensityMatrix constructor on the returned value
-        for rho in random_states(20, seed=3):
+        # Hermitian and unit trace up to rounding, positive within 1e-12
+        for rho in map(bloch_state, random_bloch_vectors(20, seed=3)):
             out = apply_pauli_channel(rho, "Y", 0.37)
-            assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(out, out.conj().T, atol=1e-15)
+            assert np.trace(out) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+    def test_bloch_state_round_trip(self):
+        # tr(bloch_state(r) sigma_k) = r_k
+        for r in random_bloch_vectors(20, seed=5):
+            back = [np.trace(bloch_state(r) @ PAULI[k]) for k in AXES]
+            np.testing.assert_allclose(back, r, atol=1e-15)
 
     @pytest.mark.parametrize("p", [-0.01, 0.51, 1.0])
     def test_rejects_p_out_of_range(self, p):
         with pytest.raises(ValueError):
-            apply_pauli_channel(MAXIMALLY_MIXED, "X", p)
+            apply_pauli_channel(MIXED, "X", p)
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
-            apply_pauli_channel(MAXIMALLY_MIXED, "W", 0.1)
+            apply_pauli_channel(MIXED, "W", 0.1)
 
 
 class TestMixtureEigenvalues:
@@ -102,19 +107,18 @@ class TestMixtureEigenvalues:
                 )
 
     def test_mixture_application_matches_eigenvalue_map(self):
-        # convex sum of the three channel actions against the diagonal map,
-        # on 50 random states
+        # convex sum of the three channel actions against the state with
+        # rescaled Bloch components, on 50 random states
         w = MixtureWeights(0.23, 0.41, 0.36)
         p = 0.31
         eigs = three_mix_eigenvalues(w, p)
-        for rho in random_states(50, seed=11):
-            mixed = (
-                w.a * apply_pauli_channel(rho, "X", p).matrix
-                + w.b * apply_pauli_channel(rho, "Y", p).matrix
-                + w.c * apply_pauli_channel(rho, "Z", p).matrix
+        for r in random_bloch_vectors(50, seed=11):
+            rho = bloch_state(r)
+            mixed = sum(
+                wk * apply_pauli_channel(rho, k, p)
+                for wk, k in zip(w.as_array(), AXES)
             )
-            diag = apply_eigenvalue_map(rho, eigs).matrix
-            assert np.abs(mixed - diag).max() < 1e-12
+            assert np.abs(mixed - bloch_state(eigs * r)).max() < 1e-12
 
     @given(
         st.floats(0.01, 0.98),
@@ -162,29 +166,6 @@ class TestWeights:
     def test_zero_weights_stay_exact(self):
         w = MixtureWeights(0.0, 0.3, 0.7)
         assert w.a == 0.0
-
-
-class TestStateTypes:
-    def test_bloch_norm_bound(self):
-        with pytest.raises(ValueError, match="length"):
-            BlochVector(0.8, 0.8, 0.8)
-
-    def test_density_matrix_round_trip(self):
-        bloch = BlochVector(0.1, -0.4, 0.7)
-        back = DensityMatrix.from_bloch(bloch).bloch()
-        np.testing.assert_allclose(back.as_array(), bloch.as_array(), atol=1e-15)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2, dtype=complex))
-
-    def test_rejects_negative_state(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
 class TestFractionValidation:

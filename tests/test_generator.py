@@ -215,5 +215,12 @@ class TestFiniteDifferenceOracle:
             assert np.abs(fd - an).max() / np.abs(an).max() < 1e-5
 
     def test_rejects_step_over_boundary(self):
-        with pytest.raises(ValueError, match="boundary"):
-            finite_difference_rates(MixtureWeights(0.2, 0.3, 0.5), 0.4999999, h=1e-6)
+        # the central stencil reaches p+h; the forward one, used when p < h,
+        # reaches p+2h, which the error names instead of an unasked p
+        cases = [
+            (0.4999999, 1e-6, "p+h=0.5000009"), (0.0, 0.3, "p+2h=0.6"), (0.1, 0.2, "p+2h=0.5"),
+        ]
+        for p, h, step in cases:
+            with pytest.raises(ValueError) as info:
+                finite_difference_rates(MixtureWeights(0.2, 0.3, 0.5), p, h=h)
+            assert str(info.value) == f"step {step} reaches the p=1/2 boundary"
