@@ -9,7 +9,9 @@ which no command imports.  The `cli` module exposes the rest as subcommands.
 
 The names in `__all__` are imported from their submodule on first use
 (PEP 562), so `import pauli_simplex` alone loads neither the submodules nor
-numpy.
+numpy.  This is what lets `import pauli_simplex.cli`, which runs this file
+first, set OPENBLAS_NUM_THREADS before numpy loads: eager imports here would
+silently undo that pin.
 """
 
 import importlib

@@ -132,22 +132,17 @@ def rhp_witness(a: float, q: float, p: float) -> WitnessReport:
 def a_matrix(a: float, p: float) -> np.ndarray:
     """Transfer matrix of the blend on row-stacked density matrices.
 
-    Built column by column from the channel action on the matrix units, so it
+    Built from the Pauli form of the channel, (1-p) rho + a p Z rho Z +
+    (1-a) p Y rho Y: with row stacking, rho -> s rho s is kron(s, s.T), so it
     is independent of any eigenvalue bookkeeping.
     """
     a = _check_fraction("a", a)
     p = _check_p(p)
-    out = np.zeros((4, 4), dtype=complex)
-    for j in range(4):
-        unit = np.zeros((2, 2), dtype=complex)
-        unit[j // 2, j % 2] = 1.0
-        image = (
-            (1.0 - p) * unit
-            + a * p * (SIGMA_Z @ unit @ SIGMA_Z)
-            + (1.0 - a) * p * (SIGMA_Y @ unit @ SIGMA_Y)
-        )
-        out[:, j] = image.reshape(-1)  # row stacking
-    return out
+    return (
+        (1.0 - p) * np.eye(4, dtype=complex)
+        + a * p * np.kron(SIGMA_Z, SIGMA_Z.T)
+        + (1.0 - a) * p * np.kron(SIGMA_Y, SIGMA_Y.T)
+    )
 
 
 def _reshuffle(transfer: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ Output conventions shared by all subcommands:
 * human-readable mode prints ``key  value`` lines with 9 significant digits;
 * ``--json`` prints one JSON document per invocation with full-precision
   numbers; non-finite values appear as the tokens "inf", "-inf", "nan";
-* exit code 0 on success, 2 on usage or domain errors, 3 on I/O failure;
+* exit code 0 on success, 2 on usage or domain errors (the subcommand class
+  `_Subcommand` maps every ValueError to exit 2), 3 on I/O failure;
 * CSV files are RFC-4180 style with a header row and LF line endings,
   streamed block by block and renamed into place only when complete.
 """
@@ -13,10 +14,10 @@ Output conventions shared by all subcommands:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import os
+import stat
 import sys
 
 # The package's matrix products (the (n, 3) @ (3, 2) embedding, the dot product
@@ -29,9 +30,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .channels import AXES, MixtureWeights
+from .channels import MixtureWeights
 from .choi import a_matrix_choi, rhp_witness
-from .divisibility import MARKOVIAN, NONMARKOVIAN, classify
+from .divisibility import LABELS, REGIONS, classify
 from .generator import finite_difference_rates, physical_scale, three_mix_rates
 from .geometry import (
     boundary_blocks,
@@ -42,10 +43,6 @@ from .geometry import (
 )
 
 _IO_EXIT = 3
-
-#: label and region fields indexed by region code + 1
-_LABELS = np.array([MARKOVIAN, NONMARKOVIAN, NONMARKOVIAN, NONMARKOVIAN], dtype=object)
-_REGIONS = np.array(["", *AXES], dtype=object)
 
 
 def _token(value):
@@ -105,24 +102,29 @@ def _fields(columns: list) -> list:
     ]
 
 
-def _write_csv(out: str, header: list, blocks) -> None:
+def _write_csv(out: str, header: list, blocks) -> int:
     """Write the header, then the rows of each block of equal-length columns.
 
     No field needs quoting.  The rows go to a temporary file beside the
     target, renamed over it once complete, so a failed write (exit 3) leaves
-    neither a partial file nor the temporary one.  A target that exists and
-    is not a regular file (a device or a pipe) is written in place.
+    neither a partial file nor the temporary one; a file it replaces keeps
+    its permission bits.  A target that exists and is not a regular file (a
+    device or a pipe) is written in place.  Returns the number of rows.
     """
     target = os.path.realpath(out)
     atomic = os.path.isfile(target) or not os.path.exists(target)
     path = f"{target}.tmp-{os.getpid()}" if atomic else target
+    written = 0
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for columns in blocks:
                 rows = zip(*_fields(columns))
                 fh.write("\n".join(map(",".join, rows)) + "\n")
+                written += len(columns[0])
         if atomic:
+            if os.path.exists(target):
+                os.chmod(path, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(path, target)
     except OSError as exc:
         if exc.filename is not None:  # name the target, not the temporary file
@@ -132,29 +134,26 @@ def _write_csv(out: str, header: list, blocks) -> None:
     finally:
         if atomic and os.path.exists(path):
             os.remove(path)
+    return written
 
 
-def _usage_errors(command):
-    """Turn a ValueError from the library into a usage error (exit 2).
+class _Subcommand(click.Command):
+    """A subcommand that reports a ValueError as a usage error naming it (exit 2)."""
 
-    Goes innermost, under the click decorators, so the error is raised
-    inside the subcommand's context and its usage line names the subcommand.
-    """
-
-    @functools.wraps(command)
-    def run(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return command(*args, **kwargs)
+            return super().invoke(ctx)
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
-
-    return run
+            raise click.UsageError(str(exc), ctx) from None
 
 
 @click.group()
 @click.version_option(version=__version__, prog_name="pauli-simplex")
 def cli():
     """Analyze convex blends of the three Pauli dephasing semigroups."""
+
+
+cli.command_class = _Subcommand
 
 
 @cli.command()
@@ -170,7 +169,6 @@ def cli():
     show_default=True,
 )
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
-@_usage_errors
 def rates(a, b, c, p, r, convention, as_json):
     """Decay rates of a three-way blend, with a finite-difference cross-check."""
     w = MixtureWeights(a, b, c)
@@ -198,7 +196,6 @@ def rates(a, b, c, p, r, convention, as_json):
 @click.option("--b", required=True, type=float)
 @click.option("--c", required=True, type=float)
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
-@_usage_errors
 def classify_cmd(a, b, c, as_json):
     """Markovian / non-Markovian verdict with the limiting rates."""
     w = MixtureWeights(a, b, c)
@@ -217,25 +214,20 @@ def classify_cmd(a, b, c, as_json):
 @cli.command()
 @click.option("--n", required=True, type=int, help="grid resolution (>= 1)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
-@_usage_errors
 def scan(n, out):
     """Classify the triangular grid and write one CSV row per point."""
     blocks = scan_grid(n)
-    rows = markovian = 0
+    markovian = 0
 
     def columns():
-        nonlocal rows, markovian
+        nonlocal markovian
         for weights, uv, rates, codes in blocks:
-            rows += len(codes)
             markovian += int((codes < 0).sum())
-            yield [*weights.T, *uv.T, _LABELS[codes + 1], _REGIONS[codes + 1], *rates.T]
+            yield [*weights.T, *uv.T, LABELS[codes + 1], REGIONS[codes + 1], *rates.T]
 
-    _write_csv(
-        out,
-        ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"],
-        columns(),
-    )
-    click.echo(f"wrote {rows} rows to {out} (markovian fraction {markovian / rows:.9g})")
+    header = ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"]
+    rows = _write_csv(out, header, columns())
+    click.echo(f"wrote {rows} rows to {out} (markovian fraction {_human(markovian / rows)})")
 
 
 @cli.command()
@@ -247,7 +239,6 @@ def scan(n, out):
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
-@_usage_errors
 def measure(method, tol, samples, seed, threads, as_json):
     """Region measures by quadrature or seeded Monte Carlo."""
     if method == "quad":
@@ -263,13 +254,12 @@ def measure(method, tol, samples, seed, threads, as_json):
 @click.option("--region", required=True, type=click.Choice(["X", "Y", "Z"]))
 @click.option("--points", required=True, type=int, help="samples per branch (>= 2)")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
-@_usage_errors
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
     blocks = boundary_blocks(region, points)
     columns = ([*samples.T, *uv.T, branch] for samples, uv, branch in blocks)
-    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], columns)
-    click.echo(f"wrote {2 * points} rows to {out}")
+    rows = _write_csv(out, ["a", "b", "c", "u", "v", "branch"], columns)
+    click.echo(f"wrote {rows} rows to {out}")
 
 
 @cli.command("choi")
@@ -278,7 +268,6 @@ def boundary(region, points, out):
 @click.option("--p", required=True, type=float, help="earlier dephasing parameter")
 @click.option("--oracle", is_flag=True, help="cross-check against the transfer-matrix route")
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
-@_usage_errors
 def choi_cmd(a, q, p, oracle, as_json):
     """Dynamical matrix of the intermediate map, spectrum, and CP verdict."""
     witness = rhp_witness(a, q, p)

@@ -24,6 +24,10 @@ NEG_TOL = -1e-12
 MARKOVIAN = "MARKOVIAN"
 NONMARKOVIAN = "NONMARKOVIAN"
 
+#: label and region of each region code, indexed by code + 1
+LABELS = np.array([MARKOVIAN, NONMARKOVIAN, NONMARKOVIAN, NONMARKOVIAN], dtype=object)
+REGIONS = np.array(["", *AXES], dtype=object)
+
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -70,8 +74,7 @@ def limit_rates_array(weights: np.ndarray) -> np.ndarray:
 
 def _label(code: int, rates: np.ndarray) -> RegionLabel:
     """Verdict of one blend from its region code and its reported rates."""
-    tag, region = (MARKOVIAN, None) if code < 0 else (NONMARKOVIAN, AXES[code])
-    return RegionLabel(tag, region, tuple(float(g) for g in rates))
+    return RegionLabel(LABELS[code + 1], REGIONS[code + 1] or None, tuple(float(g) for g in rates))
 
 
 def region_codes(weights: np.ndarray, work: tuple | None = None) -> np.ndarray:

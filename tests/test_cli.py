@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -401,6 +402,23 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["grid.csv"]
 
     @pytest.mark.golden
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
+    @pytest.mark.parametrize(
+        "args, digest",
+        [(["scan", "--n", "9"], SCAN_SHA256[9]),
+         (["boundary", "--region", "Y", "--points", "500"], BOUNDARY_Y500_SHA256)],
+        ids=["scan", "boundary"],
+    )
+    def test_replaced_file_keeps_its_mode(self, runner, tmp_path, args, digest):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        run_ok(runner, [*args, "--out", str(out)])
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.golden
     @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
     def test_writes_through_symlink(self, runner, tmp_path):
         (tmp_path / "data").mkdir()
@@ -661,10 +679,13 @@ class TestUsageErrors:
             (["measure", "--method", "quad", "--tol", "-1"], "tol must be > 0, got -1.0"),
             (["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", ".3", "--r", "-1",
               "--convention", "physical"], "decay constant r must be > 0, got -1.0"),
+            (["scan", "--n", "0", "--out", "unused.csv"], "grid resolution must be >= 1, got 0"),
+            (["boundary", "--region", "Y", "--points", "1", "--out", "unused.csv"],
+             "need at least 2 points per branch, got 1"),
         ],
         ids=[
             "classify-negative", "classify-nan", "choi-fraction", "choi-oracle-singular",
-            "measure-threads", "measure-tol", "rates-r",
+            "measure-threads", "measure-tol", "rates-r", "scan-resolution", "boundary-points",
         ],
     )
     def test_usage_line_names_the_subcommand(self, runner, args, message):
