@@ -20,10 +20,10 @@ import os
 import stat
 import sys
 
-# The package's matrix products (the (n, 3) @ (3, 2) embedding, the dot product
-# over at most 128 quadrature nodes, the 4 x 4 Choi and transfer products) are
-# too narrow to share out, so an idle OpenBLAS thread pool would only spin and
-# burn CPU.  This must run before numpy loads; a value the caller set still wins.
+# The package's matrix products (the dot product over at most 128 quadrature
+# nodes, the 4 x 4 Choi and transfer products) are too narrow to share out, so
+# an idle OpenBLAS thread pool would only spin and burn CPU.  This must run
+# before numpy loads; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
@@ -78,28 +78,54 @@ def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> 
         click.echo(f"{key:<12} {_human(value)}")
 
 
-def _fields(columns: list) -> list:
+#: most float reprs one CSV file keeps for later blocks.  Each costs about
+#: 88 bytes (the string, its key and a pointer), so 2^14 of them hold about
+#: 1.4 MB, and `scan --n 400` runs repr 133,612 times instead of 192,179.
+#: 2^15 (103,606 reprs) took 1.5 MB more and 2^16 (60,367, each distinct
+#: value once) 4.8 MB more, beyond the 6 MB over the import that scan may use
+_TABLE_CAP = 1 << 14
+
+
+def _fields(columns: list, table: tuple) -> tuple:
     """The CSV fields of a block's columns, one list of Python strings each.
 
     A column of objects holds its strings already, and other columns get the
     repr of each Python float or int.  The float64 columns share one
     `np.unique` over their bit patterns, so each distinct value is formatted
     once per block, whichever columns hold it, and gathered back by the
-    inverse index; keying by bits keeps -0.0 apart from 0.0.  Every block
+    inverse index; keying by bits keeps -0.0 apart from 0.0 and NaN payloads
+    apart.  `table` is a pair (keys, strings) of the sorted int64 bit patterns
+    of earlier blocks' values and their reprs, and only values missing from
+    it are formatted.  The first of those, in key order, join the table until
+    it holds _TABLE_CAP values; after that it never changes.  Every block
     comes from a source of at most geometry.SCAN_BLOCK_ROWS rows, so the
-    strings held at once stay bounded whatever the command and its size.
+    strings held at once, the block's and the table's, stay bounded whatever
+    the command and its size.  Returns the fields and the table to pass with
+    the next block of the same file.
     """
+    keys, strings = table
     floats = [column.view(np.int64) for column in columns if column.dtype == np.float64]
     if floats:
-        keys, inverse = np.unique(np.concatenate(floats), return_inverse=True)
-        text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        block, inverse = np.unique(np.concatenate(floats), return_inverse=True)
+        at = np.searchsorted(keys, block)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == block[hit]
+        text = np.empty(len(block), dtype=object)
+        text[hit] = strings[at[hit]]
+        missed = np.flatnonzero(~hit)
+        text[missed] = [repr(v) for v in block[missed].view(np.float64).tolist()]
+        added = missed[: _TABLE_CAP - len(keys)]
+        if len(added):
+            keys = np.insert(keys, at[added], block[added])
+            strings = np.insert(strings, at[added], text[added])
         gathered = iter(text[inverse.reshape(len(floats), -1)].tolist())
-    return [
+    fields = [
         next(gathered) if column.dtype == np.float64
         else column.tolist() if column.dtype == object
         else list(map(repr, column.tolist()))
         for column in columns
     ]
+    return fields, (keys, strings)
 
 
 def _write_csv(out: str, header: list, blocks) -> int:
@@ -109,18 +135,20 @@ def _write_csv(out: str, header: list, blocks) -> int:
     target, renamed over it once complete, so a failed write (exit 3) leaves
     neither a partial file nor the temporary one; a file it replaces keeps
     its permission bits.  A target that exists and is not a regular file (a
-    device or a pipe) is written in place.  Returns the number of rows.
+    device or a pipe) is written in place.  The file's blocks share one table
+    of float reprs (see `_fields`).  Returns the number of rows.
     """
     target = os.path.realpath(out)
     atomic = os.path.isfile(target) or not os.path.exists(target)
     path = f"{target}.tmp-{os.getpid()}" if atomic else target
     written = 0
+    table = (np.empty(0, np.int64), np.empty(0, object))
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for columns in blocks:
-                rows = zip(*_fields(columns))
-                fh.write("\n".join(map(",".join, rows)) + "\n")
+                fields, table = _fields(columns, table)
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
                 written += len(columns[0])
         if atomic:
             if os.path.exists(target):

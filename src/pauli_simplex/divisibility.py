@@ -169,15 +169,13 @@ def default_scan_grid() -> np.ndarray:
     return np.concatenate([uniform, tail])
 
 
-def rate_minima_over_grid(weights: np.ndarray, p_grid: np.ndarray | None = None) -> np.ndarray:
-    """Per-axis minima of the reduced rates over a p grid, rows of (n, 3) weights."""
-    if p_grid is None:
-        p_grid = default_scan_grid()
+def rate_minima_over_grid(weights: np.ndarray) -> np.ndarray:
+    """Per-axis minima of the reduced rates over `default_scan_grid`, rows of (n, 3) weights."""
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    p = np.asarray(p_grid, dtype=float)
+    p = default_scan_grid()
     mins = np.empty((w.shape[0], 3))
     # chunked so the (chunk, len(p), 3) intermediate stays small
-    step = max(1, 4_000_000 // max(1, 3 * p.size))
+    step = 4_000_000 // (3 * p.size)
     for lo in range(0, w.shape[0], step):
         u = 1.0 - w[lo : lo + step]  # (m, 3)
         terms = u[:, None, :] / (1.0 - 2.0 * u[:, None, :] * p[None, :, None])

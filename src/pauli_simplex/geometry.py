@@ -317,8 +317,16 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
 
 
 def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
-    """Vectorized equilateral embedding of an (n, 3) weight array."""
-    return np.asarray(weights, dtype=float) @ _TRIANGLE
+    """Vectorized equilateral embedding of an (n, 3) weight array.
+
+    The same values as weights @ _TRIANGLE, bit for bit, for finite
+    non-negative weights with a zero or normal c: each coordinate has one
+    inexact term, so its sum rounds once in any order, and no BLAS call is
+    made.  (For a subnormal c, 0.5 * c can round, and u may differ from the
+    product's in the last place.)
+    """
+    w = np.asarray(weights, dtype=float)
+    return np.stack([w[..., 1] + 0.5 * w[..., 2], w[..., 2] * _TRIANGLE[2, 1]], axis=-1)
 
 
 #: rows per block of every CSV the CLI writes, consecutive in row order
@@ -393,5 +401,5 @@ def _classify_rows(points: np.ndarray) -> tuple:
     uv = to_pauli_neutral_array(points)
     rates = limit_rates_array(points)
     total = (points[:, :1] + points[:, 1:2]) + points[:, 2:]
-    weights = np.where(total == 1.0, points, points / total)
+    weights = points / total  # x / 1.0 == x, so exact rows keep their bits
     return weights, uv, rates, region_codes(points)

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import csv
 import errno
 import hashlib
@@ -96,6 +97,23 @@ def run_child(code, **env):
     )
     assert child.returncode == 0, child.stderr
     return child.stdout
+
+
+def empty_table():
+    """The table of float reprs that `_write_csv` starts each file with."""
+    return (np.empty(0, np.int64), np.empty(0, object))
+
+
+def shadow_repr(monkeypatch):
+    """Shadow `repr` in the CLI module; returns the list of values it formats."""
+    formatted = []
+
+    def counting(value):
+        formatted.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(pauli_simplex.cli, "repr", counting, raising=False)
+    return formatted
 
 
 needs_peak_rss = pytest.mark.skipif(
@@ -299,11 +317,48 @@ class TestScan:
             np.array(["MARKOVIAN", "", "X", "Y", "Z", "NONMARKOVIAN"], dtype=object),
             np.array([1.0, 0.0, 0.0, -0.0, np.nan, 1 / 3]),
         ]
-        fields = _fields(columns)
+        fields, _ = _fields(columns, empty_table())
         assert fields[3] == columns[3].tolist()  # objects hold their strings already
         numbers = [0, 1, 2, 4]
         assert [fields[i] for i in numbers] == [[repr(x) for x in columns[i].tolist()] for i in numbers]
         assert fields[0][:2] == ["0.0", "-0.0"] and fields[2][:2] == ["-0.0", "0.0"]
+
+    def test_fields_format_only_values_missing_from_the_table(self, monkeypatch):
+        monkeypatch.setattr(pauli_simplex.cli, "_TABLE_CAP", 3)
+        formatted = shadow_repr(monkeypatch)
+        blocks = [
+            [np.array([0.0, 1.5, 0.0]), np.array([2.5, 1.5, 0.0])],
+            # -0.0 is not the 0.0 of the table; 7.0 and NaN miss, the table being full
+            [np.array([-0.0, 0.0, np.nan]), np.array([1.5, 7.0, np.nan])],
+            [np.array([-0.0, 7.0, np.nan]), np.array([2.5, 2.5, 0.0])],
+        ]
+        table, misses = empty_table(), []
+        for columns in blocks:
+            before = len(formatted)
+            fields, table = _fields(columns, table)
+            assert fields == [[repr(x) for x in column.tolist()] for column in columns]
+            misses.append(sorted(map(repr, formatted[before:])))
+        assert misses == [["0.0", "1.5", "2.5"], ["-0.0", "7.0", "nan"], ["-0.0", "7.0", "nan"]]
+        keys, strings = table
+        assert keys.tolist() == np.array([0.0, 1.5, 2.5]).view(np.int64).tolist()
+        assert strings.tolist() == ["0.0", "1.5", "2.5"]
+
+    def test_repr_runs_once_per_value_missing_from_the_table(self, runner, tmp_path, monkeypatch):
+        formatted = shadow_repr(monkeypatch)
+        run_ok(runner, ["scan", "--n", "400", "--out", str(tmp_path / "grid.csv")])
+        # 192,179 values are distinct within their block and 60,367 within the
+        # file; the table of 2^14 values leaves these to format
+        assert len(formatted) == 133_612
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("cap", [0, 1, 7])
+    @pytest.mark.parametrize("n", sorted(SCAN_SHA256))
+    def test_table_cap_does_not_change_bytes(self, runner, tmp_path, monkeypatch, n, cap):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "_TABLE_CAP", cap)
+        out = tmp_path / "grid.csv"
+        run_ok(runner, ["scan", "--n", str(n), "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[n]
 
     def test_io_failure_exit_code(self, runner, tmp_path):
         result = runner.invoke(
@@ -557,6 +612,16 @@ class TestBoundary:
         args = ["boundary", "--region", region, "--points", "500", "--out", str(out)]
         result = run_ok(runner, args)
         assert result.output == f"wrote 1000 rows to {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("cap", [0, 1, 7])
+    @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
+    def test_table_cap_does_not_change_bytes(self, runner, tmp_path, monkeypatch, region, cap):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "_TABLE_CAP", cap)
+        out = tmp_path / "curve.csv"
+        run_ok(runner, ["boundary", "--region", region, "--points", "500", "--out", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
 
     @needs_peak_rss

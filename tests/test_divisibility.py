@@ -13,6 +13,7 @@ from pauli_simplex.divisibility import (
     NEG_TOL,
     NONMARKOVIAN,
     classify,
+    default_scan_grid,
     limit_rates_array,
     rate_minima_over_grid,
     region_codes,
@@ -449,8 +450,8 @@ class TestRateScan:
         from pauli_simplex.generator import three_mix_rates
 
         w = (0.3, 0.25, 0.45)
-        grid = np.linspace(0.01, 0.49, 25)
-        mins = rate_minima_over_grid(np.array([w]), grid)[0]
+        grid = default_scan_grid()
+        mins = rate_minima_over_grid(np.array([w]))[0]
         direct = np.min(
             [three_mix_rates(MixtureWeights(*w), p).as_tuple() for p in grid], axis=0
         )

@@ -549,6 +549,21 @@ class TestEmbedding:
             a, b, c = pts[k]
             np.testing.assert_allclose(batch[k], [b + c / 2, c * math.sqrt(3) / 2], atol=1e-15)
 
+    def test_matches_the_matrix_product_bit_for_bit(self):
+        # the n = 400 lattice, and uniform samples of which a third lie on an
+        # edge (one weight zeroed, the rest renormalized) and three are vertices
+        rng = np.random.default_rng(11)
+        samples = sample_simplex(100_000, rng).copy()
+        edge = samples[:30_000]
+        edge[np.arange(len(edge)), rng.integers(0, 3, len(edge))] = 0.0
+        edge /= edge.sum(axis=1, keepdims=True)
+        samples[-3:] = np.eye(3)
+        for w in (grid_weights(400), samples):
+            expected = w @ geometry._TRIANGLE
+            np.testing.assert_array_equal(
+                to_pauli_neutral_array(w).view(np.int64), expected.view(np.int64)
+            )
+
 
 class TestScanGrid:
     def test_resolution_one_is_vertices(self):
