@@ -21,9 +21,9 @@ import stat
 import sys
 
 # The package's matrix products (the dot product over at most 128 quadrature
-# nodes, the 4 x 4 Choi and transfer products) are too narrow to share out, so
-# an idle OpenBLAS thread pool would only spin and burn CPU.  This must run
-# before numpy loads; a value the caller set still wins.
+# nodes, and under `choi --oracle` the 4 x 4 Choi and transfer products) are
+# too narrow to share out, so an idle OpenBLAS thread pool would only spin and
+# burn CPU.  This must run before numpy loads; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .channels import MixtureWeights
-from .choi import a_matrix_choi, rhp_witness
+from .choi import a_matrix_choi, choi_matrix, rhp_witness
 from .divisibility import LABELS, REGIONS, classify
 from .generator import finite_difference_rates, physical_scale, three_mix_rates
 from .geometry import (
@@ -310,7 +310,7 @@ def choi_cmd(a, q, p, oracle, as_json):
         "verdict": witness.verdict,
     }
     if oracle:
-        dev = abs(a_matrix_choi(a, q, p).matrix - witness.choi.matrix).max()
+        dev = abs(a_matrix_choi(a, q, p).matrix - choi_matrix(*witness.ratios).matrix).max()
         results["oracle_max_deviation"] = float(dev)
     params = {"a": a, "q": q, "p": p}
     if as_json:

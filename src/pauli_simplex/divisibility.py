@@ -99,11 +99,11 @@ def region_codes(weights: np.ndarray, work: tuple | None = None) -> np.ndarray:
     column-major, as `geometry.sample_simplex` returns it.
 
     Every step writes into scratch: five float columns, two bool masks and
-    an int8 code column.  Without `work` they are allocated for the call and
-    the codes come back as a new intp array.  With `work`, a tuple (floats,
-    masks, codes) of float64 (5, m), bool (2, m) and int8 (m,) arrays with
-    m >= n, nothing is allocated and the codes come back as codes[:n], a
-    view that the next call with the same `work` overwrites.
+    an int8 code column, which is returned.  Without `work` they are
+    allocated for the call.  With `work`, a tuple (floats, masks, codes) of
+    float64 (5, m), bool (2, m) and int8 (m,) arrays with m >= n, nothing is
+    allocated and the codes come back as codes[:n], a view that the next call
+    with the same `work` overwrites.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     n = len(w)
@@ -141,7 +141,7 @@ def region_codes(weights: np.ndarray, work: tuple | None = None) -> np.ndarray:
     np.add(axis, 1, out=axis)
     np.multiply(flag, axis, out=axis)
     np.subtract(axis, 1, out=axis)
-    return axis.astype(np.intp) if work is None else axis
+    return axis
 
 
 def classify(w: MixtureWeights) -> RegionLabel:

@@ -1,8 +1,9 @@
 """Independent checks of the core's closed forms, used only for verification.
 
 No command imports this module.  It holds the action of the three Pauli
-channels on 2x2 state arrays, the closed-form Choi spectrum, the two-channel
-cross rate and the brute-force p-scan classifier.
+channels on 2x2 state arrays, the two-channel cross rate and the brute-force
+p-scan classifier.  The closed-form Choi spectrum is the witness itself, in
+`choi`; its check is LAPACK's diagonalization, `ChoiMatrix.eigenvalues`.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ def apply_pauli_channel(rho: np.ndarray, axis: str, p: float) -> np.ndarray:
         raise ValueError(f"dephasing parameter p={p} outside [0, 1/2]")
     sigma = PAULI[axis]
     return (1.0 - p) * rho + p * (sigma @ rho @ sigma)
-
-
-def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
-    """Closed-form spectrum of choi_matrix(x1, x2, x3), ascending.
-
-    The exact oracle for the numerical spectrum that rhp_witness tests: it is
-    nonnegative exactly when |x1 +/- x2| <= 1 +/- x3.  Exact for exact
-    inputs: given fractions.Fraction ratios it returns an object array of
-    Fractions.
-    """
-    eigs = np.array(
-        [1 + x3 + (x1 + x2), 1 + x3 - (x1 + x2), 1 - x3 + (x1 - x2), 1 - x3 - (x1 - x2)]
-    ) / 2
-    return np.sort(eigs)
 
 
 def two_mix_cross_rate(a: float, p: float, pdot: float) -> float:

@@ -6,18 +6,22 @@ import pytest
 from pauli_simplex.channels import MixtureWeights, three_mix_eigenvalues
 from pauli_simplex.choi import (
     WITNESS_TOL,
-    ChoiMatrix,
     a_matrix,
     a_matrix_choi,
+    choi_eigenvalues,
     choi_matrix,
     intermediate_ratios,
     rhp_witness,
 )
-from pauli_simplex.oracles import choi_eigenvalues
 
 # exact spectrum bottom of the (a, q, p) = (0.1, 0.45, 0.4) intermediate map:
 # ratios are (1/2, 91/92, 19/28) and the smallest eigenvalue is -27/322
 WORKED_MIN_EIG = -27.0 / 322.0
+#: float spectrum of the same map: IEEE +, - and / only, so the same bits on
+#: every platform
+WORKED_SPECTRUM = (
+    -0.08385093167701868, 0.09472049689440987, 0.4052795031055901, 1.5838509316770186
+)
 
 
 def random_aqp(count, seed=0):
@@ -96,9 +100,11 @@ class TestChoiMatrix:
             closed = choi_eigenvalues(*ratios)
             assert np.abs(numeric - closed).max() < 1e-10
 
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            ChoiMatrix(np.eye(2, dtype=complex))
+    def test_matrix_is_read_only(self):
+        for m in (choi_matrix(0.5, 0.7, 0.9), a_matrix_choi(0.1, 0.45, 0.4)):
+            assert not m.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                m.matrix[0, 0] = 0.0
 
 
 class TestCompletePositivity:
@@ -166,13 +172,28 @@ class TestWitness:
             assert not report.nonmarkovian
             assert report.min_eigenvalue >= -1e-15
 
-    def test_keeps_the_matrix_and_its_spectrum(self):
+    def test_worked_example_spectrum_bits(self):
+        report = rhp_witness(0.1, 0.45, 0.4)
+        assert report.eigenvalues == WORKED_SPECTRUM
+        assert report.min_eigenvalue == WORKED_SPECTRUM[0]
+
+    def test_spectrum_is_the_closed_form(self):
         for a, q, p in [(0.1, 0.45, 0.4), (0.3, 0.2, 0.2), *random_aqp(100, seed=8)]:
             report = rhp_witness(a, q, p)
-            choi = choi_matrix(*intermediate_ratios(a, q, p))
-            assert np.array_equal(report.choi.matrix, choi.matrix)
-            assert report.eigenvalues == tuple(choi.eigenvalues().tolist())
-            assert report.min_eigenvalue == choi.eigenvalues()[0]
+            assert report.eigenvalues == tuple(choi_eigenvalues(*report.ratios).tolist())
+            assert report.min_eigenvalue == report.eigenvalues[0]
+            lapack = choi_matrix(*report.ratios).eigenvalues()
+            assert np.abs(lapack - report.eigenvalues).max() <= 2e-15
+
+    def test_builds_no_matrix_and_calls_no_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness built a matrix or called np.linalg")
+
+        monkeypatch.setattr("pauli_simplex.choi.ChoiMatrix", refuse)
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, refuse)
+        assert rhp_witness(0.1, 0.45, 0.4).eigenvalues == WORKED_SPECTRUM
 
     def test_record_is_immutable_and_comparable(self):
         report = rhp_witness(0.1, 0.45, 0.4)
@@ -181,7 +202,6 @@ class TestWitness:
         assert hash(report) == hash(rhp_witness(0.1, 0.45, 0.4))
         with pytest.raises(AttributeError):
             report.verdict = "MARKOVIAN"
-        assert not report.choi.matrix.flags.writeable
 
     def test_sweep_finds_ncp_for_any_blend(self):
         rng = np.random.default_rng(33)
@@ -218,6 +238,26 @@ class TestTransferMatrixOracle:
             oracle = a_matrix_choi(a, q, p)
             closed = choi_matrix(*intermediate_ratios(a, q, p))
             assert np.abs(oracle.matrix - closed.matrix).max() < 1e-12
+
+    def test_reports_its_error_up_to_the_singular_guard(self):
+        # p approaches 1/2 and the inversion loses about 1/(1 - 2p) in accuracy;
+        # only a transfer matrix whose smallest eigenvalue 1 - 2p is below
+        # 1e-14 is refused
+        rng = np.random.default_rng(43)
+        for a in [0.0, 0.1, 0.5, 1.0, *rng.uniform(0.0, 1.0, 4)]:
+            for gap in np.logspace(-15, 0, 16):
+                p = float((1.0 - gap) / 2.0)
+                for f in [0.0, 0.3, 0.9, 0.999]:
+                    q = p + f * (0.5 - p)
+                    if q >= 0.5:
+                        continue
+                    if 1.0 - 2.0 * p < 1e-14:
+                        with pytest.raises(ValueError, match="singular"):
+                            a_matrix_choi(float(a), q, p)
+                        continue
+                    oracle = a_matrix_choi(float(a), q, p).matrix
+                    closed = choi_matrix(*intermediate_ratios(float(a), q, p)).matrix
+                    assert np.abs(oracle - closed).max() <= 1e-15 / (1.0 - 2.0 * p)
 
     def test_coincident_times_give_identity_choi(self):
         oracle = a_matrix_choi(0.3, 0.2, 0.2)

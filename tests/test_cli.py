@@ -395,7 +395,8 @@ class TestScan:
     def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
         args = ["--n", "400", "--out", str(tmp_path / "grid.csv")]
         extra = peak_rss_kib("scan", *args) - peak_rss_kib()
-        # about 3.9 MB in blocks of 2^11 rows, where blocks of 2^13 took 11.6 MB
+        # 5.2-5.4 MiB in blocks of 2^11 rows with the CSV's repr table, where
+        # blocks of 2^13 took 11.6 MB
         assert extra < 6 * 1024, extra
 
 
@@ -674,7 +675,7 @@ class TestChoi:
     def test_worked_example(self, runner):
         result = run_ok(runner, ["choi", "--a", "0.1", "--q", "0.45", "--p", "0.4", "--json"])
         results = json.loads(result.output)["results"]
-        # meaning, not bytes: LAPACK and BLAS may differ in the last bits across CPUs
+        # test_choi pins the spectrum's bits
         assert results["eigenvalues"][0] == results["min_eigenvalue"]
         assert abs(results["min_eigenvalue"] + 27 / 322) <= 1e-12
         assert results["verdict"] == "NONMARKOVIAN"
@@ -693,6 +694,16 @@ class TestChoi:
         )
         record = json.loads(result.output)
         assert record["results"]["oracle_max_deviation"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, q, p",
+        [("0", "0.499995", "0.499995"), ("0", "0.49999995", "0.49995")],
+        ids=["identity-map", "near-half"],
+    )
+    def test_oracle_reports_its_error_near_half(self, runner, a, q, p):
+        result = run_ok(runner, ["choi", "--a", a, "--q", q, "--p", p, "--oracle", "--json"])
+        deviation = json.loads(result.output)["results"]["oracle_max_deviation"]
+        assert deviation <= 1e-15 / (1.0 - 2.0 * float(p))
 
     def test_backward_map_is_usage_error(self, runner):
         result = runner.invoke(cli, ["choi", "--a", "0.1", "--q", "0.3", "--p", "0.4"])
@@ -722,7 +733,8 @@ class TestChoi:
         monkeypatch.setattr(pauli_simplex.cli, "choi_matrix", builder, raising=False)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         run_ok(runner, ["choi", "--a", "0.1", "--q", "0.45", "--p", "0.4", *flags])
-        assert calls == {"choi_matrix": 1, "eigvalsh": 1}
+        # the witness reads the closed-form spectrum; only the oracle builds a matrix
+        assert calls == {"choi_matrix": int("--oracle" in flags), "eigvalsh": 0}
 
 
 class TestUsageErrors:

@@ -352,9 +352,9 @@ class TestWorkspace:
         region_codes(big, work)
         np.testing.assert_array_equal(region_codes(small, work), region_codes(small))
 
-    def test_allocating_path_returns_intp(self):
-        assert region_codes(random_weights(10)).dtype == np.intp
-        assert region_codes(np.array([0.45, 0.1, 0.45])).dtype == np.intp
+    def test_allocating_path_returns_int8(self):
+        assert region_codes(random_weights(10)).dtype == np.int8
+        assert region_codes(np.array([0.45, 0.1, 0.45])).dtype == np.int8
 
 
 def three_axis_scaled(weights):
