@@ -55,12 +55,15 @@ def intermediate_ratios(a: float, q: float, p: float) -> tuple:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """4x4 dynamical matrix of a qubit map, held as a read-only complex array."""
+    """4x4 dynamical matrix of a qubit map, held as a read-only complex array.
+
+    The array is a copy, so the caller's own array stays writable.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

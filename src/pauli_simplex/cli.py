@@ -19,6 +19,7 @@ import math
 import os
 import stat
 import sys
+import threading
 
 # The package's matrix products (the dot product over at most 128 quadrature
 # nodes, and under `choi --oracle` the 4 x 4 Choi and transfer products) are
@@ -40,6 +41,7 @@ from .geometry import (
     # the name under which perfbench/traced.py times the scan's block source
     scan_blocks as scan_grid,
     total_measures,
+    _usable_cpus,
 )
 
 _IO_EXIT = 3
@@ -85,8 +87,15 @@ def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> 
 #: value once) 4.8 MB more, beyond the 6 MB over the import that scan may use
 _TABLE_CAP = 1 << 14
 
+#: a block after a process's first that finds fewer than this share of its
+#: distinct values in the table ends that table for the process's later
+#: blocks, giving its memory back.  `scan` blocks find 26-89 % of theirs at
+#: n = 400 and at least 12 % up to n = 2000; `boundary` values almost never
+#: repeat, and its second block finds none
+_MIN_HIT_RATE = 0.01
 
-def _fields(columns: list, table: tuple) -> tuple:
+
+def _fields(columns: list, table: tuple, grow: bool = True) -> tuple:
     """The CSV fields of a block's columns, one list of Python strings each.
 
     A column of objects holds its strings already, and other columns get the
@@ -96,25 +105,28 @@ def _fields(columns: list, table: tuple) -> tuple:
     inverse index; keying by bits keeps -0.0 apart from 0.0 and NaN payloads
     apart.  `table` is a pair (keys, strings) of the sorted int64 bit patterns
     of earlier blocks' values and their reprs, and only values missing from
-    it are formatted.  The first of those, in key order, join the table until
-    it holds _TABLE_CAP values; after that it never changes.  Every block
-    comes from a source of at most geometry.SCAN_BLOCK_ROWS rows, so the
-    strings held at once, the block's and the table's, stay bounded whatever
-    the command and its size.  Returns the fields and the table to pass with
-    the next block of the same file.
+    it are formatted.  With `grow`, the first of those, in key order, join the
+    table until it holds _TABLE_CAP values; after that it never changes.
+    Every block comes from a source of at most geometry.SCAN_BLOCK_ROWS rows,
+    so the strings held at once, the block's and the table's, stay bounded
+    whatever the command and its size.  Returns the fields, the table to pass
+    with the next block of the same file, and the share of the block's
+    distinct float values found in the table (1.0 without float columns).
     """
     keys, strings = table
     floats = [column.view(np.int64) for column in columns if column.dtype == np.float64]
+    hit_rate = 1.0
     if floats:
         block, inverse = np.unique(np.concatenate(floats), return_inverse=True)
         at = np.searchsorted(keys, block)
         hit = at < len(keys)
         hit[hit] = keys[at[hit]] == block[hit]
+        hit_rate = float(hit.mean())
         text = np.empty(len(block), dtype=object)
         text[hit] = strings[at[hit]]
         missed = np.flatnonzero(~hit)
         text[missed] = [repr(v) for v in block[missed].view(np.float64).tolist()]
-        added = missed[: _TABLE_CAP - len(keys)]
+        added = missed[: _TABLE_CAP - len(keys)] if grow else missed[:0]
         if len(added):
             keys = np.insert(keys, at[added], block[added])
             strings = np.insert(strings, at[added], text[added])
@@ -125,44 +137,147 @@ def _fields(columns: list, table: tuple) -> tuple:
         else list(map(repr, column.tolist()))
         for column in columns
     ]
-    return fields, (keys, strings)
+    return fields, (keys, strings), hit_rate
 
 
-def _write_csv(out: str, header: list, blocks) -> int:
-    """Write the header, then the rows of each block of equal-length columns.
+def _write_blocks(fh, block, lo: int, hi: int) -> tuple:
+    """Write blocks lo to hi - 1 with one table of float reprs (see `_fields`).
 
-    No field needs quoting.  The rows go to a temporary file beside the
-    target, renamed over it once complete, so a failed write (exit 3) leaves
-    neither a partial file nor the temporary one; a file it replaces keeps
-    its permission bits.  A target that exists and is not a regular file (a
-    device or a pipe) is written in place.  The file's blocks share one table
-    of float reprs (see `_fields`).  Returns the number of rows.
+    block(k) returns block k's columns and its tally.  After the first block
+    whose hit rate is below _MIN_HIT_RATE, the table is dropped and stays
+    empty; the range's first block, which meets an empty table, does not
+    count.  Returns the number of rows and the sum of the tallies.
+    """
+    rows = tally = 0
+    empty = (np.empty(0, np.int64), np.empty(0, object))
+    table, grow = empty, True
+    for k in range(lo, hi):
+        columns, count = block(k)
+        fields, table, hit_rate = _fields(columns, table, grow)
+        if grow and k > lo and hit_rate < _MIN_HIT_RATE:
+            table, grow = empty, False
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        rows += len(columns[0])
+        tally += count
+    return rows, tally
+
+
+def _workers(blocks: int) -> int:
+    """Processes to format a file's blocks: one per usable CPU, at most one
+    per block, and only this one without os.fork or while another thread
+    runs (a forked child would hold only the calling thread, and any lock
+    another thread held would stay locked in it)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), blocks)
+
+
+def _named(exc: OSError, out: str) -> OSError:
+    """The error to report: one that names a file names the target, not the
+    temporary or part file."""
+    return OSError(exc.errno, exc.strerror, out) if exc.filename is not None else exc
+
+
+def _fork(part: str, out: str, block, lo: int, hi: int) -> tuple:
+    """Fork a worker that writes blocks lo to hi - 1 to the file `part`.
+
+    The worker sends back, through a pipe, its `_write_blocks` pair or the
+    text of the OSError it met, and ends with os._exit, so it runs no exit
+    handler and flushes no buffer it inherited.  Returns (pid, read end).
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            with open(part, "w", newline="") as fh:
+                report = _write_blocks(fh, block, lo, hi)
+        except OSError as exc:
+            report = str(_named(exc, out))
+        os.write(write, json.dumps(report).encode())
+        code = 0
+    except BaseException:  # reported here: a worker never returns into the caller's frames
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read: int) -> list:
+    """Wait for a worker and return its pair; raise OSError if it failed."""
+    with open(read, "rb") as pipe:
+        report = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if not report:
+        raise OSError(f"CSV worker {pid} stopped without a report (wait status {status})")
+    report = json.loads(report)
+    if isinstance(report, str):
+        raise OSError(report)
+    return report
+
+
+def _write_csv(out: str, header: list, count: int, block) -> tuple:
+    """Write the header, then the rows of blocks 0 to count - 1.
+
+    block(k) returns block k's equal-length columns and a tally; no field
+    needs quoting.  The rows go to a temporary file beside the target,
+    renamed over it once complete, so a failed write (exit 3) leaves neither
+    a partial file nor the temporary one; a file it replaces keeps its
+    permission bits.  A target that exists and is not a regular file (a
+    device or a pipe) is written in place, by this process alone.
+
+    Otherwise `_workers` processes share the blocks in contiguous ranges of
+    near-equal length.  This process writes the first range into the
+    temporary file while each forked worker writes the next ones into part
+    files beside it, formatting with a table of float reprs of its own;
+    then this process appends the parts in order.  The bytes are the same
+    for any number of workers.  If one fails, the others are stopped and the
+    error is reported as this process's own.  Returns the number of rows and
+    the sum of the tallies.
     """
     target = os.path.realpath(out)
     atomic = os.path.isfile(target) or not os.path.exists(target)
     path = f"{target}.tmp-{os.getpid()}" if atomic else target
-    written = 0
-    table = (np.empty(0, np.int64), np.empty(0, object))
+    workers = _workers(count) if atomic else 1
+    bounds = [count * w // workers for w in range(workers + 1)]
+    parts = {w: f"{path}.{w}" for w in range(1, workers)}
+    children = {}
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for columns in blocks:
-                fields, table = _fields(columns, table)
-                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-                written += len(columns[0])
+            fh.flush()  # a worker inherits the buffer, though it never writes it
+            for w, part in parts.items():
+                children[w] = _fork(part, out, block, bounds[w], bounds[w + 1])
+            rows, tally = _write_blocks(fh, block, bounds[0], bounds[1])
+            fh.flush()
+            for w, part in parts.items():
+                part_rows, part_tally = _reap(*children.pop(w))
+                rows, tally = rows + part_rows, tally + part_tally
+                with open(part, "rb", buffering=0) as src:
+                    while chunk := src.read(1 << 16):
+                        fh.buffer.write(chunk)
         if atomic:
             if os.path.exists(target):
                 os.chmod(path, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(path, target)
     except OSError as exc:
-        if exc.filename is not None:  # name the target, not the temporary file
-            exc = OSError(exc.errno, exc.strerror, out)
-        click.echo(f"cannot write {out}: {exc}", err=True)
+        click.echo(f"cannot write {out}: {_named(exc, out)}", err=True)
         sys.exit(_IO_EXIT)
     finally:
-        if atomic and os.path.exists(path):
-            os.remove(path)
-    return written
+        if children:  # left only when the write failed
+            import signal  # here, so that the CLI's start-up loads no more modules
+
+            for pid, read in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+        for name in [path, *parts.values()] if atomic else []:
+            if os.path.exists(name):
+                os.remove(name)
+    return rows, tally
 
 
 class _Subcommand(click.Command):
@@ -244,17 +359,15 @@ def classify_cmd(a, b, c, as_json):
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
 def scan(n, out):
     """Classify the triangular grid and write one CSV row per point."""
-    blocks = scan_grid(n)
-    markovian = 0
+    grid = scan_grid(n)
 
-    def columns():
-        nonlocal markovian
-        for weights, uv, rates, codes in blocks:
-            markovian += int((codes < 0).sum())
-            yield [*weights.T, *uv.T, LABELS[codes + 1], REGIONS[codes + 1], *rates.T]
+    def block(k):
+        weights, uv, rates, codes = grid[k]
+        columns = [*weights.T, *uv.T, LABELS[codes + 1], REGIONS[codes + 1], *rates.T]
+        return columns, int((codes < 0).sum())
 
     header = ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"]
-    rows = _write_csv(out, header, columns())
+    rows, markovian = _write_csv(out, header, len(grid), block)
     click.echo(f"wrote {rows} rows to {out} (markovian fraction {_human(markovian / rows)})")
 
 
@@ -284,9 +397,13 @@ def measure(method, tol, samples, seed, threads, as_json):
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
-    blocks = boundary_blocks(region, points)
-    columns = ([*samples.T, *uv.T, branch] for samples, uv, branch in blocks)
-    rows = _write_csv(out, ["a", "b", "c", "u", "v", "branch"], columns)
+    curve = boundary_blocks(region, points)
+
+    def block(k):
+        samples, uv, branch = curve[k]
+        return [*samples.T, *uv.T, branch], 0
+
+    rows, _ = _write_csv(out, ["a", "b", "c", "u", "v", "branch"], len(curve), block)
     click.echo(f"wrote {rows} rows to {out}")
 
 

@@ -64,11 +64,11 @@ def boundary_roots(b: np.ndarray) -> tuple:
     return ((-mid - root) / (2.0 * lead), (-mid + root) / (2.0 * lead))
 
 
-def boundary_blocks(region: str, points: int):
+def boundary_blocks(region: str, points: int) -> Blocks:
     """Sample the closed boundary of one non-Markovian region, block by block.
 
-    Validates at once, then returns an iterator over blocks (samples, uv,
-    branch) of at most SCAN_BLOCK_ROWS consecutive rows: (m, 3) simplex
+    Validates at once, then returns the `Blocks` of at most SCAN_BLOCK_ROWS
+    consecutive rows, each a tuple (samples, uv, branch): (m, 3) simplex
     points, their (m, 2) embedding and the branch, -1 or +1.  With
     b = np.linspace(0, BAND_EDGE, points), row r < points is the minus root
     at b[r], from the simplex edge to where the band closes, and row
@@ -79,8 +79,7 @@ def boundary_blocks(region: str, points: int):
         raise ValueError(f"region must be one of {AXES}, got {region!r}")
     if points < 2:
         raise ValueError(f"need at least 2 points per branch, got {points}")
-    rows, block = 2 * points, SCAN_BLOCK_ROWS
-    return (_boundary_rows(region, points, r, min(r + block, rows)) for r in range(0, rows, block))
+    return Blocks(2 * points, lambda r0, r1: _boundary_rows(region, points, r0, r1))
 
 
 def _boundary_rows(region: str, points: int, r0: int, r1: int) -> tuple:
@@ -337,6 +336,28 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
 SCAN_BLOCK_ROWS = 1 << 11
 
 
+class Blocks:
+    """A CSV's rows in blocks of SCAN_BLOCK_ROWS (read here; the last block
+    shorter), each block made only when asked for.
+
+    len() is the number of blocks; blocks[k] is make_rows(k0, k1) for block
+    k's rows k0 to k1 - 1, and iteration makes the blocks in row order.  So
+    a writer can give each process its own range of blocks.
+    """
+
+    def __init__(self, rows: int, make_rows):
+        self._rows, self._size, self._make_rows = rows, SCAN_BLOCK_ROWS, make_rows
+
+    def __len__(self) -> int:
+        return -(-self._rows // self._size)
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < len(self):
+            raise IndexError(f"block {k} of {len(self)}")
+        k0 = k * self._size
+        return self._make_rows(k0, min(k0 + self._size, self._rows))
+
+
 def _check_resolution(n: int) -> None:
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
@@ -353,24 +374,26 @@ def _grid_line(n: int, k: int) -> int:
     return (m - math.isqrt(m * m - 8 * k - 1) - 1) // 2
 
 
-def _grid_blocks(n: int):
-    """Rows (i/n, j/n, (n-i-j)/n) of the grid in lexicographic (i, j) order.
+def _grid_rows(n: int, k0: int, k1: int) -> np.ndarray:
+    """Rows k0 to k1 - 1 of the grid (i/n, j/n, (n-i-j)/n), in lexicographic
+    (i, j) order.
 
-    Yields consecutive blocks of SCAN_BLOCK_ROWS rows (the last one shorter)
-    by flat row index k: k lies on the last line starting at or before it.
-    Only the starts of the lines a block touches are formed, so memory does
-    not grow with n.
+    Flat row k lies on the last line starting at or before it.  Only the
+    starts of the lines these rows touch are formed, so memory does not grow
+    with n.
     """
-    rows = (n + 1) * (n + 2) // 2
-    for k0 in range(0, rows, SCAN_BLOCK_ROWS):
-        k1 = min(k0 + SCAN_BLOCK_ROWS, rows)
-        lines = np.arange(_grid_line(n, k0), _grid_line(n, k1 - 1) + 1)
-        starts = lines * (2 * n + 3 - lines) // 2  # as in _grid_line
-        k = np.arange(k0, k1)
-        at = np.searchsorted(starts, k, "right") - 1
-        i = lines[at]
-        j = k - starts[at]
-        yield np.column_stack([i / n, j / n, (n - i - j) / n])
+    lines = np.arange(_grid_line(n, k0), _grid_line(n, k1 - 1) + 1)
+    starts = lines * (2 * n + 3 - lines) // 2  # as in _grid_line
+    k = np.arange(k0, k1)
+    at = np.searchsorted(starts, k, "right") - 1
+    i = lines[at]
+    j = k - starts[at]
+    return np.column_stack([i / n, j / n, (n - i - j) / n])
+
+
+def _grid_blocks(n: int):
+    """An iterator over the grid's rows in blocks of SCAN_BLOCK_ROWS."""
+    return iter(Blocks((n + 1) * (n + 2) // 2, lambda k0, k1: _grid_rows(n, k0, k1)))
 
 
 def grid_weights(n: int) -> np.ndarray:
@@ -379,22 +402,23 @@ def grid_weights(n: int) -> np.ndarray:
     return np.concatenate(list(_grid_blocks(n)))
 
 
-def scan_blocks(n: int):
+def scan_blocks(n: int) -> Blocks:
     """Classify and embed the resolution-n triangular grid, block by block.
 
-    Validates n at once, then returns an iterator over blocks of at most
-    SCAN_BLOCK_ROWS consecutive grid rows in lexicographic (i, j) order.  Each
-    block is a tuple (weights, uv, rates, codes) of (m, 3), (m, 2), (m, 3)
-    and (m,) arrays: the codes of `region_codes` (-1 Markovian, else the
-    region's axis index) and the limiting rates.  Memory is bounded by the
-    block, whatever n is: the grid rows themselves are formed block by block,
-    and the CLI formats each block before it draws the next.  Where a row's
-    float sum (w0 + w1) + w2 is not exactly 1 (4,432 rows at n = 400),
-    `weights` holds the MixtureWeights renormalization w / ((w0 + w1) + w2)
-    while uv, rates and codes come from the raw row.
+    Validates n at once, then returns the `Blocks` of at most SCAN_BLOCK_ROWS
+    consecutive grid rows in lexicographic (i, j) order.  Each block is a
+    tuple (weights, uv, rates, codes) of (m, 3), (m, 2), (m, 3) and (m,)
+    arrays: the codes of `region_codes` (-1 Markovian, else the region's axis
+    index) and the limiting rates.  Memory is bounded by the block, whatever
+    n is: a block forms only its own grid rows, and the CLI formats each
+    block before it makes the next.  Where a row's float sum
+    (w0 + w1) + w2 is not exactly 1 (4,432 rows at n = 400), `weights` holds
+    the MixtureWeights renormalization w / ((w0 + w1) + w2) while uv, rates
+    and codes come from the raw row.
     """
     _check_resolution(n)
-    return (_classify_rows(points) for points in _grid_blocks(n))
+    rows = (n + 1) * (n + 2) // 2
+    return Blocks(rows, lambda k0, k1: _classify_rows(_grid_rows(n, k0, k1)))
 
 
 def _classify_rows(points: np.ndarray) -> tuple:

@@ -6,6 +6,7 @@ import pytest
 from pauli_simplex.channels import MixtureWeights, three_mix_eigenvalues
 from pauli_simplex.choi import (
     WITNESS_TOL,
+    ChoiMatrix,
     a_matrix,
     a_matrix_choi,
     choi_eigenvalues,
@@ -105,6 +106,12 @@ class TestChoiMatrix:
             assert not m.matrix.flags.writeable
             with pytest.raises(ValueError):
                 m.matrix[0, 0] = 0.0
+
+    def test_leaves_the_callers_array_writable(self):
+        m = np.eye(4, dtype=complex)
+        held = ChoiMatrix(m)
+        m[0, 0] = 2
+        assert held.matrix[0, 0] == 1 and m[0, 0] == 2
 
 
 class TestCompletePositivity:

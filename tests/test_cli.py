@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import site
 import stat
 import subprocess
 import sys
@@ -48,8 +49,9 @@ SCAN_SHA256 = {
 }
 
 #: run one CLI command (none: import only) in a fresh interpreter and print
-#: its peak RSS in KiB; Linux carries ru_maxrss across exec, so there it would
-#: read the forking test process's RSS, and VmHWM is the child's own peak
+#: in KiB the peak RSS of the largest of it and the CSV workers it forked;
+#: Linux carries ru_maxrss across exec, so there RUSAGE_SELF would read the
+#: forking test process's RSS, and VmHWM is the interpreter's own peak
 PEAK_RSS_CHILD = """
 import resource, sys
 from pauli_simplex.cli import cli
@@ -58,11 +60,13 @@ if sys.argv[1:]:
         cli(sys.argv[1:])
     except SystemExit as exc:
         assert not exc.code, exc.code
-if sys.platform == "darwin":
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
-else:
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+if sys.platform == "darwin":  # ru_maxrss in bytes
+    own, workers = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, workers // 1024
+else:  # ru_maxrss in KiB
     with open("/proc/self/status") as status:
-        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+        own = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+print(max(own, workers))
 """
 
 
@@ -84,15 +88,15 @@ def child_env():
     )}
 
 
-def run_child(code, **env):
-    """Run code in a fresh interpreter and return its stdout.
+def run_child(code, *options, **env):
+    """Run code in a fresh interpreter, with these options, and return its stdout.
 
     OPENBLAS_NUM_THREADS reaches the child only when passed here: this test
     process imported the CLI, which set it in os.environ.
     """
     base = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
     child = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *options, "-c", code],
         env={**base, **env}, capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr
@@ -317,7 +321,7 @@ class TestScan:
             np.array(["MARKOVIAN", "", "X", "Y", "Z", "NONMARKOVIAN"], dtype=object),
             np.array([1.0, 0.0, 0.0, -0.0, np.nan, 1 / 3]),
         ]
-        fields, _ = _fields(columns, empty_table())
+        fields, _, _ = _fields(columns, empty_table())
         assert fields[3] == columns[3].tolist()  # objects hold their strings already
         numbers = [0, 1, 2, 4]
         assert [fields[i] for i in numbers] == [[repr(x) for x in columns[i].tolist()] for i in numbers]
@@ -332,18 +336,22 @@ class TestScan:
             [np.array([-0.0, 0.0, np.nan]), np.array([1.5, 7.0, np.nan])],
             [np.array([-0.0, 7.0, np.nan]), np.array([2.5, 2.5, 0.0])],
         ]
-        table, misses = empty_table(), []
+        table, misses, hit_rates = empty_table(), [], []
         for columns in blocks:
             before = len(formatted)
-            fields, table = _fields(columns, table)
+            fields, table, hit_rate = _fields(columns, table)
             assert fields == [[repr(x) for x in column.tolist()] for column in columns]
             misses.append(sorted(map(repr, formatted[before:])))
+            hit_rates.append(hit_rate)
         assert misses == [["0.0", "1.5", "2.5"], ["-0.0", "7.0", "nan"], ["-0.0", "7.0", "nan"]]
+        # the share of each block's distinct values that the table held
+        assert hit_rates == [0.0, 2 / 5, 2 / 5]
         keys, strings = table
         assert keys.tolist() == np.array([0.0, 1.5, 2.5]).view(np.int64).tolist()
         assert strings.tolist() == ["0.0", "1.5", "2.5"]
 
     def test_repr_runs_once_per_value_missing_from_the_table(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)  # no forked worker
         formatted = shadow_repr(monkeypatch)
         run_ok(runner, ["scan", "--n", "400", "--out", str(tmp_path / "grid.csv")])
         # 192,179 values are distinct within their block and 60,367 within the
@@ -405,14 +413,14 @@ class TestAtomicWrite:
 
     @pytest.mark.parametrize("existing", [None, "old contents\n"])
     def test_failure_after_first_block(self, runner, tmp_path, monkeypatch, existing):
-        grid_blocks = geometry._grid_blocks
+        grid_rows = geometry._grid_rows
 
-        def failing(n):
-            blocks = grid_blocks(n)
-            yield next(blocks)
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        def failing(n, k0, k1):
+            if k0:  # every block after the first, in whichever process makes it
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return grid_rows(n, k0, k1)
 
-        monkeypatch.setattr(geometry, "_grid_blocks", failing)
+        monkeypatch.setattr(geometry, "_grid_rows", failing)
         monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
         out = tmp_path / "grid.csv"
         if existing is not None:
@@ -499,6 +507,192 @@ class TestAtomicWrite:
         reader.join(timeout=30)
         assert hashlib.sha256(received[0]).hexdigest() == SCAN_SHA256[9]
         assert os.listdir(tmp_path) == ["pipe"]
+
+
+def count_forks(monkeypatch):
+    """Record the block range of each CSV worker the CLI forks; returns the list."""
+    ranges, fork = [], pauli_simplex.cli._fork
+
+    def counting(part, out, block, lo, hi):
+        ranges.append((lo, hi))
+        return fork(part, out, block, lo, hi)
+
+    monkeypatch.setattr(pauli_simplex.cli, "_fork", counting)
+    return ranges
+
+
+def assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """`scan` and `boundary` share a file's blocks among forked workers."""
+
+    OUTPUTS = {
+        "scan-9": (["scan", "--n", "9"], SCAN_SHA256[9]),
+        "scan-60": (["scan", "--n", "60"], SCAN_SHA256[60]),
+        "boundary-500": (["boundary", "--region", "Y", "--points", "500"], BOUNDARY_Y500_SHA256),
+    }
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("output", sorted(OUTPUTS))
+    def test_worker_count_does_not_change_bytes(self, runner, tmp_path, monkeypatch, output, cpus):
+        args, digest = self.OUTPUTS[output]
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)
+        alone = run_ok(runner, [*args, "--out", str(out)]).output
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: cpus)
+        ranges = count_forks(monkeypatch)
+        assert run_ok(runner, [*args, "--out", str(out)]).output == alone
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        # this process writes the first range, each worker one of the next
+        assert len(ranges) == cpus - 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert_no_child_left()
+
+    @pytest.mark.golden
+    def test_more_cpus_than_blocks_give_one_worker_per_block(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)  # 55 rows in 8 blocks
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 12)
+        ranges = count_forks(monkeypatch)
+        out = tmp_path / "grid.csv"
+        result = run_ok(runner, ["scan", "--n", "9", "--out", str(out)])
+        assert result.output == f"wrote 55 rows to {out} (markovian fraction 0.181818182)\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
+        assert ranges == [(k, k + 1) for k in range(1, 8)]
+        assert_no_child_left()
+
+    def test_one_worker_without_fork_or_beside_another_thread(self, monkeypatch):
+        from pauli_simplex.cli import _workers
+
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 4)
+        assert [_workers(blocks) for blocks in (1, 3, 4, 10)] == [1, 3, 4, 4]
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert _workers(10) == 1
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert _workers(10) == 1
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    def test_device_is_written_by_this_process_alone(self, runner, monkeypatch):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 4)
+        ranges = count_forks(monkeypatch)
+        run_ok(runner, ["scan", "--n", "9", "--out", os.devnull])
+        assert ranges == []
+
+    @pytest.mark.parametrize("existing", [None, "old contents\n"])
+    def test_worker_failure_after_its_first_block(self, runner, tmp_path, monkeypatch, existing):
+        parent, grid_rows, made = os.getpid(), geometry._grid_rows, []
+
+        def failing(n, k0, k1):
+            # the workers fork before this process makes a block, so `made`
+            # counts a worker's own blocks in its copy
+            if os.getpid() != parent and made:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            made.append(k0)
+            return grid_rows(n, k0, k1)
+
+        monkeypatch.setattr(geometry, "_grid_rows", failing)
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)  # 8 blocks: 2, 3 and 3 a process
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 3)
+        out = tmp_path / "grid.csv"
+        if existing is not None:
+            out.write_text(existing)
+        result = runner.invoke(cli, ["scan", "--n", "9", "--out", str(out)])
+        assert result.exit_code == 3
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert result.stderr == f"cannot write {out}: {reason}\n"
+        assert result.stdout == ""
+        assert_no_child_left()
+        # no temporary file and no part file
+        assert os.listdir(tmp_path) == ([] if existing is None else ["grid.csv"])
+        if existing is not None:
+            assert out.read_text() == existing
+
+    def test_worker_that_ends_without_a_report(self, runner, tmp_path, monkeypatch):
+        parent, grid_rows = os.getpid(), geometry._grid_rows
+
+        def ending(n, k0, k1):
+            if os.getpid() != parent:
+                os._exit(7)
+            return grid_rows(n, k0, k1)
+
+        monkeypatch.setattr(geometry, "_grid_rows", ending)
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(cli, ["scan", "--n", "9", "--out", str(out)])
+        assert result.exit_code == 3
+        reason = r"CSV worker \d+ stopped without a report \(wait status 1792\)"
+        assert re.fullmatch(f"cannot write {re.escape(str(out))}: {reason}\n", result.stderr)
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+
+def lattice_codes(n):
+    """Region codes of the resolution-n grid from exact integer signs.
+
+    Row (i, j, k = n - i - j) is the point (i, j, k) / n.  There the x rate
+    times a b c, a (b + c) - b c (1 + a), is P / n^3 with the int64
+    P = i (j + k) n - j k (n + i), and the y and z rates rotate (i, j, k).
+    The code is the axis whose P is negative (at most one is), else -1.
+    """
+    rows = (n + 1) * (n + 2) // 2
+    lengths = np.arange(n + 1, 0, -1)
+    i = np.repeat(np.arange(n + 1, dtype=np.int64), lengths)
+    j = np.arange(rows, dtype=np.int64) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    k = n - i - j
+    negative = np.stack([
+        i * (j + k) * n - j * k * (n + i),
+        j * (k + i) * n - k * i * (n + j),
+        k * (i + j) * n - i * j * (n + k),
+    ]) < 0
+    assert negative.sum(axis=0).max() <= 1
+    return np.where(negative.any(axis=0), negative.argmax(axis=0), -1)
+
+
+class TestExactCertificate:
+    """Every `scan` verdict is the exact sign of an integer polynomial.
+
+    `region_codes` flags axis k when its float scaled rate is below the
+    band NEG_TOL a b c, whose width is at most 1e-12 / 27, about 3.7e-14,
+    since a b c <= 1/27.  On the n-lattice the exact scaled rate is P / n^3
+    for an integer P, so it is 0 or at least n^-3 away from 0, and n^-3 is
+    wider than the band while n^3 < 2.7e13, that is for n < 30,000: there
+    the band cannot flip a nonzero sign, and P = 0 is Markovian in both
+    tests.  What is left is the rounding of i/n and of the float rate, which
+    these checks bound by finding no disagreement.
+    """
+
+    def test_csv_of_forked_workers_at_n400(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 2)
+        ranges = count_forks(monkeypatch)
+        out = tmp_path / "grid.csv"
+        run_ok(runner, ["scan", "--n", "400", "--out", str(out)])
+        assert len(ranges) == 1
+        with open(out, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        codes = np.array([{"": -1, "X": 0, "Y": 1, "Z": 2}[row[6]] for row in body])
+        labels = np.array([row[5] for row in body])
+        np.testing.assert_array_equal(labels == "MARKOVIAN", codes == -1)
+        assert np.count_nonzero(codes != lattice_codes(400)) == 0
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_scan_blocks(self, n):
+        codes = np.concatenate([codes for *_, codes in geometry.scan_blocks(n)])
+        assert np.count_nonzero(codes != lattice_codes(n)) == 0
 
 
 class TestMeasure:
@@ -716,7 +910,7 @@ class TestChoi:
         assert "-0.0838509317" in result.output
 
     @pytest.mark.parametrize("flags", [[], ["--json"], ["--oracle"], ["--oracle", "--json"]])
-    def test_builds_and_diagonalizes_the_matrix_once(self, runner, monkeypatch, flags):
+    def test_builds_the_matrix_only_for_the_oracle(self, runner, monkeypatch, flags):
         from pauli_simplex import choi
 
         calls = {"choi_matrix": 0, "eigvalsh": 0}
@@ -836,12 +1030,17 @@ class TestImportCost:
 
     def test_cli_import_leaves_futures_logging_and_oracles_unloaded(self):
         # the CLI loads every core module, so this also holds if any of them
-        # imported the oracles
+        # imported the oracles; the CSV workers are plain forks, with no
+        # process pool and no shutil copy.  -S skips the site module, whose
+        # .pth files may import shutil at start-up, so the site-packages
+        # directories go on the path by hand
         code = """
 import sys, pauli_simplex.cli
-print(sorted({"concurrent.futures", "logging", "pauli_simplex.oracles"} & set(sys.modules)))
+unwanted = {"concurrent.futures", "logging", "multiprocessing", "pauli_simplex.oracles", "shutil"}
+print(sorted(unwanted & set(sys.modules)))
 """
-        assert run_child(code) == "[]\n"
+        path = os.pathsep.join([child_env()["PYTHONPATH"], *site.getsitepackages()])
+        assert run_child(code, "-S", PYTHONPATH=path) == "[]\n"
 
     def test_every_public_name_resolves(self):
         code = """

@@ -663,6 +663,19 @@ class TestScanGrid:
         sizes = [len(codes) for *_, codes in scan_blocks(n)]
         assert sizes == [geometry.SCAN_BLOCK_ROWS] * q + ([r] if r else [])
 
+    def test_blocks_are_index_addressable(self, monkeypatch):
+        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        # 231 grid rows in 33 blocks, 60 curve rows in 9
+        for blocks, count in ((scan_blocks(20), 33), (boundary_blocks("Z", 30), 9)):
+            in_order = list(blocks)
+            assert len(blocks) == len(in_order) == count
+            for k in reversed(range(count)):  # any block, in any order
+                for made, expected in zip(blocks[k], in_order[k], strict=True):
+                    np.testing.assert_array_equal(made, expected)
+            for k in (-1, count):
+                with pytest.raises(IndexError):
+                    blocks[k]
+
     def test_long_lines_are_split(self, monkeypatch):
         monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
         sizes = [len(codes) for *_, codes in scan_blocks(20)]
