@@ -80,22 +80,15 @@ def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> 
         click.echo(f"{key:<12} {_human(value)}")
 
 
-#: most float reprs one CSV file keeps for later blocks.  Each costs about
-#: 88 bytes (the string, its key and a pointer), so 2^14 of them hold about
-#: 1.4 MB, and `scan --n 400` runs repr 133,612 times instead of 192,179.
-#: 2^15 (103,606 reprs) took 1.5 MB more and 2^16 (60,367, each distinct
-#: value once) 4.8 MB more, beyond the 6 MB over the import that scan may use
-_TABLE_CAP = 1 << 14
-
-#: a block after a process's first that finds fewer than this share of its
-#: distinct values in the table ends that table for the process's later
-#: blocks, giving its memory back.  `scan` blocks find 26-89 % of theirs at
-#: n = 400 and at least 12 % up to n = 2000; `boundary` values almost never
-#: repeat, and its second block finds none
-_MIN_HIT_RATE = 0.01
+#: rows per block of every CSV the CLI writes, consecutive in row order
+#: whatever the grid lines' lengths.  A block's Python strings live until it
+#: is written: at 2^13 rows they came to about 11.6 MB above the import for
+#: `scan --n 400`, at 2^11 to 3.9 MB for about the same formatting CPU; 2^10
+#: took more CPU to save another 1.2 MB
+SCAN_BLOCK_ROWS = 1 << 11
 
 
-def _fields(columns: list, table: tuple, grow: bool = True) -> tuple:
+def _fields(columns: list, table: tuple) -> tuple:
     """The CSV fields of a block's columns, one list of Python strings each.
 
     A column of objects holds its strings already, and other columns get the
@@ -103,33 +96,25 @@ def _fields(columns: list, table: tuple, grow: bool = True) -> tuple:
     `np.unique` over their bit patterns, so each distinct value is formatted
     once per block, whichever columns hold it, and gathered back by the
     inverse index; keying by bits keeps -0.0 apart from 0.0 and NaN payloads
-    apart.  `table` is a pair (keys, strings) of the sorted int64 bit patterns
-    of earlier blocks' values and their reprs, and only values missing from
-    it are formatted.  With `grow`, the first of those, in key order, join the
-    table until it holds _TABLE_CAP values; after that it never changes.
-    Every block comes from a source of at most geometry.SCAN_BLOCK_ROWS rows,
-    so the strings held at once, the block's and the table's, stay bounded
-    whatever the command and its size.  Returns the fields, the table to pass
-    with the next block of the same file, and the share of the block's
-    distinct float values found in the table (1.0 without float columns).
+    apart.  `table` is a pair (keys, strings) of sorted int64 bit patterns
+    and their reprs, and only values missing from it are formatted.  Returns
+    the fields and the table to pass with the next block of the same file:
+    this block's own distinct values and their reprs, or `table` itself
+    when the block has no float column.  So the strings held at once stay
+    bounded by two blocks of at most SCAN_BLOCK_ROWS rows.
     """
     keys, strings = table
     floats = [column.view(np.int64) for column in columns if column.dtype == np.float64]
-    hit_rate = 1.0
     if floats:
         block, inverse = np.unique(np.concatenate(floats), return_inverse=True)
         at = np.searchsorted(keys, block)
         hit = at < len(keys)
         hit[hit] = keys[at[hit]] == block[hit]
-        hit_rate = float(hit.mean())
         text = np.empty(len(block), dtype=object)
         text[hit] = strings[at[hit]]
         missed = np.flatnonzero(~hit)
         text[missed] = [repr(v) for v in block[missed].view(np.float64).tolist()]
-        added = missed[: _TABLE_CAP - len(keys)] if grow else missed[:0]
-        if len(added):
-            keys = np.insert(keys, at[added], block[added])
-            strings = np.insert(strings, at[added], text[added])
+        table = block, text
         gathered = iter(text[inverse.reshape(len(floats), -1)].tolist())
     fields = [
         next(gathered) if column.dtype == np.float64
@@ -137,29 +122,23 @@ def _fields(columns: list, table: tuple, grow: bool = True) -> tuple:
         else list(map(repr, column.tolist()))
         for column in columns
     ]
-    return fields, (keys, strings), hit_rate
+    return fields, table
 
 
-def _write_blocks(fh, block, lo: int, hi: int) -> tuple:
-    """Write blocks lo to hi - 1 with one table of float reprs (see `_fields`).
+def _write_blocks(fh, make_rows, k0: int, k1: int) -> int:
+    """Write rows k0 to k1 - 1 in blocks of SCAN_BLOCK_ROWS, each formatted
+    with the previous block's reprs (see `_fields`).
 
-    block(k) returns block k's columns and its tally.  After the first block
-    whose hit rate is below _MIN_HIT_RATE, the table is dropped and stays
-    empty; the range's first block, which meets an empty table, does not
-    count.  Returns the number of rows and the sum of the tallies.
+    make_rows(j0, j1) returns the equal-length columns of rows j0 to j1 - 1
+    and a tally.  Returns the sum of the tallies.
     """
-    rows = tally = 0
-    empty = (np.empty(0, np.int64), np.empty(0, object))
-    table, grow = empty, True
-    for k in range(lo, hi):
-        columns, count = block(k)
-        fields, table, hit_rate = _fields(columns, table, grow)
-        if grow and k > lo and hit_rate < _MIN_HIT_RATE:
-            table, grow = empty, False
+    tally, table = 0, (np.empty(0, np.int64), np.empty(0, object))
+    for j0 in range(k0, k1, SCAN_BLOCK_ROWS):
+        columns, count = make_rows(j0, min(j0 + SCAN_BLOCK_ROWS, k1))
+        fields, table = _fields(columns, table)
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-        rows += len(columns[0])
         tally += count
-    return rows, tally
+    return tally
 
 
 def _workers(blocks: int) -> int:
@@ -178,10 +157,10 @@ def _named(exc: OSError, out: str) -> OSError:
     return OSError(exc.errno, exc.strerror, out) if exc.filename is not None else exc
 
 
-def _fork(part: str, out: str, block, lo: int, hi: int) -> tuple:
-    """Fork a worker that writes blocks lo to hi - 1 to the file `part`.
+def _fork(part: str, out: str, make_rows, k0: int, k1: int) -> tuple:
+    """Fork a worker that writes rows k0 to k1 - 1 to the file `part`.
 
-    The worker sends back, through a pipe, its `_write_blocks` pair or the
+    The worker sends back, through a pipe, its `_write_blocks` tally or the
     text of the OSError it met, and ends with os._exit, so it runs no exit
     handler and flushes no buffer it inherited.  Returns (pid, read end).
     """
@@ -195,7 +174,7 @@ def _fork(part: str, out: str, block, lo: int, hi: int) -> tuple:
         os.close(read)
         try:
             with open(part, "w", newline="") as fh:
-                report = _write_blocks(fh, block, lo, hi)
+                report = _write_blocks(fh, make_rows, k0, k1)
         except OSError as exc:
             report = str(_named(exc, out))
         os.write(write, json.dumps(report).encode())
@@ -206,8 +185,8 @@ def _fork(part: str, out: str, block, lo: int, hi: int) -> tuple:
         os._exit(code)
 
 
-def _reap(pid: int, read: int) -> list:
-    """Wait for a worker and return its pair; raise OSError if it failed."""
+def _reap(pid: int, read: int) -> int:
+    """Wait for a worker and return its tally; raise OSError if it failed."""
     with open(read, "rb") as pipe:
         report = pipe.read()
     _, status = os.waitpid(pid, 0)
@@ -219,30 +198,31 @@ def _reap(pid: int, read: int) -> list:
     return report
 
 
-def _write_csv(out: str, header: list, count: int, block) -> tuple:
-    """Write the header, then the rows of blocks 0 to count - 1.
+def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
+    """Write the header, then rows 0 to rows - 1 in blocks of SCAN_BLOCK_ROWS.
 
-    block(k) returns block k's equal-length columns and a tally; no field
-    needs quoting.  The rows go to a temporary file beside the target,
-    renamed over it once complete, so a failed write (exit 3) leaves neither
-    a partial file nor the temporary one; a file it replaces keeps its
-    permission bits.  A target that exists and is not a regular file (a
-    device or a pipe) is written in place, by this process alone.
+    make_rows(k0, k1) returns the equal-length columns of rows k0 to k1 - 1
+    and a tally; no field needs quoting.  The rows go to a temporary file
+    beside the target (beside the file a symbolic link names), renamed over
+    it once complete, so a failed write (exit 3) leaves neither a partial
+    file nor the temporary one; a file it replaces keeps its permission
+    bits.  A target that exists and is not a regular file (a device or a
+    pipe, such as /dev/stdout) is written in place, by this process alone.
 
     Otherwise `_workers` processes share the blocks in contiguous ranges of
     near-equal length.  This process writes the first range into the
     temporary file while each forked worker writes the next ones into part
-    files beside it, formatting with a table of float reprs of its own;
-    then this process appends the parts in order.  The bytes are the same
-    for any number of workers.  If one fails, the others are stopped and the
-    error is reported as this process's own.  Returns the number of rows and
+    files beside it; then this process appends the parts in order.  The
+    bytes are the same for any number of workers.  If one fails, the others
+    are stopped and the error is reported as this process's own.  Returns
     the sum of the tallies.
     """
+    atomic = os.path.isfile(out) or not os.path.exists(out)
     target = os.path.realpath(out)
-    atomic = os.path.isfile(target) or not os.path.exists(target)
-    path = f"{target}.tmp-{os.getpid()}" if atomic else target
-    workers = _workers(count) if atomic else 1
-    bounds = [count * w // workers for w in range(workers + 1)]
+    path = f"{target}.tmp-{os.getpid()}" if atomic else out
+    blocks = -(-rows // SCAN_BLOCK_ROWS)
+    workers = _workers(blocks) if atomic else 1
+    bounds = [min(blocks * w // workers * SCAN_BLOCK_ROWS, rows) for w in range(workers + 1)]
     parts = {w: f"{path}.{w}" for w in range(1, workers)}
     children = {}
     try:
@@ -250,12 +230,11 @@ def _write_csv(out: str, header: list, count: int, block) -> tuple:
             fh.write(",".join(header) + "\n")
             fh.flush()  # a worker inherits the buffer, though it never writes it
             for w, part in parts.items():
-                children[w] = _fork(part, out, block, bounds[w], bounds[w + 1])
-            rows, tally = _write_blocks(fh, block, bounds[0], bounds[1])
+                children[w] = _fork(part, out, make_rows, bounds[w], bounds[w + 1])
+            tally = _write_blocks(fh, make_rows, bounds[0], bounds[1])
             fh.flush()
             for w, part in parts.items():
-                part_rows, part_tally = _reap(*children.pop(w))
-                rows, tally = rows + part_rows, tally + part_tally
+                tally += _reap(*children.pop(w))
                 with open(part, "rb", buffering=0) as src:
                     while chunk := src.read(1 << 16):
                         fh.buffer.write(chunk)
@@ -277,7 +256,7 @@ def _write_csv(out: str, header: list, count: int, block) -> tuple:
         for name in [path, *parts.values()] if atomic else []:
             if os.path.exists(name):
                 os.remove(name)
-    return rows, tally
+    return tally
 
 
 class _Subcommand(click.Command):
@@ -359,15 +338,15 @@ def classify_cmd(a, b, c, as_json):
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
 def scan(n, out):
     """Classify the triangular grid and write one CSV row per point."""
-    grid = scan_grid(n)
+    rows, grid = scan_grid(n)
 
-    def block(k):
-        weights, uv, rates, codes = grid[k]
+    def make_rows(k0, k1):
+        weights, uv, rates, codes = grid(k0, k1)
         columns = [*weights.T, *uv.T, LABELS[codes + 1], REGIONS[codes + 1], *rates.T]
         return columns, int((codes < 0).sum())
 
     header = ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"]
-    rows, markovian = _write_csv(out, header, len(grid), block)
+    markovian = _write_csv(out, header, rows, make_rows)
     click.echo(f"wrote {rows} rows to {out} (markovian fraction {_human(markovian / rows)})")
 
 
@@ -397,13 +376,13 @@ def measure(method, tol, samples, seed, threads, as_json):
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
-    curve = boundary_blocks(region, points)
+    rows, curve = boundary_blocks(region, points)
 
-    def block(k):
-        samples, uv, branch = curve[k]
+    def make_rows(k0, k1):
+        samples, uv, branch = curve(k0, k1)
         return [*samples.T, *uv.T, branch], 0
 
-    rows, _ = _write_csv(out, ["a", "b", "c", "u", "v", "branch"], len(curve), block)
+    _write_csv(out, ["a", "b", "c", "u", "v", "branch"], rows, make_rows)
     click.echo(f"wrote {rows} rows to {out}")
 
 

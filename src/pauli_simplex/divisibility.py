@@ -37,10 +37,6 @@ class RegionLabel:
     region: str | None
     limit_rates: tuple
 
-    @property
-    def markovian(self) -> bool:
-        return self.tag == MARKOVIAN
-
 
 #: exact power-of-two scale that keeps (1 - w)/w finite for subnormal w
 _SCALE = 2.0**64

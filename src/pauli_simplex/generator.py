@@ -43,10 +43,6 @@ class DecayRates:
     def as_tuple(self) -> tuple:
         return (self.gx, self.gy, self.gz)
 
-    def pairwise_sums(self) -> tuple:
-        """(gx+gy, gy+gz, gz+gx), reduced: 2 (f(c), f(a), f(b)), each nonnegative."""
-        return (self.gx + self.gy, self.gy + self.gz, self.gz + self.gx)
-
 
 def physical_scale(r: float, p: float) -> float:
     """pdot/2, the factor that turns reduced rates into physical ones."""

@@ -64,12 +64,13 @@ def boundary_roots(b: np.ndarray) -> tuple:
     return ((-mid - root) / (2.0 * lead), (-mid + root) / (2.0 * lead))
 
 
-def boundary_blocks(region: str, points: int) -> Blocks:
-    """Sample the closed boundary of one non-Markovian region, block by block.
+def boundary_blocks(region: str, points: int) -> tuple:
+    """Sample the closed boundary of one non-Markovian region, rows on demand.
 
-    Validates at once, then returns the `Blocks` of at most SCAN_BLOCK_ROWS
-    consecutive rows, each a tuple (samples, uv, branch): (m, 3) simplex
-    points, their (m, 2) embedding and the branch, -1 or +1.  With
+    Validates at once, then returns (rows, make_rows): the 2 points rows of
+    the curve and make_rows(k0, k1), which builds rows k0 to k1 - 1 as a
+    tuple (samples, uv, branch): (m, 3) simplex points, their (m, 2)
+    embedding and the branch, -1 or +1.  With
     b = np.linspace(0, BAND_EDGE, points), row r < points is the minus root
     at b[r], from the simplex edge to where the band closes, and row
     r >= points the plus root at b[2 points - 1 - r], back again.  Rows
@@ -79,7 +80,7 @@ def boundary_blocks(region: str, points: int) -> Blocks:
         raise ValueError(f"region must be one of {AXES}, got {region!r}")
     if points < 2:
         raise ValueError(f"need at least 2 points per branch, got {points}")
-    return Blocks(2 * points, lambda r0, r1: _boundary_rows(region, points, r0, r1))
+    return 2 * points, lambda r0, r1: _boundary_rows(region, points, r0, r1)
 
 
 def _boundary_rows(region: str, points: int, r0: int, r1: int) -> tuple:
@@ -328,36 +329,6 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
     return np.stack([w[..., 1] + 0.5 * w[..., 2], w[..., 2] * _TRIANGLE[2, 1]], axis=-1)
 
 
-#: rows per block of every CSV the CLI writes, consecutive in row order
-#: whatever the grid lines' lengths.  A block's Python strings live until it
-#: is written: at 2^13 rows they came to about 11.6 MB above the import for
-#: `scan --n 400`, at 2^11 to 3.9 MB for about the same formatting CPU; 2^10
-#: took more CPU to save another 1.2 MB
-SCAN_BLOCK_ROWS = 1 << 11
-
-
-class Blocks:
-    """A CSV's rows in blocks of SCAN_BLOCK_ROWS (read here; the last block
-    shorter), each block made only when asked for.
-
-    len() is the number of blocks; blocks[k] is make_rows(k0, k1) for block
-    k's rows k0 to k1 - 1, and iteration makes the blocks in row order.  So
-    a writer can give each process its own range of blocks.
-    """
-
-    def __init__(self, rows: int, make_rows):
-        self._rows, self._size, self._make_rows = rows, SCAN_BLOCK_ROWS, make_rows
-
-    def __len__(self) -> int:
-        return -(-self._rows // self._size)
-
-    def __getitem__(self, k: int):
-        if not 0 <= k < len(self):
-            raise IndexError(f"block {k} of {len(self)}")
-        k0 = k * self._size
-        return self._make_rows(k0, min(k0 + self._size, self._rows))
-
-
 def _check_resolution(n: int) -> None:
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
@@ -391,34 +362,28 @@ def _grid_rows(n: int, k0: int, k1: int) -> np.ndarray:
     return np.column_stack([i / n, j / n, (n - i - j) / n])
 
 
-def _grid_blocks(n: int):
-    """An iterator over the grid's rows in blocks of SCAN_BLOCK_ROWS."""
-    return iter(Blocks((n + 1) * (n + 2) // 2, lambda k0, k1: _grid_rows(n, k0, k1)))
-
-
 def grid_weights(n: int) -> np.ndarray:
     """Triangular lattice (i/n, j/n, (n-i-j)/n), rows lexicographic in (i, j)."""
     _check_resolution(n)
-    return np.concatenate(list(_grid_blocks(n)))
+    return _grid_rows(n, 0, (n + 1) * (n + 2) // 2)
 
 
-def scan_blocks(n: int) -> Blocks:
-    """Classify and embed the resolution-n triangular grid, block by block.
+def scan_blocks(n: int) -> tuple:
+    """Classify and embed the resolution-n triangular grid, rows on demand.
 
-    Validates n at once, then returns the `Blocks` of at most SCAN_BLOCK_ROWS
-    consecutive grid rows in lexicographic (i, j) order.  Each block is a
-    tuple (weights, uv, rates, codes) of (m, 3), (m, 2), (m, 3) and (m,)
-    arrays: the codes of `region_codes` (-1 Markovian, else the region's axis
-    index) and the limiting rates.  Memory is bounded by the block, whatever
-    n is: a block forms only its own grid rows, and the CLI formats each
-    block before it makes the next.  Where a row's float sum
-    (w0 + w1) + w2 is not exactly 1 (4,432 rows at n = 400), `weights` holds
-    the MixtureWeights renormalization w / ((w0 + w1) + w2) while uv, rates
-    and codes come from the raw row.
+    Validates n at once, then returns (rows, make_rows): the grid's row
+    count and make_rows(k0, k1), which builds grid rows k0 to k1 - 1 in
+    lexicographic (i, j) order as a tuple (weights, uv, rates, codes) of
+    (m, 3), (m, 2), (m, 3) and (m,) arrays: the codes of `region_codes`
+    (-1 Markovian, else the region's axis index) and the limiting rates.
+    Memory is bounded by the range asked for, whatever n is: it forms only
+    its own grid rows.  Where a row's float sum (w0 + w1) + w2 is not
+    exactly 1 (4,432 rows at n = 400), `weights` holds the MixtureWeights
+    renormalization w / ((w0 + w1) + w2) while uv, rates and codes come from
+    the raw row.
     """
     _check_resolution(n)
-    rows = (n + 1) * (n + 2) // 2
-    return Blocks(rows, lambda k0, k1: _classify_rows(_grid_rows(n, k0, k1)))
+    return (n + 1) * (n + 2) // 2, lambda k0, k1: _classify_rows(_grid_rows(n, k0, k1))
 
 
 def _classify_rows(points: np.ndarray) -> tuple:

@@ -104,8 +104,19 @@ def run_child(code, *options, **env):
 
 
 def empty_table():
-    """The table of float reprs that `_write_csv` starts each file with."""
+    """The table of float reprs that `_write_blocks` starts each range with."""
     return (np.empty(0, np.int64), np.empty(0, object))
+
+
+def capped_table(monkeypatch, cap):
+    """Hand `_fields` at most the first `cap` entries of each table it is given."""
+    fields = pauli_simplex.cli._fields
+
+    def capped(columns, table):
+        keys, strings = table
+        return fields(columns, (keys[:cap], strings[:cap]))
+
+    monkeypatch.setattr(pauli_simplex.cli, "_fields", capped)
 
 
 def shadow_repr(monkeypatch):
@@ -321,49 +332,61 @@ class TestScan:
             np.array(["MARKOVIAN", "", "X", "Y", "Z", "NONMARKOVIAN"], dtype=object),
             np.array([1.0, 0.0, 0.0, -0.0, np.nan, 1 / 3]),
         ]
-        fields, _, _ = _fields(columns, empty_table())
+        fields, _ = _fields(columns, empty_table())
         assert fields[3] == columns[3].tolist()  # objects hold their strings already
         numbers = [0, 1, 2, 4]
         assert [fields[i] for i in numbers] == [[repr(x) for x in columns[i].tolist()] for i in numbers]
         assert fields[0][:2] == ["0.0", "-0.0"] and fields[2][:2] == ["-0.0", "0.0"]
 
     def test_fields_format_only_values_missing_from_the_table(self, monkeypatch):
-        monkeypatch.setattr(pauli_simplex.cli, "_TABLE_CAP", 3)
         formatted = shadow_repr(monkeypatch)
         blocks = [
             [np.array([0.0, 1.5, 0.0]), np.array([2.5, 1.5, 0.0])],
-            # -0.0 is not the 0.0 of the table; 7.0 and NaN miss, the table being full
+            # -0.0 is not the 0.0 of the previous block; 7.0 and NaN are new
             [np.array([-0.0, 0.0, np.nan]), np.array([1.5, 7.0, np.nan])],
-            [np.array([-0.0, 7.0, np.nan]), np.array([2.5, 2.5, 0.0])],
+            # -0.0, 7.0 and NaN repeat from the previous block; 2.5 only from
+            # the one before, which is no longer kept
+            [np.array([-0.0, 7.0, np.nan]), np.array([2.5, 2.5, -0.0])],
+            [np.array([0, 1]), np.array([-1, 1])],  # no float column
+            [np.array([np.nan, 2.5]), np.array([7.0, -0.0])],
         ]
-        table, misses, hit_rates = empty_table(), [], []
+        table, misses, tables = empty_table(), [], []
         for columns in blocks:
             before = len(formatted)
-            fields, table, hit_rate = _fields(columns, table)
+            fields, table = _fields(columns, table)
             assert fields == [[repr(x) for x in column.tolist()] for column in columns]
             misses.append(sorted(map(repr, formatted[before:])))
-            hit_rates.append(hit_rate)
-        assert misses == [["0.0", "1.5", "2.5"], ["-0.0", "7.0", "nan"], ["-0.0", "7.0", "nan"]]
-        # the share of each block's distinct values that the table held
-        assert hit_rates == [0.0, 2 / 5, 2 / 5]
-        keys, strings = table
-        assert keys.tolist() == np.array([0.0, 1.5, 2.5]).view(np.int64).tolist()
-        assert strings.tolist() == ["0.0", "1.5", "2.5"]
+            keys, strings = table
+            assert keys.tolist() == sorted(keys.tolist())
+            tables.append(sorted(strings.tolist()))
+        assert misses == [
+            ["0.0", "1.5", "2.5"], ["-0.0", "7.0", "nan"], ["2.5"], ["-1", "0", "1", "1"], [],
+        ]
+        # each table holds the block's own distinct values; a block without
+        # float columns passes the previous block's table on
+        assert tables == [
+            ["0.0", "1.5", "2.5"],
+            ["-0.0", "0.0", "1.5", "7.0", "nan"],
+            ["-0.0", "2.5", "7.0", "nan"],
+            ["-0.0", "2.5", "7.0", "nan"],
+            ["-0.0", "2.5", "7.0", "nan"],
+        ]
 
     def test_repr_runs_once_per_value_missing_from_the_table(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)  # no forked worker
         formatted = shadow_repr(monkeypatch)
         run_ok(runner, ["scan", "--n", "400", "--out", str(tmp_path / "grid.csv")])
         # 192,179 values are distinct within their block and 60,367 within the
-        # file; the table of 2^14 values leaves these to format
-        assert len(formatted) == 133_612
+        # file; the previous block's reprs leave these to format
+        assert len(formatted) == 151_222
 
     @pytest.mark.golden
     @pytest.mark.parametrize("cap", [0, 1, 7])
     @pytest.mark.parametrize("n", sorted(SCAN_SHA256))
     def test_table_cap_does_not_change_bytes(self, runner, tmp_path, monkeypatch, n, cap):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
-        monkeypatch.setattr(pauli_simplex.cli, "_TABLE_CAP", cap)
+        # the table is a cache: any part of the previous block's reprs gives the same bytes
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
+        capped_table(monkeypatch, cap)
         out = tmp_path / "grid.csv"
         run_ok(runner, ["scan", "--n", str(n), "--out", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[n]
@@ -381,10 +404,10 @@ class TestScan:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.golden
-    @pytest.mark.parametrize("rows", [1, 7, geometry.SCAN_BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [1, 7, pauli_simplex.cli.SCAN_BLOCK_ROWS])
     @pytest.mark.parametrize("n", sorted(SCAN_SHA256))
     def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, n, rows):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", rows)
         out = tmp_path / "grid.csv"
         result = run_ok(runner, ["scan", "--n", str(n), "--out", str(out)])
         assert result.output.startswith(f"wrote {(n + 1) * (n + 2) // 2} rows to {out} ")
@@ -403,8 +426,8 @@ class TestScan:
     def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
         args = ["--n", "400", "--out", str(tmp_path / "grid.csv")]
         extra = peak_rss_kib("scan", *args) - peak_rss_kib()
-        # 5.2-5.4 MiB in blocks of 2^11 rows with the CSV's repr table, where
-        # blocks of 2^13 took 11.6 MB
+        # 3.7-3.8 MiB in blocks of 2^11 rows, each formatted with the previous
+        # block's reprs, where blocks of 2^13 took 11.6 MB
         assert extra < 6 * 1024, extra
 
 
@@ -421,7 +444,7 @@ class TestAtomicWrite:
             return grid_rows(n, k0, k1)
 
         monkeypatch.setattr(geometry, "_grid_rows", failing)
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         out = tmp_path / "grid.csv"
         if existing is not None:
             out.write_text(existing)
@@ -509,13 +532,26 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["pipe"]
 
 
+    @pytest.mark.golden
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_stdout_into_a_pipe_is_written_in_place(self):
+        child = subprocess.run(
+            [sys.executable, "-m", "pauli_simplex.cli", "scan", "--n", "9", "--out", "/dev/stdout"],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        csv_bytes, _, summary = child.stdout.rpartition(b"wrote ")
+        assert hashlib.sha256(csv_bytes).hexdigest() == SCAN_SHA256[9]
+        assert summary == b"55 rows to /dev/stdout (markovian fraction 0.181818182)\n"
+
+
 def count_forks(monkeypatch):
-    """Record the block range of each CSV worker the CLI forks; returns the list."""
+    """Record the row range of each CSV worker the CLI forks; returns the list."""
     ranges, fork = [], pauli_simplex.cli._fork
 
-    def counting(part, out, block, lo, hi):
-        ranges.append((lo, hi))
-        return fork(part, out, block, lo, hi)
+    def counting(part, out, make_rows, k0, k1):
+        ranges.append((k0, k1))
+        return fork(part, out, make_rows, k0, k1)
 
     monkeypatch.setattr(pauli_simplex.cli, "_fork", counting)
     return ranges
@@ -541,7 +577,7 @@ class TestWorkers:
     @pytest.mark.parametrize("output", sorted(OUTPUTS))
     def test_worker_count_does_not_change_bytes(self, runner, tmp_path, monkeypatch, output, cpus):
         args, digest = self.OUTPUTS[output]
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         out = tmp_path / "out.csv"
         monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)
         alone = run_ok(runner, [*args, "--out", str(out)]).output
@@ -557,15 +593,33 @@ class TestWorkers:
 
     @pytest.mark.golden
     def test_more_cpus_than_blocks_give_one_worker_per_block(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)  # 55 rows in 8 blocks
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)  # 55 rows in 8 blocks
         monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 12)
         ranges = count_forks(monkeypatch)
         out = tmp_path / "grid.csv"
         result = run_ok(runner, ["scan", "--n", "9", "--out", str(out)])
         assert result.output == f"wrote 55 rows to {out} (markovian fraction 0.181818182)\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
-        assert ranges == [(k, k + 1) for k in range(1, 8)]
+        assert ranges == [(k, min(k + 7, 55)) for k in range(7, 55, 7)]
         assert_no_child_left()
+
+    @pytest.mark.parametrize("rows", [1, 6, 7, 8, 21, 50])
+    def test_one_worker_asks_for_consecutive_blocks(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)
+        ranges = []
+
+        def make_rows(k0, k1):
+            ranges.append((k0, k1))
+            return [np.arange(k0, k1) / 4], k1 - k0
+
+        out = tmp_path / "out.csv"
+        assert pauli_simplex.cli._write_csv(str(out), ["x"], rows, make_rows) == rows
+        # consecutive ranges of at most SCAN_BLOCK_ROWS rows, each row once
+        assert ranges[0][0] == 0 and ranges[-1][1] == rows
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert all(0 < k1 - k0 <= 7 for k0, k1 in ranges)
+        assert out.read_text() == "x\n" + "".join(f"{k / 4!r}\n" for k in range(rows))
 
     def test_one_worker_without_fork_or_beside_another_thread(self, monkeypatch):
         from pauli_simplex.cli import _workers
@@ -586,7 +640,7 @@ class TestWorkers:
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
     def test_device_is_written_by_this_process_alone(self, runner, monkeypatch):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 4)
         ranges = count_forks(monkeypatch)
         run_ok(runner, ["scan", "--n", "9", "--out", os.devnull])
@@ -605,7 +659,7 @@ class TestWorkers:
             return grid_rows(n, k0, k1)
 
         monkeypatch.setattr(geometry, "_grid_rows", failing)
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)  # 8 blocks: 2, 3 and 3 a process
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)  # 8 blocks: 2, 3 and 3 a process
         monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 3)
         out = tmp_path / "grid.csv"
         if existing is not None:
@@ -630,7 +684,7 @@ class TestWorkers:
             return grid_rows(n, k0, k1)
 
         monkeypatch.setattr(geometry, "_grid_rows", ending)
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 2)
         out = tmp_path / "grid.csv"
         result = runner.invoke(cli, ["scan", "--n", "9", "--out", str(out)])
@@ -691,7 +745,9 @@ class TestExactCertificate:
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_scan_blocks(self, n):
-        codes = np.concatenate([codes for *_, codes in geometry.scan_blocks(n)])
+        rows, make_rows = geometry.scan_blocks(n)
+        step = 1 << 16
+        codes = np.concatenate([make_rows(k, min(k + step, rows))[3] for k in range(0, rows, step)])
         assert np.count_nonzero(codes != lattice_codes(n)) == 0
 
 
@@ -795,14 +851,14 @@ class TestBoundary:
         args = ["boundary", "--region", "Y", "--points", "4097", "--out", str(out)]
         result = run_ok(runner, args)
         assert result.output == f"wrote 8194 rows to {out}\n"
-        assert math.ceil(8194 / geometry.SCAN_BLOCK_ROWS) == 5  # the blocks the hash spans
+        assert math.ceil(8194 / pauli_simplex.cli.SCAN_BLOCK_ROWS) == 5  # the blocks the hash spans
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y4097_SHA256
 
     @pytest.mark.golden
-    @pytest.mark.parametrize("rows", [1, 7, geometry.SCAN_BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [1, 7, pauli_simplex.cli.SCAN_BLOCK_ROWS])
     @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
     def test_block_size_does_not_change_bytes(self, runner, tmp_path, monkeypatch, region, rows):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", rows)
         out = tmp_path / "curve.csv"
         args = ["boundary", "--region", region, "--points", "500", "--out", str(out)]
         result = run_ok(runner, args)
@@ -813,8 +869,8 @@ class TestBoundary:
     @pytest.mark.parametrize("cap", [0, 1, 7])
     @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
     def test_table_cap_does_not_change_bytes(self, runner, tmp_path, monkeypatch, region, cap):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
-        monkeypatch.setattr(pauli_simplex.cli, "_TABLE_CAP", cap)
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
+        capped_table(monkeypatch, cap)
         out = tmp_path / "curve.csv"
         run_ok(runner, ["boundary", "--region", region, "--points", "500", "--out", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
@@ -834,7 +890,7 @@ class TestBoundary:
     def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
         args = ["--region", "Y", "--points", "100000", "--out", str(tmp_path / "curve.csv")]
         extra = peak_rss_kib("boundary", *args) - peak_rss_kib()
-        # about 3.4 MB in blocks of 2^11 rows, where the whole curve's arrays
+        # about 4.5 MiB in blocks of 2^11 rows, where the whole curve's arrays
         # took 23 MB and formatting them as one block 169 MB
         assert extra < 10 * 1024, extra
 

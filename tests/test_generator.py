@@ -24,7 +24,8 @@ def f(w, p):
 def pair_sum_term(alpha, p):
     """f(alpha) read off three_mix_rates: half the pairwise sum gy + gz = 2 f(a)."""
     w = MixtureWeights(alpha, (1.0 - alpha) / 2, (1.0 - alpha) / 2)
-    return three_mix_rates(w, p).pairwise_sums()[1] / 2
+    gx, gy, gz = three_mix_rates(w, p).as_tuple()
+    return (gy + gz) / 2
 
 
 class TestRateTerm:
@@ -136,8 +137,8 @@ class TestThreeMixRates:
             for j in range(n - i + 1):
                 w = MixtureWeights(i / n, j / n, (n - i - j) / n)
                 for p in ps:
-                    rates = three_mix_rates(w, p)
-                    sxy, syz, szx = rates.pairwise_sums()
+                    gx, gy, gz = three_mix_rates(w, p).as_tuple()
+                    sxy, syz, szx = gx + gy, gy + gz, gz + gx
                     assert abs(sxy - 2 * f(w.c, p)) < 1e-12
                     assert abs(syz - 2 * f(w.a, p)) < 1e-12
                     assert abs(szx - 2 * f(w.b, p)) < 1e-12

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pauli_simplex import geometry
 from pauli_simplex.channels import MixtureWeights
+from pauli_simplex.cli import SCAN_BLOCK_ROWS
 from pauli_simplex.divisibility import classify, limit_rates_array, region_codes
 from pauli_simplex.geometry import (
     BAND_EDGE,
@@ -94,15 +95,24 @@ def cumsum_line_starts(n):
     return np.cumsum(lengths) - lengths
 
 
-def cumsum_grid_blocks(n):
-    """`geometry._grid_blocks` as it was: searchsorted over all n + 1 line starts."""
+def cumsum_grid_rows(n, k0, k1):
+    """`geometry._grid_rows` as it was: searchsorted over all n + 1 line starts."""
     starts = cumsum_line_starts(n)
-    rows = (n + 1) * (n + 2) // 2
-    for k0 in range(0, rows, geometry.SCAN_BLOCK_ROWS):
-        k = np.arange(k0, min(k0 + geometry.SCAN_BLOCK_ROWS, rows))
-        i = np.searchsorted(starts, k, "right") - 1
-        j = k - starts[i]
-        yield np.column_stack([i / n, j / n, (n - i - j) / n])
+    k = np.arange(k0, k1)
+    i = np.searchsorted(starts, k, "right") - 1
+    j = k - starts[i]
+    return np.column_stack([i / n, j / n, (n - i - j) / n])
+
+
+def ranges(rows, step):
+    """Consecutive ranges (k0, k1) of `step` rows over [0, rows), the last shorter."""
+    return [(k0, min(k0 + step, rows)) for k0 in range(0, rows, step)]
+
+
+def in_ranges(rows, make_rows, step=1 << 16):
+    """make_rows over consecutive ranges of `step` rows, columns concatenated."""
+    parts = [make_rows(k0, k1) for k0, k1 in ranges(rows, step)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def stale_sampler_workspace(rows):
@@ -111,13 +121,13 @@ def stale_sampler_workspace(rows):
 
 
 def scan_columns(n):
-    """The (weights, uv, rates, codes) columns of `scan_blocks(n)`, concatenated."""
-    return tuple(np.concatenate(column) for column in zip(*scan_blocks(n)))
+    """The (weights, uv, rates, codes) columns of all rows of `scan_blocks(n)`."""
+    return in_ranges(*scan_blocks(n))
 
 
 def boundary_columns(region, points):
-    """The (samples, uv, branch) columns of `boundary_blocks`, concatenated."""
-    return tuple(np.concatenate(column) for column in zip(*boundary_blocks(region, points)))
+    """The (samples, uv, branch) columns of all rows of `boundary_blocks`."""
+    return in_ranges(*boundary_blocks(region, points))
 
 
 def bits(x):
@@ -240,20 +250,24 @@ class TestBoundaryCurve:
 
     @pytest.mark.parametrize("points", [2, 3, 7, 200, 500, 10**6])
     def test_b_column_is_linspace(self, points):
-        b = np.concatenate([samples[:, 1] for samples, _, _ in boundary_blocks("Y", points)])
+        b = boundary_columns("Y", points)[0][:, 1]
         expected = np.linspace(0.0, BAND_EDGE, points)
         np.testing.assert_array_equal(bits(b[:points]), bits(expected))
         np.testing.assert_array_equal(bits(b[points:]), bits(expected[::-1]))
 
-    def test_blocks_are_consecutive_rows_of_at_most_scan_block_rows(self, monkeypatch):
-        whole = boundary_columns("X", 10)
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 3)
-        blocks = boundary_blocks("X", 10)
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 5)  # read at the call
-        blocks = list(blocks)
-        assert [len(branch) for _, _, branch in blocks] == [3, 3, 3, 3, 3, 3, 2]
-        for column, parts in zip(whole, zip(*blocks)):
-            np.testing.assert_array_equal(bits(column), bits(np.concatenate(parts)))
+    def test_blocks_are_consecutive_rows_of_at_most_scan_block_rows(self):
+        rows, make_rows = boundary_blocks("X", 10)
+        assert rows == 20
+        whole = make_rows(0, rows)
+        # any range, in any order, including ones across the branch join
+        for k0, k1 in [(17, 20), (9, 11), (0, 3), (3, 17), (10, 11), (0, 20)]:
+            part = make_rows(k0, k1)
+            assert len(part[2]) == k1 - k0
+            for column, made in zip(whole, part, strict=True):
+                np.testing.assert_array_equal(bits(column[k0:k1]), bits(made))
+        for step in (3, SCAN_BLOCK_ROWS):
+            for column, made in zip(whole, in_ranges(rows, make_rows, step)):
+                np.testing.assert_array_equal(bits(column), bits(made))
 
 
 class TestQuadrature:
@@ -633,13 +647,11 @@ class TestScanGrid:
     @pytest.mark.parametrize(
         "n, rows", [(1, 1), (9, 1), (9, 7), (60, 7), (60, None), (400, 1000), (400, None)]
     )
-    def test_blocks_concatenate_to_grid(self, monkeypatch, n, rows):
-        if rows is not None:
-            monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
-        blocks = list(scan_blocks(n))
-        columns = scan_columns(n)
-        for k, column in enumerate(columns):
-            np.testing.assert_array_equal(np.concatenate([b[k] for b in blocks]), column)
+    def test_blocks_concatenate_to_grid(self, n, rows):
+        # ranges of `rows` rows (None: the CSV writer's block size)
+        columns = in_ranges(*scan_blocks(n), rows or SCAN_BLOCK_ROWS)
+        for column, whole in zip(columns, scan_columns(n), strict=True):
+            np.testing.assert_array_equal(column, whole)
         # the same rows, embedding, rates and codes as one pass over the whole grid
         raw = np.array(
             [(i / n, j / n, (n - i - j) / n) for i in range(n + 1) for j in range(n - i + 1)]
@@ -653,51 +665,48 @@ class TestScanGrid:
     @pytest.mark.parametrize(
         "n, rows", [(1, None), (126, None), (127, None), (400, None), (5, 7), (20, 7)]
     )
-    def test_blocks_are_consecutive_ranges(self, monkeypatch, n, rows):
-        # full blocks of SCAN_BLOCK_ROWS rows and a shorter last one, whatever
-        # the lines' lengths; the 21 and 231 rows at n = 5 and 20 fill whole
-        # blocks of 7, with no empty block after them
-        if rows is not None:
-            monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
-        q, r = divmod((n + 1) * (n + 2) // 2, geometry.SCAN_BLOCK_ROWS)
-        sizes = [len(codes) for *_, codes in scan_blocks(n)]
-        assert sizes == [geometry.SCAN_BLOCK_ROWS] * q + ([r] if r else [])
+    def test_blocks_are_consecutive_ranges(self, n, rows):
+        # each range of `rows` rows (None: the CSV writer's block size) makes
+        # exactly its rows, whatever the lines' lengths; the 21 and 231 rows
+        # at n = 5 and 20 fill whole ranges of 7
+        step = rows or SCAN_BLOCK_ROWS
+        total, make_rows = scan_blocks(n)
+        assert total == (n + 1) * (n + 2) // 2
+        for k0, k1 in ranges(total, step):
+            weights = make_rows(k0, k1)[0]
+            assert len(weights) == k1 - k0 <= step
 
-    def test_blocks_are_index_addressable(self, monkeypatch):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
-        # 231 grid rows in 33 blocks, 60 curve rows in 9
-        for blocks, count in ((scan_blocks(20), 33), (boundary_blocks("Z", 30), 9)):
-            in_order = list(blocks)
-            assert len(blocks) == len(in_order) == count
-            for k in reversed(range(count)):  # any block, in any order
-                for made, expected in zip(blocks[k], in_order[k], strict=True):
-                    np.testing.assert_array_equal(made, expected)
-            for k in (-1, count):
-                with pytest.raises(IndexError):
-                    blocks[k]
+    def test_blocks_are_index_addressable(self):
+        # any range of rows, in any order, is the same slice of the whole
+        for rows, make_rows in (scan_blocks(20), boundary_blocks("Z", 30)):
+            whole = make_rows(0, rows)
+            cuts = sorted({0, rows, *np.random.default_rng(5).integers(0, rows, 12).tolist()})
+            for k0, k1 in reversed(list(zip(cuts, cuts[1:]))):
+                for made, expected in zip(make_rows(k0, k1), whole, strict=True):
+                    np.testing.assert_array_equal(bits(made), bits(expected[k0:k1]))
 
-    def test_long_lines_are_split(self, monkeypatch):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", 7)
-        sizes = [len(codes) for *_, codes in scan_blocks(20)]
-        assert max(sizes) <= 7
-        assert sum(sizes) == 21 * 22 // 2
+    def test_long_lines_are_split(self):
+        # line 0 of n = 20 holds rows 0-20, line 1 rows 21-40
+        for k0, k1 in [(0, 7), (7, 14), (14, 21), (18, 25), (20, 22), (0, 41)]:
+            block = geometry._grid_rows(20, k0, k1)
+            assert block.shape == (k1 - k0, 3)
+            np.testing.assert_array_equal(block, cumsum_grid_rows(20, k0, k1))
 
     @pytest.mark.parametrize(
         "rows, resolutions",
         [
-            # one-row blocks over every n would take 16 s; every row's line is
+            # one-row ranges over every n would take 16 s; every row's line is
             # checked for all of these n by the test below
             (1, range(1, 61)),
             (7, [*range(1, 61), 400]),
-            (geometry.SCAN_BLOCK_ROWS, [*range(1, 201), 400, 1000]),
+            (SCAN_BLOCK_ROWS, [*range(1, 201), 400, 1000]),
         ],
         ids=["rows1", "rows7", "default"],
     )
-    def test_blocks_match_the_cumsum_reference(self, monkeypatch, rows, resolutions):
-        monkeypatch.setattr(geometry, "SCAN_BLOCK_ROWS", rows)
+    def test_blocks_match_the_cumsum_reference(self, rows, resolutions):
         for n in resolutions:
-            pairs = zip(geometry._grid_blocks(n), cumsum_grid_blocks(n), strict=True)
-            for block, expected in pairs:
+            for k0, k1 in ranges((n + 1) * (n + 2) // 2, rows):
+                block, expected = geometry._grid_rows(n, k0, k1), cumsum_grid_rows(n, k0, k1)
                 assert block.dtype == expected.dtype
                 np.testing.assert_array_equal(block.view(np.int64), expected.view(np.int64))
 
@@ -721,11 +730,13 @@ class TestScanGrid:
     def test_first_block_memory_does_not_grow_with_n(self):
         tracemalloc.start()
         try:
-            block = next(geometry._grid_blocks(10**7))
+            block = geometry._grid_rows(10**7, 0, SCAN_BLOCK_ROWS)
+            rows, make_rows = scan_blocks(10**7)
+            middle = make_rows(rows // 2, rows // 2 + SCAN_BLOCK_ROWS)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert block.shape == (geometry.SCAN_BLOCK_ROWS, 3)
+        assert block.shape == middle.shape == (SCAN_BLOCK_ROWS, 3)
         # the starts of all 10^7 + 1 lines took about 160 MB
         assert peak < 2_000_000, peak
 
