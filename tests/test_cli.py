@@ -1027,6 +1027,65 @@ class TestUsageErrors:
         )
 
 
+class TestParserContract:
+    """What the command line parser itself enforces, whichever library parses."""
+
+    def test_version(self, runner):
+        result = runner.invoke(cli, ["--version"])
+        assert result.exit_code == 0
+        assert result.stdout == "pauli-simplex, version 0.1.0\n"
+
+    @pytest.mark.parametrize(
+        "args", [["scan", "--n", "3"], ["boundary", "--region", "Y", "--points", "3"]],
+        ids=["scan", "boundary"],
+    )
+    def test_out_naming_a_directory_is_usage_error(self, runner, tmp_path, args):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        result = runner.invoke(cli, [*args, "--out", str(folder)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert list(tmp_path.rglob("*")) == [folder]
+
+    @pytest.mark.parametrize(
+        "args, token",
+        [
+            (["scan", "--n", "3"], "--out"),
+            (["scan", "--n", "x", "--out", "unused.csv"], "'x'"),
+            (["measure", "--method", "mc", "--samples", "1e3"], "'1e3'"),
+            (["measure", "--method", "mc", "--no-such-option"], "--no-such-option"),
+            # no option is matched by a prefix of its name
+            (["measure", "--method", "mc", "--sam", "10"], "--sam"),
+            (["measure", "--method", "exact"], "'exact'"),
+        ],
+        ids=["missing-out", "integer", "samples-float", "unknown", "abbreviation", "choice"],
+    )
+    def test_bad_command_line_is_usage_error(self, runner, args, token):
+        result = runner.invoke(cli, args, prog_name="pauli-simplex")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        command = args[0]
+        head, message = result.stderr.split("\nError: ")
+        assert head == (
+            f"Usage: pauli-simplex {command} [OPTIONS]\n"
+            f"Try 'pauli-simplex {command} --help' for help.\n"
+        )
+        assert token in message and "Traceback" not in message
+
+    def test_negative_numbers_are_option_values(self, runner):
+        # whatever float() reads is a value, not an unknown option
+        result = runner.invoke(cli, ["classify", "--a", "-1e-3", "--b", ".5", "--c", ".5"])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: weights must be nonnegative, got (-0.001, 0.5, 0.5)\n")
+        result = run_ok(runner, ["choi", "--a", "-0e0", "--q", ".3", "--p", ".2", "--json"])
+        assert json.loads(result.stdout)["params"]["a"] == 0.0
+        result = runner.invoke(cli, ["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p",
+                                     "-inf"])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: p must be finite, got -inf\n")
+
+
 class TestRecordFormat:
     def test_json_numbers_round_trip(self, runner):
         result = run_ok(
