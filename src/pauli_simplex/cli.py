@@ -5,18 +5,20 @@ Output conventions shared by all subcommands:
 * human-readable mode prints ``key  value`` lines with 9 significant digits;
 * ``--json`` prints one JSON document per invocation with full-precision
   numbers; non-finite values appear as the tokens "inf", "-inf", "nan";
-* exit code 0 on success, 2 on usage or domain errors (the subcommand class
-  `_Subcommand` maps every ValueError to exit 2), 3 on I/O failure;
+* exit code 0 on success, 2 on usage or domain errors (`_Parser.error`
+  reports both, a command's ValueError included), 3 on I/O failure;
 * CSV files are RFC-4180 style with a header row and LF line endings,
   streamed block by block and renamed into place only when complete.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import sys
 import threading
@@ -27,14 +29,12 @@ import threading
 # burn CPU.  This must run before numpy loads; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import click
 import numpy as np
 
 from . import __version__
-from .channels import MixtureWeights
-from .choi import a_matrix_choi, choi_matrix, rhp_witness
+from .channels import AXES, MixtureWeights
 from .divisibility import LABELS, REGIONS, classify
-from .generator import finite_difference_rates, physical_scale, three_mix_rates
+from .generator import CONVENTIONS, finite_difference_rates, physical_scale, three_mix_rates
 from .geometry import (
     boundary_blocks,
     monte_carlo_measures,
@@ -43,8 +43,6 @@ from .geometry import (
     total_measures,
     _usable_cpus,
 )
-
-_IO_EXIT = 3
 
 
 def _token(value):
@@ -73,11 +71,11 @@ def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> 
     """
     if as_json:
         record = dict(command=command, version=__version__, params=params, results=results)
-        click.echo(json.dumps(_token({**record, **extra})))
+        print(json.dumps(_token({**record, **extra})))
         return
-    click.echo(f"command      {command}")
+    print(f"command      {command}")
     for key, value in [*params.items(), *results.items()]:
-        click.echo(f"{key:<12} {_human(value)}")
+        print(f"{key:<12} {_human(value)}")
 
 
 #: rows per block of every CSV the CLI writes, consecutive in row order
@@ -217,6 +215,8 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     are stopped and the error is reported as this process's own.  Returns
     the sum of the tallies.
     """
+    if os.path.isdir(out):
+        raise ValueError(f"file {out!r} is a directory")
     atomic = os.path.isfile(out) or not os.path.exists(out)
     target = os.path.realpath(out)
     path = f"{target}.tmp-{os.getpid()}" if atomic else out
@@ -243,8 +243,8 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
                 os.chmod(path, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(path, target)
     except OSError as exc:
-        click.echo(f"cannot write {out}: {_named(exc, out)}", err=True)
-        sys.exit(_IO_EXIT)
+        print(f"cannot write {out}: {_named(exc, out)}", file=sys.stderr)
+        sys.exit(3)
     finally:
         if children:  # left only when the write failed
             import signal  # here, so that the CLI's start-up loads no more modules
@@ -259,83 +259,45 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     return tally
 
 
-class _Subcommand(click.Command):
-    """A subcommand that reports a ValueError as a usage error naming it (exit 2)."""
+class _Parser(argparse.ArgumentParser):
+    """Matches no option by a prefix of its name, reads any token float() reads as a
+    value (-1e-3 and -inf too), and makes every error a usage error of its command."""
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc), ctx) from None
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
-
-@click.group()
-@click.version_option(version=__version__, prog_name="pauli-simplex")
-def cli():
-    """Analyze convex blends of the three Pauli dephasing semigroups."""
+    def error(self, message):
+        usage = f"Usage: {self.prog} [OPTIONS]\nTry '{self.prog} --help' for help.\n"
+        sys.stderr.write(f"{usage}\nError: {message}\n")
+        sys.exit(2)
 
 
-cli.command_class = _Subcommand
-
-
-@cli.command()
-@click.option("--a", required=True, type=float, help="weight of the x-axis channel")
-@click.option("--b", required=True, type=float, help="weight of the y-axis channel")
-@click.option("--c", required=True, type=float, help="weight of the z-axis channel")
-@click.option("--p", required=True, type=float, help="dephasing parameter in [0, 1/2)")
-@click.option("--r", type=float, default=None, help="decay constant (physical rates)")
-@click.option(
-    "--convention",
-    type=click.Choice(["reduced", "physical"]),
-    default="reduced",
-    show_default=True,
-)
-@click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
 def rates(a, b, c, p, r, convention, as_json):
     """Decay rates of a three-way blend, with a finite-difference cross-check."""
     w = MixtureWeights(a, b, c)
     analytic = three_mix_rates(w, p, convention, r)
     r_check = 1.0 if r is None else r
-    h = min(1e-6, (0.5 - p) / 4.0)
-    fd = finite_difference_rates(w, p, h=h, r=r_check)
+    fd = finite_difference_rates(w, p, h=min(1e-6, (0.5 - p) / 4.0), r=r_check)
     scale = 1.0 if convention == "physical" else physical_scale(r_check, p)
     deltas = [f / scale - g for f, g in zip(fd.as_tuple(), analytic.as_tuple())]
     params = {"a": w.a, "b": w.b, "c": w.c, "p": p, "r": r, "convention": convention}
-    results = {
-        "gamma_x": analytic.gx,
-        "gamma_y": analytic.gy,
-        "gamma_z": analytic.gz,
-        "fd_delta_x": deltas[0],
-        "fd_delta_y": deltas[1],
-        "fd_delta_z": deltas[2],
-        "fd_delta_max": max(abs(d) for d in deltas),
-    }
+    results = {"gamma_x": analytic.gx, "gamma_y": analytic.gy, "gamma_z": analytic.gz,
+               "fd_delta_x": deltas[0], "fd_delta_y": deltas[1], "fd_delta_z": deltas[2],
+               "fd_delta_max": max(abs(d) for d in deltas)}
     _emit("rates", params, results, as_json)
 
 
-@cli.command("classify")
-@click.option("--a", required=True, type=float)
-@click.option("--b", required=True, type=float)
-@click.option("--c", required=True, type=float)
-@click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
 def classify_cmd(a, b, c, as_json):
     """Markovian / non-Markovian verdict with the limiting rates."""
     w = MixtureWeights(a, b, c)
     label = classify(w)
     gx, gy, gz = label.limit_rates
-    results = {
-        "label": label.tag,
-        "region": label.region or "",
-        "gamma_x": gx,
-        "gamma_y": gy,
-        "gamma_z": gz,
-    }
+    results = {"label": label.tag, "region": label.region or "",
+               "gamma_x": gx, "gamma_y": gy, "gamma_z": gz}
     _emit("classify", {"a": w.a, "b": w.b, "c": w.c}, results, as_json)
 
 
-@cli.command()
-@click.option("--n", required=True, type=int, help="grid resolution (>= 1)")
-@click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
 def scan(n, out):
     """Classify the triangular grid and write one CSV row per point."""
     rows, grid = scan_grid(n)
@@ -347,18 +309,9 @@ def scan(n, out):
 
     header = ["a", "b", "c", "u", "v", "label", "region", "gamma_x", "gamma_y", "gamma_z"]
     markovian = _write_csv(out, header, rows, make_rows)
-    click.echo(f"wrote {rows} rows to {out} (markovian fraction {_human(markovian / rows)})")
+    print(f"wrote {rows} rows to {out} (markovian fraction {_human(markovian / rows)})")
 
 
-@cli.command()
-@click.option(
-    "--method", required=True, type=click.Choice(["quad", "mc"]), help="estimator"
-)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--samples", type=int, default=1_000_000, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
 def measure(method, tol, samples, seed, threads, as_json):
     """Region measures by quadrature or seeded Monte Carlo."""
     if method == "quad":
@@ -370,10 +323,6 @@ def measure(method, tol, samples, seed, threads, as_json):
     _emit("measure", params, dataclasses.asdict(report), as_json, **extra)
 
 
-@cli.command()
-@click.option("--region", required=True, type=click.Choice(["X", "Y", "Z"]))
-@click.option("--points", required=True, type=int, help="samples per branch (>= 2)")
-@click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV path")
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
     rows, curve = boundary_blocks(region, points)
@@ -383,28 +332,18 @@ def boundary(region, points, out):
         return [*samples.T, *uv.T, branch], 0
 
     _write_csv(out, ["a", "b", "c", "u", "v", "branch"], rows, make_rows)
-    click.echo(f"wrote {rows} rows to {out}")
+    print(f"wrote {rows} rows to {out}")
 
 
-@cli.command("choi")
-@click.option("--a", required=True, type=float, help="mixing fraction in [0, 1]")
-@click.option("--q", required=True, type=float, help="later dephasing parameter")
-@click.option("--p", required=True, type=float, help="earlier dephasing parameter")
-@click.option("--oracle", is_flag=True, help="cross-check against the transfer-matrix route")
-@click.option("--json", "as_json", is_flag=True, help="emit a JSON record")
 def choi_cmd(a, q, p, oracle, as_json):
     """Dynamical matrix of the intermediate map, spectrum, and CP verdict."""
+    from .choi import a_matrix_choi, choi_matrix, rhp_witness  # no other command loads it
+
     witness = rhp_witness(a, q, p)
     x1, x2, x3 = witness.ratios
-    results = {
-        "x1": x1,
-        "x2": x2,
-        "x3": x3,
-        "eigenvalues": witness.eigenvalues,
-        "min_eigenvalue": witness.min_eigenvalue,
-        "cp": not witness.nonmarkovian,
-        "verdict": witness.verdict,
-    }
+    results = {"x1": x1, "x2": x2, "x3": x3, "eigenvalues": witness.eigenvalues,
+               "min_eigenvalue": witness.min_eigenvalue, "cp": not witness.nonmarkovian,
+               "verdict": witness.verdict}
     if oracle:
         dev = abs(a_matrix_choi(a, q, p).matrix - choi_matrix(*witness.ratios).matrix).max()
         results["oracle_max_deviation"] = float(dev)
@@ -413,12 +352,73 @@ def choi_cmd(a, q, p, oracle, as_json):
         _emit("choi", params, results, True)
     else:
         _emit("choi", params, {k: v for k, v in results.items() if k != "eigenvalues"}, False)
-        click.echo("eigenvalues  " + " ".join(map(_human, witness.eigenvalues)))
+        print("eigenvalues  " + " ".join(map(_human, witness.eigenvalues)))
 
 
-def main():
-    """Console-script entry point."""
-    cli()
+def _parser(prog: str) -> _Parser:
+    """Every command and its options; a command's defaults name its function."""
+    parser = _Parser(prog=prog, description="Analyze convex blends of Pauli dephasing semigroups.")
+    parser.add_argument("--version", action="version",
+                        version=f"pauli-simplex, version {__version__}")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run):
+        name = run.__name__.removesuffix("_cmd")
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run, parser=sub)
+        return sub.add_argument
+
+    option = command(rates)
+    for axis, name in zip("abc", "xyz"):
+        option(f"--{axis}", required=True, type=float, help=f"weight of the {name}-axis channel")
+    option("--p", required=True, type=float, help="dephasing parameter in [0, 1/2)")
+    option("--r", type=float, help="decay constant (physical rates)")
+    option("--convention", choices=CONVENTIONS, default="reduced", help="default: %(default)s")
+    option("--json", dest="as_json", action="store_true", help="emit a JSON record")
+    option = command(classify_cmd)
+    for axis in "abc":
+        option(f"--{axis}", required=True, type=float)
+    option("--json", dest="as_json", action="store_true", help="emit a JSON record")
+    option = command(scan)
+    option("--n", required=True, type=int, help="grid resolution (>= 1)")
+    option("--out", required=True, help="CSV path")
+    option = command(measure)
+    option("--method", required=True, choices=["quad", "mc"], help="estimator")
+    option("--tol", type=float, default=1e-8, help="default: %(default)s")
+    option("--samples", type=int, default=1_000_000, help="default: %(default)s")
+    option("--seed", type=int, default=42, help="default: %(default)s")
+    option("--threads", type=int, default=1, help="default: %(default)s")
+    option("--json", dest="as_json", action="store_true", help="emit a JSON record")
+    option = command(boundary)
+    option("--region", required=True, choices=AXES)
+    option("--points", required=True, type=int, help="samples per branch (>= 2)")
+    option("--out", required=True, help="CSV path")
+    option = command(choi_cmd)
+    option("--a", required=True, type=float, help="mixing fraction in [0, 1]")
+    option("--q", required=True, type=float, help="later dephasing parameter")
+    option("--p", required=True, type=float, help="earlier dephasing parameter")
+    option("--oracle", action="store_true", help="cross-check against the transfer-matrix route")
+    option("--json", dest="as_json", action="store_true", help="emit a JSON record")
+    return parser
+
+
+def cli(args=None, prog_name="pauli-simplex") -> None:
+    """Run the command that `args` (default: sys.argv[1:]) names."""
+    params, extra = _parser(prog_name).parse_known_args(args)
+    options = vars(params)
+    run, parser = options.pop("run"), options.pop("parser")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        run(**options)
+    except ValueError as exc:  # a domain error
+        parser.error(str(exc))
+
+
+# click.testing.CliRunner, through which the tests and the benchmark run
+# commands in process, reads a command's `name` and calls its `main`
+cli.name, cli.main = "pauli-simplex", cli
+main = cli  # the console script
 
 
 if __name__ == "__main__":

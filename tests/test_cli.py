@@ -1144,18 +1144,49 @@ class TestImportCost:
         assert run_child(code) == "False\n"
 
     def test_cli_import_leaves_futures_logging_and_oracles_unloaded(self):
-        # the CLI loads every core module, so this also holds if any of them
-        # imported the oracles; the CSV workers are plain forks, with no
-        # process pool and no shutil copy.  -S skips the site module, whose
-        # .pth files may import shutil at start-up, so the site-packages
-        # directories go on the path by hand
+        # the CLI loads neither click nor `choi`, which only its own command
+        # imports.  With `choi` imported too, every core module is loaded, so
+        # the second line also holds if any of them imported the oracles; the
+        # CSV workers are plain forks, with no process pool and no shutil
+        # copy.  -S skips the site module, whose .pth files may import shutil
+        # at start-up, so the site-packages directories go on the path by hand
         code = """
 import sys, pauli_simplex.cli
+print(sorted({"click", "pauli_simplex.choi"} & set(sys.modules)))
+import pauli_simplex.choi
 unwanted = {"concurrent.futures", "logging", "multiprocessing", "pauli_simplex.oracles", "shutil"}
 print(sorted(unwanted & set(sys.modules)))
 """
         path = os.pathsep.join([child_env()["PYTHONPATH"], *site.getsitepackages()])
-        assert run_child(code, "-S", PYTHONPATH=path) == "[]\n"
+        assert run_child(code, "-S", PYTHONPATH=path) == "[]\n[]\n"
+
+    #: run the CLI on its arguments in an interpreter that cannot import click
+    NO_CLICK = """
+import sys
+sys.modules["click"] = None  # from here on, import click raises ImportError
+from pauli_simplex.cli import cli
+cli(sys.argv[1:])
+"""
+
+    def test_commands_run_where_click_cannot_be_imported(self, runner, tmp_path):
+        # numpy is the one runtime dependency: click only drives the tests
+        def child(*args):
+            done = subprocess.run(
+                [sys.executable, "-c", self.NO_CLICK, *args],
+                env=child_env(), capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        # the record that TestClassify.test_nonmarkovian_json pins
+        classify = ["classify", "--a", ".45", "--b", ".1", "--c", ".45", "--json"]
+        assert child(*classify) == run_ok(runner, classify).stdout
+        out = tmp_path / "scan.csv"
+        summary = f"wrote 55 rows to {out} (markovian fraction 0.181818182)\n"
+        assert child("scan", "--n", "9", "--out", str(out)) == summary
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
+        mc = ["measure", "--method", "mc", "--samples", "100000", "--seed", "42", "--json"]
+        assert child(*mc) == run_ok(runner, [*mc, "--threads", "1"]).stdout
 
     def test_every_public_name_resolves(self):
         code = """
