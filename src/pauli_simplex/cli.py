@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
 import re
 import stat
 import sys
-import threading
 
 # The package's matrix products (the dot product over at most 128 quadrature
 # nodes, and under `choi --oracle` the 4 x 4 Choi and transfer products) are
@@ -41,7 +41,8 @@ from .geometry import (
     # the name under which perfbench/traced.py times the scan's block source
     scan_blocks as scan_grid,
     total_measures,
-    _usable_cpus,
+    _forked,
+    _workers,
 )
 
 
@@ -139,61 +140,10 @@ def _write_blocks(fh, make_rows, k0: int, k1: int) -> int:
     return tally
 
 
-def _workers(blocks: int) -> int:
-    """Processes to format a file's blocks: one per usable CPU, at most one
-    per block, and only this one without os.fork or while another thread
-    runs (a forked child would hold only the calling thread, and any lock
-    another thread held would stay locked in it)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(_usable_cpus(), blocks)
-
-
 def _named(exc: OSError, out: str) -> OSError:
     """The error to report: one that names a file names the target, not the
     temporary or part file."""
     return OSError(exc.errno, exc.strerror, out) if exc.filename is not None else exc
-
-
-def _fork(part: str, out: str, make_rows, k0: int, k1: int) -> tuple:
-    """Fork a worker that writes rows k0 to k1 - 1 to the file `part`.
-
-    The worker sends back, through a pipe, its `_write_blocks` tally or the
-    text of the OSError it met, and ends with os._exit, so it runs no exit
-    handler and flushes no buffer it inherited.  Returns (pid, read end).
-    """
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1
-    try:
-        os.close(read)
-        try:
-            with open(part, "w", newline="") as fh:
-                report = _write_blocks(fh, make_rows, k0, k1)
-        except OSError as exc:
-            report = str(_named(exc, out))
-        os.write(write, json.dumps(report).encode())
-        code = 0
-    except BaseException:  # reported here: a worker never returns into the caller's frames
-        sys.excepthook(*sys.exc_info())
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, read: int) -> int:
-    """Wait for a worker and return its tally; raise OSError if it failed."""
-    with open(read, "rb") as pipe:
-        report = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if not report:
-        raise OSError(f"CSV worker {pid} stopped without a report (wait status {status})")
-    report = json.loads(report)
-    if isinstance(report, str):
-        raise OSError(report)
-    return report
 
 
 def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
@@ -208,12 +158,11 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     pipe, such as /dev/stdout) is written in place, by this process alone.
 
     Otherwise `_workers` processes share the blocks in contiguous ranges of
-    near-equal length.  This process writes the first range into the
-    temporary file while each forked worker writes the next ones into part
-    files beside it; then this process appends the parts in order.  The
-    bytes are the same for any number of workers.  If one fails, the others
-    are stopped and the error is reported as this process's own.  Returns
-    the sum of the tallies.
+    near-equal length: this process writes the first into the temporary
+    file, each forked worker one of the next into a part file beside it,
+    and this process appends the parts in order, so the bytes do not depend
+    on the number of workers.  A worker's error is reported as this
+    process's own (see `_forked`).  Returns the sum of the tallies.
     """
     if os.path.isdir(out):
         raise ValueError(f"file {out!r} is a directory")
@@ -223,18 +172,24 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     blocks = -(-rows // SCAN_BLOCK_ROWS)
     workers = _workers(blocks) if atomic else 1
     bounds = [min(blocks * w // workers * SCAN_BLOCK_ROWS, rows) for w in range(workers + 1)]
-    parts = {w: f"{path}.{w}" for w in range(1, workers)}
-    children = {}
+    parts = {bounds[w]: f"{path}.{w}" for w in range(1, workers)}  # by first row
+
+    def write(k0: int, k1: int) -> int:
+        if not k0:
+            return _write_blocks(fh, make_rows, k0, k1)
+        try:
+            with open(parts[k0], "w", newline="") as part:
+                return _write_blocks(part, make_rows, k0, k1)
+        except OSError as exc:
+            raise _named(exc, out) from None
+
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             fh.flush()  # a worker inherits the buffer, though it never writes it
-            for w, part in parts.items():
-                children[w] = _fork(part, out, make_rows, bounds[w], bounds[w + 1])
-            tally = _write_blocks(fh, make_rows, bounds[0], bounds[1])
+            tally = sum(_forked(write, list(zip(bounds, bounds[1:])), "CSV worker"))
             fh.flush()
-            for w, part in parts.items():
-                tally += _reap(*children.pop(w))
+            for part in parts.values():
                 with open(part, "rb", buffering=0) as src:
                     while chunk := src.read(1 << 16):
                         fh.buffer.write(chunk)
@@ -246,13 +201,6 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
         print(f"cannot write {out}: {_named(exc, out)}", file=sys.stderr)
         sys.exit(3)
     finally:
-        if children:  # left only when the write failed
-            import signal  # here, so that the CLI's start-up loads no more modules
-
-            for pid, read in children.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read)
         for name in [path, *parts.values()] if atomic else []:
             if os.path.exists(name):
                 os.remove(name)
@@ -280,6 +228,8 @@ def rates(a, b, c, p, r, convention, as_json):
     r_check = 1.0 if r is None else r
     fd = finite_difference_rates(w, p, h=min(1e-6, (0.5 - p) / 4.0), r=r_check)
     scale = 1.0 if convention == "physical" else physical_scale(r_check, p)
+    if not scale:  # the reduced rates cannot be recovered from zero physical ones
+        raise ValueError(f"decay constant r={r} is too small: the physical rate scale rounds to 0")
     deltas = [f / scale - g for f, g in zip(fd.as_tuple(), analytic.as_tuple())]
     params = {"a": w.a, "b": w.b, "c": w.c, "p": p, "r": r, "convention": convention}
     results = {"gamma_x": analytic.gx, "gamma_y": analytic.gy, "gamma_z": analytic.gz,
@@ -418,8 +368,13 @@ def cli(args=None, prog_name="pauli-simplex") -> None:
 # click.testing.CliRunner, through which the tests and the benchmark run
 # commands in process, reads a command's `name` and calls its `main`
 cli.name, cli.main = "pauli-simplex", cli
-main = cli  # the console script
 
+
+def main() -> None:
+    """The console script: `cli` after gc.freeze, so that the collections at
+    exit, and in forked workers, skip the ~21,000 objects of the imports."""
+    gc.freeze()
+    cli()
 
 if __name__ == "__main__":
     main()

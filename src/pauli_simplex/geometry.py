@@ -12,8 +12,10 @@ normalized so the whole simplex has measure 1.
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -214,8 +216,8 @@ def sample_simplex(n: int, rng: np.random.Generator, out: np.ndarray | None = No
 #: float64 columns (points, draw, row sums, one more classifier column; the
 #: classifier's scratch reuses the draw) and three byte columns, about
 #: 1.1 MB in all.  With such a workspace, 2^15 rows gave 0.4-2.5 MB more peak
-#: memory, and 2^13 about 8 % more wall time in per-call overhead under the
-#: interpreter lock
+#: memory; on two worker processes 1e7 samples took about 8 % more wall time
+#: at 2^13 rows (per-call overhead), 2 % more at 2^15 and 23 % more at 2^16
 MC_SLICE_ROWS = 1 << 14
 
 
@@ -228,11 +230,74 @@ def _binomial_se(phat: float, n: int) -> float:
     return math.sqrt(var / n)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
+def _workers(tasks: int) -> int:
+    """Processes to share `tasks` among: one per CPU this process may run on
+    (its affinity set where the OS has one) and at most one per task; only
+    this one without os.fork or while another thread runs, since a forked
+    child would hold only the calling thread, and any lock another held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(len(os.sched_getaffinity(0)), tasks)
+    return min(os.cpu_count() or 1, tasks)
+
+
+def _forked(work, jobs: list, what: str) -> list:
+    """[work(*job) for job in jobs]: the first job in this process, each other
+    in a child forked before it (see `_fork`).  If a job fails, the children
+    left are killed and reaped first; a child's error message, or its end
+    without a report, is raised here as a ChildProcessError (an OSError)."""
+    children = []
+    try:
+        for job in jobs[1:]:
+            children.append(_fork(work, job))
+        results = [work(*jobs[0])]
+        while children:
+            pid, read = children.pop(0)
+            with open(read, "rb") as pipe:
+                report = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            if not report:
+                raise ChildProcessError(
+                    f"{what} {pid} stopped without a report (wait status {status})"
+                )
+            ok, value = json.loads(report)
+            if not ok:
+                raise ChildProcessError(value)
+            results.append(value)
+        return results
+    finally:
+        if children:  # left only when a job failed
+            import signal  # here, so that the CLI's start-up loads no more modules
+
+            for pid, read in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+
+
+def _fork(work, job: tuple) -> tuple:
+    """Fork a child that sends [True, work(*job)], or [False, the message of
+    the exception it met], as JSON through a pipe and ends with os._exit, so
+    it runs no exit handler and flushes no buffer; returns (pid, read end)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            report = [True, work(*job)]
+        except Exception as exc:  # raised again by the caller
+            report = [False, str(exc)]
+        os.write(write, json.dumps(report).encode())
+        code = 0
+    except BaseException:  # reported here: a child never returns into the caller's frames
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
 
 
 def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
@@ -245,17 +310,16 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
     in consecutive slices of at most MC_SLICE_ROWS rows from its generator,
     and those draws concatenate bit for bit to one draw of the whole chunk.
 
-    There are at most as many workers as threads, chunks and usable CPUs.
-    Worker w counts chunks w, w + workers, ..., so neither the seeds nor the
-    work queue grow with n.  Each worker allocates one workspace of
-    MC_SLICE_ROWS rows before its first slice and draws and classifies every
-    slice in it, so no slice allocates a draw, points or classifier arrays;
-    only counting makes a short-lived bool mask per region.  The calling
-    thread is worker 0 and each other worker runs on a thread of its own; an
-    exception in any worker is raised here once all have stopped.  The
-    counts are integer sums, so neither the worker count nor the slice
-    length changes the result.  The error field is the binomial standard
-    error of the total non-Markovian fraction.
+    There are at most as many workers as threads, chunks and usable CPUs,
+    and worker w counts chunks w, w + workers, ..., so neither the seeds nor
+    the work queue grow with n.  Each worker draws and classifies every
+    slice in one workspace of MC_SLICE_ROWS rows, allocated before its first
+    slice, so only counting allocates: a short-lived bool mask per region.
+    This process is worker 0 and each other worker a forked child (see
+    `_forked`), so they share no interpreter lock.  The counts are integer
+    sums, so neither the worker count nor the slice length changes the
+    result.  The error field is the binomial standard error of the total
+    non-Markovian fraction.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
@@ -263,9 +327,10 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
         raise ValueError(f"threads must be >= 1, got {threads}")
     chunk, slice_rows = 1 << 18, MC_SLICE_ROWS
     n_chunks = (n + chunk - 1) // chunk
-    workers = min(threads, n_chunks, _usable_cpus())
+    workers = _workers(min(threads, n_chunks))
+    random = np.random  # loaded here, before the fork, so that no worker loads it again
 
-    def count_chunks(first: int) -> np.ndarray:
+    def count_chunks(first: int) -> list:
         # rows 0-2 points, 3-5 draw, 6 row sums, 7 one more classifier
         # column; the classifier's floats are rows 3-7
         floats = np.empty((8, slice_rows))
@@ -273,36 +338,15 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
         counts = np.zeros(3, dtype=np.intp)
         for i in range(first, n_chunks, workers):
             size = min(chunk, n - i * chunk)
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            rng = random.default_rng(random.SeedSequence(seed, spawn_key=(i,)))
             for start in range(0, size, slice_rows):
                 points = sample_simplex(min(slice_rows, size - start), rng, floats[:7])
                 codes = region_codes(points, work)
                 for k in range(3):
                     counts[k] += np.count_nonzero(codes == k)
-        return counts
+        return counts.tolist()
 
-    results = [None] * workers
-
-    def run(w: int) -> None:
-        try:
-            results[w] = count_chunks(w)
-        except Exception as exc:  # raised again below, in the calling thread
-            results[w] = exc
-
-    helpers = []
-    try:
-        for w in range(1, workers):
-            helper = threading.Thread(target=run, args=(w,))
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for t in helpers:
-            t.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    counts = sum(results)
+    counts = np.sum(_forked(count_chunks, [(w,) for w in range(workers)], "MC worker"), axis=0)
 
     fractions = counts / n
     total = float(fractions.sum())

@@ -2,6 +2,7 @@ import ast
 import builtins
 import csv
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -372,8 +373,10 @@ class TestScan:
             ["-0.0", "2.5", "7.0", "nan"],
         ]
 
-    def test_repr_runs_once_per_value_missing_from_the_table(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)  # no forked worker
+    def test_repr_runs_once_per_value_missing_from_the_table(
+        self, runner, tmp_path, monkeypatch, usable_cpus
+    ):
+        usable_cpus(1)  # no forked worker
         formatted = shadow_repr(monkeypatch)
         run_ok(runner, ["scan", "--n", "400", "--out", str(tmp_path / "grid.csv")])
         # 192,179 values are distinct within their block and 60,367 within the
@@ -545,18 +548,6 @@ class TestAtomicWrite:
         assert summary == b"55 rows to /dev/stdout (markovian fraction 0.181818182)\n"
 
 
-def count_forks(monkeypatch):
-    """Record the row range of each CSV worker the CLI forks; returns the list."""
-    ranges, fork = [], pauli_simplex.cli._fork
-
-    def counting(part, out, make_rows, k0, k1):
-        ranges.append((k0, k1))
-        return fork(part, out, make_rows, k0, k1)
-
-    monkeypatch.setattr(pauli_simplex.cli, "_fork", counting)
-    return ranges
-
-
 def assert_no_child_left():
     """Every process this one forked has been reaped."""
     with pytest.raises(ChildProcessError):
@@ -575,38 +566,42 @@ class TestWorkers:
     @pytest.mark.golden
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("output", sorted(OUTPUTS))
-    def test_worker_count_does_not_change_bytes(self, runner, tmp_path, monkeypatch, output, cpus):
+    def test_worker_count_does_not_change_bytes(
+        self, runner, tmp_path, monkeypatch, forks, usable_cpus, output, cpus
+    ):
         args, digest = self.OUTPUTS[output]
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         out = tmp_path / "out.csv"
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)
+        usable_cpus(1)
         alone = run_ok(runner, [*args, "--out", str(out)]).output
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: cpus)
-        ranges = count_forks(monkeypatch)
+        usable_cpus(cpus)
         assert run_ok(runner, [*args, "--out", str(out)]).output == alone
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         # this process writes the first range, each worker one of the next
-        assert len(ranges) == cpus - 1
-        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert len(forks) == cpus - 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(forks, forks[1:]))
         assert os.listdir(tmp_path) == ["out.csv"]
         assert_no_child_left()
 
     @pytest.mark.golden
-    def test_more_cpus_than_blocks_give_one_worker_per_block(self, runner, tmp_path, monkeypatch):
+    def test_more_cpus_than_blocks_give_one_worker_per_block(
+        self, runner, tmp_path, monkeypatch, forks, usable_cpus
+    ):
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)  # 55 rows in 8 blocks
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 12)
-        ranges = count_forks(monkeypatch)
+        usable_cpus(12)
         out = tmp_path / "grid.csv"
         result = run_ok(runner, ["scan", "--n", "9", "--out", str(out)])
         assert result.output == f"wrote 55 rows to {out} (markovian fraction 0.181818182)\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
-        assert ranges == [(k, min(k + 7, 55)) for k in range(7, 55, 7)]
+        assert forks == [(k, min(k + 7, 55)) for k in range(7, 55, 7)]
         assert_no_child_left()
 
     @pytest.mark.parametrize("rows", [1, 6, 7, 8, 21, 50])
-    def test_one_worker_asks_for_consecutive_blocks(self, tmp_path, monkeypatch, rows):
+    def test_one_worker_asks_for_consecutive_blocks(
+        self, tmp_path, monkeypatch, usable_cpus, rows
+    ):
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 1)
+        usable_cpus(1)
         ranges = []
 
         def make_rows(k0, k1):
@@ -621,10 +616,10 @@ class TestWorkers:
         assert all(0 < k1 - k0 <= 7 for k0, k1 in ranges)
         assert out.read_text() == "x\n" + "".join(f"{k / 4!r}\n" for k in range(rows))
 
-    def test_one_worker_without_fork_or_beside_another_thread(self, monkeypatch):
-        from pauli_simplex.cli import _workers
+    def test_one_worker_without_fork_or_beside_another_thread(self, monkeypatch, usable_cpus):
+        from pauli_simplex.geometry import _workers
 
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 4)
+        usable_cpus(4)
         assert [_workers(blocks) for blocks in (1, 3, 4, 10)] == [1, 3, 4, 4]
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
@@ -639,15 +634,18 @@ class TestWorkers:
         assert _workers(10) == 1
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
-    def test_device_is_written_by_this_process_alone(self, runner, monkeypatch):
+    def test_device_is_written_by_this_process_alone(
+        self, runner, monkeypatch, forks, usable_cpus
+    ):
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 4)
-        ranges = count_forks(monkeypatch)
+        usable_cpus(4)
         run_ok(runner, ["scan", "--n", "9", "--out", os.devnull])
-        assert ranges == []
+        assert forks == []
 
     @pytest.mark.parametrize("existing", [None, "old contents\n"])
-    def test_worker_failure_after_its_first_block(self, runner, tmp_path, monkeypatch, existing):
+    def test_worker_failure_after_its_first_block(
+        self, runner, tmp_path, monkeypatch, usable_cpus, existing
+    ):
         parent, grid_rows, made = os.getpid(), geometry._grid_rows, []
 
         def failing(n, k0, k1):
@@ -660,7 +658,7 @@ class TestWorkers:
 
         monkeypatch.setattr(geometry, "_grid_rows", failing)
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)  # 8 blocks: 2, 3 and 3 a process
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 3)
+        usable_cpus(3)
         out = tmp_path / "grid.csv"
         if existing is not None:
             out.write_text(existing)
@@ -675,7 +673,7 @@ class TestWorkers:
         if existing is not None:
             assert out.read_text() == existing
 
-    def test_worker_that_ends_without_a_report(self, runner, tmp_path, monkeypatch):
+    def test_worker_that_ends_without_a_report(self, runner, tmp_path, monkeypatch, usable_cpus):
         parent, grid_rows = os.getpid(), geometry._grid_rows
 
         def ending(n, k0, k1):
@@ -685,7 +683,7 @@ class TestWorkers:
 
         monkeypatch.setattr(geometry, "_grid_rows", ending)
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 2)
+        usable_cpus(2)
         out = tmp_path / "grid.csv"
         result = runner.invoke(cli, ["scan", "--n", "9", "--out", str(out)])
         assert result.exit_code == 3
@@ -730,12 +728,11 @@ class TestExactCertificate:
     these checks bound by finding no disagreement.
     """
 
-    def test_csv_of_forked_workers_at_n400(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(pauli_simplex.cli, "_usable_cpus", lambda: 2)
-        ranges = count_forks(monkeypatch)
+    def test_csv_of_forked_workers_at_n400(self, runner, tmp_path, forks, usable_cpus):
+        usable_cpus(2)
         out = tmp_path / "grid.csv"
         run_ok(runner, ["scan", "--n", "400", "--out", str(out)])
-        assert len(ranges) == 1
+        assert len(forks) == 1
         with open(out, newline="") as fh:
             body = list(csv.reader(fh))[1:]
         codes = np.array([{"": -1, "X": 0, "Y": 1, "Z": 2}[row[6]] for row in body])
@@ -794,9 +791,10 @@ class TestMeasure:
     def test_monte_carlo_peak_memory_is_bounded(self):
         args = ["--method", "mc", "--samples", str(1 << 21), "--threads", "2"]
         extra = peak_rss_kib("measure", *args) - peak_rss_kib()
-        # one workspace of 2^14 rows per worker: about 8.8 MB above the
-        # import, where allocating 2^15-row slices took about 13.6 MB and
-        # whole 2^18-row chunks about 51 MB
+        # one workspace of 2^14 rows per worker process: about 7.2 MB above
+        # the import (two threads in one process took about 8.8 MB),
+        # where allocating 2^15-row slices took about 13.6 MB and whole
+        # 2^18-row chunks about 51 MB
         assert extra < 12 * 1024, extra
 
     def test_bad_method(self, runner):
@@ -1006,13 +1004,17 @@ class TestUsageErrors:
             (["measure", "--method", "quad", "--tol", "-1"], "tol must be > 0, got -1.0"),
             (["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", ".3", "--r", "-1",
               "--convention", "physical"], "decay constant r must be > 0, got -1.0"),
+            # the reduced rates' cross-check would divide by a scale of 0
+            (["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", ".3", "--r", "5e-324"],
+             "decay constant r=5e-324 is too small: the physical rate scale rounds to 0"),
             (["scan", "--n", "0", "--out", "unused.csv"], "grid resolution must be >= 1, got 0"),
             (["boundary", "--region", "Y", "--points", "1", "--out", "unused.csv"],
              "need at least 2 points per branch, got 1"),
         ],
         ids=[
             "classify-negative", "classify-nan", "choi-fraction", "choi-oracle-singular",
-            "measure-threads", "measure-tol", "rates-r", "scan-resolution", "boundary-points",
+            "measure-threads", "measure-tol", "rates-r", "rates-r-underflow", "scan-resolution",
+            "boundary-points",
         ],
     )
     def test_usage_line_names_the_subcommand(self, runner, args, message):
@@ -1084,6 +1086,43 @@ class TestParserContract:
                                      "-inf"])
         assert result.exit_code == 2
         assert result.stderr.endswith("Error: p must be finite, got -inf\n")
+
+
+class TestConsoleScript:
+    """`main`, the console script, freezes the import-time heap; `cli` freezes nothing."""
+
+    CLASSIFY = ["classify", "--a", ".45", "--b", ".1", "--c", ".45", "--json"]
+    #: run the command through `main`, or as `python -m` does, then report the freeze
+    FROZEN = """
+import gc, runpy, sys
+if sys.argv[1] == "main":
+    from pauli_simplex.cli import main
+    sys.argv[1:] = sys.argv[2:]
+    main()
+else:
+    sys.argv[1:] = sys.argv[2:]
+    runpy.run_module("pauli_simplex.cli", run_name="__main__", alter_sys=True)
+print(gc.get_freeze_count())
+"""
+
+    @pytest.mark.parametrize("entry", ["main", "-m"])
+    def test_main_freezes_the_heap(self, runner, entry):
+        child = subprocess.run(
+            [sys.executable, "-c", self.FROZEN, entry, *self.CLASSIFY],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        record, frozen = child.stdout.rsplit("\n", 2)[:2]
+        assert record + "\n" == run_ok(runner, self.CLASSIFY).stdout
+        # the imports leave about 21,000 objects, numpy's most of them
+        assert int(frozen) > 10_000
+
+    def test_cli_in_process_freezes_nothing(self, runner, tmp_path):
+        assert gc.get_freeze_count() == 0
+        run_ok(runner, self.CLASSIFY)
+        run_ok(runner, ["measure", "--method", "mc", "--samples", str(1 << 19), "--threads", "2"])
+        run_ok(runner, ["scan", "--n", "9", "--out", str(tmp_path / "grid.csv")])
+        assert gc.get_freeze_count() == 0
 
 
 class TestRecordFormat:

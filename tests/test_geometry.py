@@ -1,6 +1,8 @@
 import functools
 import math
+import os
 import threading
+import time
 import tracemalloc
 from decimal import Decimal, getcontext, localcontext
 
@@ -327,58 +329,80 @@ class TestMonteCarlo:
         b = monte_carlo_measures(50_000, seed=7)
         assert a == b
 
-    @pytest.fixture
-    def drawing(self, monkeypatch):
-        """The thread of every `sample_simplex` call: the workers actually started."""
-        threads, sample = [], geometry.sample_simplex
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            return sample(*args)
-
-        monkeypatch.setattr(geometry, "sample_simplex", recording)
-        return threads
-
-    def test_worker_count_is_capped(self, monkeypatch, drawing):
+    def test_worker_count_is_capped(self, monkeypatch, forks, usable_cpus):
         # a huge thread request starts no more workers than chunks or usable
-        # CPUs, the calling thread among them
+        # CPUs, this process among them
         monkeypatch.setattr(geometry.os, "cpu_count", lambda: 64)
         n = 3 * (1 << 18)
         serial = monte_carlo_measures(n, seed=9, threads=1)
+        assert forks == []
         for cpus, workers in ((64, 3), (2, 2), (1, 1)):
-            affinity = set(range(cpus))
-            monkeypatch.setattr(
-                geometry.os, "sched_getaffinity", lambda pid: affinity, raising=False
-            )
-            drawing.clear()
+            usable_cpus(cpus)
+            forks.clear()
             assert monte_carlo_measures(n, seed=9, threads=10**6) == serial
-            assert len(set(drawing)) == workers
-            assert threading.current_thread() in drawing
+            assert forks == [(w,) for w in range(1, workers)]
 
-    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch, drawing):
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch, forks):
         # where the OS has no affinity set, os.cpu_count caps the workers
         monkeypatch.delattr(geometry.os, "sched_getaffinity", raising=False)
         n = 3 * (1 << 18)
         for cores, workers in ((2, 2), (None, 1)):
             monkeypatch.setattr(geometry.os, "cpu_count", lambda: cores)
-            drawing.clear()
+            forks.clear()
             monte_carlo_measures(n, seed=9, threads=10**6)
-            assert len(set(drawing)) == workers
+            assert len(forks) == workers - 1
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        caller, sample = threading.current_thread(), geometry.sample_simplex
+    def test_one_process_without_fork_or_beside_another_thread(
+        self, monkeypatch, forks, usable_cpus
+    ):
+        usable_cpus(2)
+        n = 3 * (1 << 18)
+        expected = monte_carlo_measures(n, seed=9, threads=1)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert monte_carlo_measures(n, seed=9, threads=2) == expected
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        monkeypatch.delattr(geometry.os, "fork")
+        assert monte_carlo_measures(n, seed=9, threads=2) == expected
+        assert forks == []
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, usable_cpus):
+        parent, sample = os.getpid(), geometry.sample_simplex
 
         def failing(*args):
-            if threading.current_thread() is not caller:
+            if os.getpid() != parent:
                 raise MemoryError("no room for a workspace")
             return sample(*args)
 
         monkeypatch.setattr(geometry, "sample_simplex", failing)
-        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        before = threading.active_count()
+        usable_cpus(2)
+        with pytest.raises(ChildProcessError, match="^no room for a workspace$"):
+            monte_carlo_measures(2 << 18, seed=1, threads=2)
+        with pytest.raises(ChildProcessError):  # every child has been reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_error_stops_the_workers(self, monkeypatch, forks, usable_cpus):
+        parent = os.getpid()
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise MemoryError("no room for a workspace")
+            time.sleep(60)  # a worker that would outlast the test unless killed
+
+        monkeypatch.setattr(geometry, "sample_simplex", failing)
+        usable_cpus(2)
+        start = time.perf_counter()
         with pytest.raises(MemoryError, match="no room"):
             monte_carlo_measures(2 << 18, seed=1, threads=2)
-        assert threading.active_count() == before
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):  # the worker was killed and reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_thread_count_does_not_change_result(self):
         a = monte_carlo_measures(600_000, seed=3, threads=1)
