@@ -10,7 +10,7 @@ those triples, lives in `pauli_simplex.oracles`, which no command imports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ def _check_fraction(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class MixtureWeights:
+class MixtureWeights(NamedTuple("MixtureWeights", [("a", float), ("b", float), ("c", float)])):
     """Convex mixing fractions (a, b, c) of the three dephasing channels.
 
     The fractions must be nonnegative and sum to 1 within WEIGHT_SUM_TOL; a
@@ -46,22 +45,22 @@ class MixtureWeights:
     float error).
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = [
-            _require_finite(n, getattr(self, n)) for n in ("a", "b", "c")
-        ]
+    def __new__(cls, a: float, b: float, c: float):
+        vals = [_require_finite(n, v) for n, v in zip(("a", "b", "c"), (a, b, c))]
         if min(vals) < -WEIGHT_SUM_TOL:
             raise ValueError(f"weights must be nonnegative, got {tuple(vals)}")
         vals = [max(v, 0.0) for v in vals]
         total = sum(vals)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-        for name, v in zip(("a", "b", "c"), vals):
-            object.__setattr__(self, name, v / total)
+        return super().__new__(cls, *(v / total for v in vals))
+
+    def __reduce__(self):
+        # copies and unpickling keep the renormalized values: a second
+        # renormalization could move their last bits
+        return self._make, (tuple(self),)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])

@@ -15,7 +15,7 @@ without the eigenvalue-ratio shortcut, and LAPACK diagonalizes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,19 +53,18 @@ def intermediate_ratios(a: float, q: float, p: float) -> tuple:
     return (x1, x2, x3)
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
+class ChoiMatrix(NamedTuple("ChoiMatrix", [("matrix", np.ndarray)])):
     """4x4 dynamical matrix of a qubit map, held as a read-only complex array.
 
     The array is a copy, so the caller's own array stays writable.
     """
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def __new__(cls, matrix: np.ndarray):
+        m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending numerical spectrum, by LAPACK."""
@@ -105,8 +104,7 @@ def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
     return np.sort(eigs)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Positivity test of one intermediate map: its ratios and ascending Choi spectrum."""
 
     ratios: tuple

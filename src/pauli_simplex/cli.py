@@ -14,9 +14,7 @@ Output conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
-import json
 import math
 import os
 import re
@@ -71,6 +69,8 @@ def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> 
     version and the `extra` keys.
     """
     if as_json:
+        import json  # here, so that no other start-up loads it
+
         record = dict(command=command, version=__version__, params=params, results=results)
         print(json.dumps(_token({**record, **extra})))
         return
@@ -150,12 +150,15 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     """Write the header, then rows 0 to rows - 1 in blocks of SCAN_BLOCK_ROWS.
 
     make_rows(k0, k1) returns the equal-length columns of rows k0 to k1 - 1
-    and a tally; no field needs quoting.  The rows go to a temporary file
-    beside the target (beside the file a symbolic link names), renamed over
-    it once complete, so a failed write (exit 3) leaves neither a partial
-    file nor the temporary one; a file it replaces keeps its permission
-    bits.  A target that exists and is not a regular file (a device or a
-    pipe, such as /dev/stdout) is written in place, by this process alone.
+    and a tally; no field needs quoting.  An `out` that can only name a
+    directory ('', one that exists, or a path ending in a separator, . or
+    ..) is a usage error, raised before any row is formed.  The rows go to
+    a temporary file beside the target (beside the file a symbolic link
+    names), renamed over it once complete, so a failed write (exit 3)
+    leaves neither a partial file nor the temporary one; a file it replaces
+    keeps its permission bits.  A target that exists and is not a regular
+    file (a device or a pipe, such as /dev/stdout) is written in place, by
+    this process alone.
 
     Otherwise `_workers` processes share the blocks in contiguous ranges of
     near-equal length: this process writes the first into the temporary
@@ -164,8 +167,8 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     on the number of workers.  A worker's error is reported as this
     process's own (see `_forked`).  Returns the sum of the tallies.
     """
-    if os.path.isdir(out):
-        raise ValueError(f"file {out!r} is a directory")
+    if os.path.basename(out) in ("", ".", "..") or os.path.isdir(out):
+        raise ValueError(f"file {out!r} names a directory")
     atomic = os.path.isfile(out) or not os.path.exists(out)
     target = os.path.realpath(out)
     path = f"{target}.tmp-{os.getpid()}" if atomic else out
@@ -270,7 +273,7 @@ def measure(method, tol, samples, seed, threads, as_json):
     else:
         report = monte_carlo_measures(samples, seed, threads)
         params, extra = {"method": method, "samples": samples, "seed": seed}, {"seed": seed}
-    _emit("measure", params, dataclasses.asdict(report), as_json, **extra)
+    _emit("measure", params, report._asdict(), as_json, **extra)
 
 
 def boundary(region, points, out):

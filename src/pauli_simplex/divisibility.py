@@ -11,7 +11,7 @@ themselves, in extended-real arithmetic, are only computed for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ LABELS = np.array([MARKOVIAN, NONMARKOVIAN, NONMARKOVIAN, NONMARKOVIAN], dtype=o
 REGIONS = np.array(["", *AXES], dtype=object)
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(NamedTuple):
     """Verdict for one blend: divisible, or which rate turns negative."""
 
     tag: str

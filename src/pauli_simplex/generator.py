@@ -21,7 +21,7 @@ eigenvalues is provided as an independent oracle for the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .channels import (
 CONVENTIONS = ("reduced", "physical")
 
 
-@dataclass(frozen=True)
-class DecayRates:
+class DecayRates(NamedTuple):
     """Generator decay rates for the x, y, z dissipators."""
 
     gx: float
@@ -41,7 +40,7 @@ class DecayRates:
     gz: float
 
     def as_tuple(self) -> tuple:
-        return (self.gx, self.gy, self.gz)
+        return tuple(self)
 
 
 def physical_scale(r: float, p: float) -> float:

@@ -10,14 +10,16 @@ Measures are taken uniform in the (a, b) parametrization of the simplex,
 normalized so the whole simplex has measure 1.
 """
 
+# keeps annotations strings: evaluated, np.random.Generator on `sample_simplex`
+# would load numpy.random at every CLI start-up (about 6 ms and 5 MB more)
 from __future__ import annotations
 
-import json
 import math
 import os
+import pickle
 import sys
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,8 +148,7 @@ def _region_measure(tol: float) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Per-region and aggregate measures with the estimator's error scale."""
 
     region_x: float
@@ -158,7 +159,7 @@ class MeasureReport:
     error: float
 
     def regions(self) -> tuple:
-        return (self.region_x, self.region_y, self.region_z)
+        return self[:3]
 
 
 def total_measures(tol: float = 1e-8) -> MeasureReport:
@@ -261,7 +262,7 @@ def _forked(work, jobs: list, what: str) -> list:
                 raise ChildProcessError(
                     f"{what} {pid} stopped without a report (wait status {status})"
                 )
-            ok, value = json.loads(report)
+            ok, value = pickle.loads(report)
             if not ok:
                 raise ChildProcessError(value)
             results.append(value)
@@ -278,7 +279,7 @@ def _forked(work, jobs: list, what: str) -> list:
 
 def _fork(work, job: tuple) -> tuple:
     """Fork a child that sends [True, work(*job)], or [False, the message of
-    the exception it met], as JSON through a pipe and ends with os._exit, so
+    the exception it met], pickled through a pipe and ends with os._exit, so
     it runs no exit handler and flushes no buffer; returns (pid, read end)."""
     read, write = os.pipe()
     pid = os.fork()
@@ -292,7 +293,7 @@ def _fork(work, job: tuple) -> tuple:
             report = [True, work(*job)]
         except Exception as exc:  # raised again by the caller
             report = [False, str(exc)]
-        os.write(write, json.dumps(report).encode())
+        os.write(write, pickle.dumps(report))
         code = 0
     except BaseException:  # reported here: a child never returns into the caller's frames
         sys.excepthook(*sys.exc_info())

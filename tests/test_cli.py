@@ -1049,6 +1049,25 @@ class TestParserContract:
         assert result.stdout == ""
         assert list(tmp_path.rglob("*")) == [folder]
 
+    @pytest.mark.parametrize("out", ["", "newdir/"], ids=["empty", "trailing-slash"])
+    @pytest.mark.parametrize(
+        "args", [["scan", "--n", "3"], ["boundary", "--region", "Y", "--points", "3"]],
+        ids=["scan", "boundary"],
+    )
+    def test_out_that_can_only_name_a_directory_is_usage_error(
+        self, runner, tmp_path, monkeypatch, args, out
+    ):
+        # '' once wrote <cwd>.tmp-<pid> beside the working directory and
+        # exited 3; newdir/ exited 0 with a regular file named newdir
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        result = runner.invoke(cli, [*args, "--out", out])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(f"Error: file {out!r} names a directory\n")
+        assert list(tmp_path.rglob("*")) == [work]
+
     @pytest.mark.parametrize(
         "args, token",
         [
@@ -1198,6 +1217,23 @@ print(sorted(unwanted & set(sys.modules)))
 """
         path = os.pathsep.join([child_env()["PYTHONPATH"], *site.getsitepackages()])
         assert run_child(code, "-S", PYTHONPATH=path) == "[]\n[]\n"
+
+    def test_cli_import_leaves_json_dataclasses_and_numpy_extras_unloaded(self):
+        # json loads only under --json and numpy.polynomial only under
+        # `measure --method quad`; numpy.random, which `measure --method mc`
+        # loads, is kept out by geometry's `from __future__ import
+        # annotations` (without it, its np.random.Generator annotation cost
+        # every command's import about 6 ms and 5 MB of peak memory).  The
+        # records are named tuples, so `choi` adds no dataclasses either.
+        # -S as above
+        code = """
+import sys, pauli_simplex.cli
+print(sorted({"json", "dataclasses", "numpy.random", "numpy.polynomial"} & set(sys.modules)))
+import pauli_simplex.choi
+print("dataclasses" in sys.modules)
+"""
+        path = os.pathsep.join([child_env()["PYTHONPATH"], *site.getsitepackages()])
+        assert run_child(code, "-S", PYTHONPATH=path) == "[]\nFalse\n"
 
     #: run the CLI on its arguments in an interpreter that cannot import click
     NO_CLICK = """
