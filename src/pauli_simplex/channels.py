@@ -3,8 +3,8 @@
 Every channel handled here is unital and diagonal in the Pauli operator basis,
 so a channel is fully described by the triple of factors it applies to the
 three Bloch components, and all closed-form work downstream happens on those
-triples.  The explicit 2x2 action on qubit states, an independent check of
-those triples, lives in `pauli_simplex.oracles`, which no command imports.
+triples.  The Pauli matrices and the explicit 2x2 action on qubit states, an
+independent check of those triples, live in `pauli_simplex.oracles`.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 AXES = ("X", "Y", "Z")
 

@@ -8,9 +8,8 @@ matrix's spectrum have closed forms in those ratios.  A negative eigenvalue
 witnesses a not-completely-positive intermediate map and hence
 non-Markovianity; the witness reads it from the closed-form spectrum.
 
-The matrices serve as checks, with row-stacked vectorization: the
-transfer-matrix route in `a_matrix_choi` rebuilds the dynamical matrix
-without the eigenvalue-ratio shortcut, and LAPACK diagonalizes it.
+The matrix itself, and the transfer-matrix route that rebuilds it without
+the eigenvalue-ratio shortcut, are checks: they live in `oracles`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import SIGMA_Y, SIGMA_Z, _check_fraction, _check_p, _require_finite
+from .channels import _check_fraction, _check_p
 from .divisibility import MARKOVIAN, NONMARKOVIAN
 
 #: eigenvalue floor below which an intermediate map counts as NCP
@@ -53,46 +52,8 @@ def intermediate_ratios(a: float, q: float, p: float) -> tuple:
     return (x1, x2, x3)
 
 
-class ChoiMatrix(NamedTuple("ChoiMatrix", [("matrix", np.ndarray)])):
-    """4x4 dynamical matrix of a qubit map, held as a read-only complex array.
-
-    The array is a copy, so the caller's own array stays writable.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, matrix: np.ndarray):
-        m = np.array(matrix, dtype=complex)
-        m.flags.writeable = False
-        return super().__new__(cls, m)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending numerical spectrum, by LAPACK."""
-        return np.linalg.eigvalsh(self.matrix)
-
-
-def choi_matrix(x1: float, x2: float, x3: float) -> ChoiMatrix:
-    """Dynamical matrix of the Pauli-diagonal map with eigenvalues (x1, x2, x3).
-
-    Nonzero entries sit on the diagonal and anti-diagonal only; the spectrum
-    is {(1 + x3 +/- (x1 + x2))/2, (1 - x3 +/- (x1 - x2))/2}.
-    """
-    for name, v in (("x1", x1), ("x2", x2), ("x3", x3)):
-        _require_finite(name, v)
-    m = 0.5 * np.array(
-        [
-            [1 + x3, 0, 0, x1 + x2],
-            [0, 1 - x3, x1 - x2, 0],
-            [0, x1 - x2, 1 - x3, 0],
-            [x1 + x2, 0, 0, 1 + x3],
-        ],
-        dtype=complex,
-    )
-    return ChoiMatrix(m)
-
-
 def choi_eigenvalues(x1: float, x2: float, x3: float) -> np.ndarray:
-    """Closed-form spectrum of choi_matrix(x1, x2, x3), ascending: the witness.
+    """Closed-form spectrum of oracles.choi_matrix(x1, x2, x3), ascending: the witness.
 
     Nonnegative exactly when |x1 +/- x2| <= 1 +/- x3.  It takes only +, - and
     /2, so it is exact for exact inputs: given fractions.Fraction ratios it
@@ -136,40 +97,9 @@ def rhp_witness(a: float, q: float, p: float) -> WitnessReport:
     return WitnessReport(ratios, eigs, verdict)
 
 
-def a_matrix(a: float, p: float) -> np.ndarray:
-    """Transfer matrix of the blend on row-stacked density matrices.
-
-    Built from the Pauli form of the channel, (1-p) rho + a p Z rho Z +
-    (1-a) p Y rho Y: with row stacking, rho -> s rho s is kron(s, s.T), so it
-    is independent of any eigenvalue bookkeeping.
-    """
-    a = _check_fraction("a", a)
-    p = _check_p(p)
-    return (
-        (1.0 - p) * np.eye(4, dtype=complex)
-        + a * p * np.kron(SIGMA_Z, SIGMA_Z.T)
-        + (1.0 - a) * p * np.kron(SIGMA_Y, SIGMA_Y.T)
-    )
-
-
-def _reshuffle(transfer: np.ndarray) -> np.ndarray:
-    """Reorder transfer-matrix entries into the dynamical matrix.
-
-    With row stacking, entry ((i, j), (k, l)) of the transfer matrix is entry
-    ((i, k), (j, l)) of the dynamical matrix: swap the two middle indices.
-    """
-    return transfer.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-
-
-def a_matrix_choi(a: float, q: float, p: float) -> ChoiMatrix:
-    """Dynamical matrix of the intermediate map via explicit transfer matrices.
-
-    Composes the blend at q with the numerical inverse of the blend at p and
-    reshuffles.  Must agree entrywise with choi_matrix(intermediate_ratios(...)).
-    """
-    a, q, p = _check_aqp(a, q, p)
-    forward = a_matrix(a, q)
-    base = a_matrix(a, p)
-    if 1.0 - 2.0 * p < 1e-14:  # the smallest eigenvalue of base
-        raise ValueError(f"transfer matrix at p={p} is singular")
-    return ChoiMatrix(_reshuffle(forward @ np.linalg.inv(base)))
+def __getattr__(name):
+    # forwards perfbench/verify_scalar.py's imports to `oracles`; ROADMAP item 13 deletes it
+    if name in ("a_matrix_choi", "choi_matrix"):
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .channels import AXES, MixtureWeights
 from .divisibility import LABELS, REGIONS, classify
-from .generator import CONVENTIONS, finite_difference_rates, physical_scale, three_mix_rates
+from .generator import CONVENTIONS, physical_scale, three_mix_rates
 from .geometry import (
     boundary_blocks,
     monte_carlo_measures,
@@ -226,6 +226,7 @@ class _Parser(argparse.ArgumentParser):
 
 def rates(a, b, c, p, r, convention, as_json):
     """Decay rates of a three-way blend, with a finite-difference cross-check."""
+    from .oracles import finite_difference_rates  # only `rates` and `choi --oracle` load it
     w = MixtureWeights(a, b, c)
     analytic = three_mix_rates(w, p, convention, r)
     r_check = 1.0 if r is None else r
@@ -290,7 +291,7 @@ def boundary(region, points, out):
 
 def choi_cmd(a, q, p, oracle, as_json):
     """Dynamical matrix of the intermediate map, spectrum, and CP verdict."""
-    from .choi import a_matrix_choi, choi_matrix, rhp_witness  # no other command loads it
+    from .choi import rhp_witness  # no other command loads it
 
     witness = rhp_witness(a, q, p)
     x1, x2, x3 = witness.ratios
@@ -298,6 +299,7 @@ def choi_cmd(a, q, p, oracle, as_json):
                "min_eigenvalue": witness.min_eigenvalue, "cp": not witness.nonmarkovian,
                "verdict": witness.verdict}
     if oracle:
+        from .oracles import a_matrix_choi, choi_matrix
         dev = abs(a_matrix_choi(a, q, p).matrix - choi_matrix(*witness.ratios).matrix).max()
         results["oracle_max_deviation"] = float(dev)
     params = {"a": a, "q": q, "p": p}

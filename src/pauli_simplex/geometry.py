@@ -139,7 +139,7 @@ def _region_measure(tol: float) -> tuple:
     while n < _GAUSS_LAST:
         n *= 2
         fine = rule(n)
-        err = abs(fine - coarse) + math.sqrt(n) * np.finfo(float).eps * fine
+        err = abs(fine - coarse) + math.sqrt(n) * sys.float_info.epsilon * fine
         if err <= tol:
             return fine, err
         coarse = fine

@@ -1,21 +1,26 @@
 """Independent checks of the core's closed forms, used only for verification.
 
-No command imports this module.  It holds the action of the three Pauli
-channels on 2x2 state arrays, the two-channel cross rate and the brute-force
-p-scan classifier.  The closed-form Choi spectrum is the witness itself, in
-`choi`; its check is LAPACK's diagonalization, `ChoiMatrix.eigenvalues`.
+Only `rates` and `choi --oracle` load it: the Pauli channels' 2x2 action, the
+two-channel cross rate, finite-difference rates, the brute-force p-scan, and
+the Choi matrices, on which LAPACK checks the closed-form witness spectrum.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .channels import AXES, SIGMA_Y, SIGMA_Z, MixtureWeights
+from .channels import AXES, MixtureWeights, three_mix_eigenvalues
 from .channels import _check_fraction, _check_p, _require_finite
-from .divisibility import NEG_TOL, RegionLabel, _label, rate_minima_over_grid
+from .choi import _check_aqp
+from .divisibility import NEG_TOL, RegionLabel, _label
+from .generator import DecayRates, physical_scale, signed_sums
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULI = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
@@ -63,6 +68,44 @@ def two_mix_cross_rate(a: float, p: float, pdot: float) -> float:
     return -2.0 * (num / den) * pdot
 
 
+def finite_difference_rates(
+    w: MixtureWeights, p: float, h: float = 1e-6, r: float = 1.0
+) -> DecayRates:
+    """Physical decay rates extracted numerically from the channel eigenvalues.
+
+    For a Pauli-diagonal evolution the pairwise rate sums are fixed by the
+    logarithmic derivatives of the eigenvalues,
+
+        g_i + g_j = -(1/2) d ln(lambda_k) / dt   (k the remaining axis),
+
+    so the rates follow from central differences of ln(lambda) over p and the
+    chain rule through pdot.  A forward difference is used when p - h would
+    leave the domain.  Independent of the closed forms; used to validate them.
+    """
+    p = _check_p(p)
+    h = _require_finite("h", h)
+    if h <= 0:
+        raise ValueError(f"step h must be > 0, got {h}")
+    central = p - h >= 0.0  # else the forward stencil, which reaches p+2h
+    step, reach = ("p+h", p + h) if central else ("p+2h", p + 2.0 * h)
+    if reach >= 0.5:
+        raise ValueError(f"step {step}={reach} reaches the p=1/2 boundary")
+
+    def log_eigs(q: float) -> np.ndarray:
+        return np.log(three_mix_eigenvalues(w, q))
+
+    if central:
+        dlog_dp = (log_eigs(p + h) - log_eigs(p - h)) / (2.0 * h)
+    else:
+        # one-sided second-order stencil keeps accuracy at the p=0 boundary
+        dlog_dp = (
+            -3.0 * log_eigs(p) + 4.0 * log_eigs(p + h) - log_eigs(p + 2.0 * h)
+        ) / (2.0 * h)
+
+    u = -dlog_dp * physical_scale(r, p)  # u[k] = g_i + g_j for the other two axes
+    return DecayRates(*(0.5 * signed_sums(u)).tolist())
+
+
 def _divisibility(rates: np.ndarray) -> np.ndarray:
     """Region codes of an (n, 3) rate array: -1 Markovian, else axis index.
 
@@ -74,6 +117,34 @@ def _divisibility(rates: np.ndarray) -> np.ndarray:
     return np.where((rates < NEG_TOL).any(axis=1), np.argmin(rates, axis=1), -1)
 
 
+def default_scan_grid() -> np.ndarray:
+    """Dense p grid for brute-force verdicts: uniform plus a tail toward 1/2.
+
+    A rate that first turns negative only beyond the last uniform point would
+    be missed by a uniform grid (about 0.06% of the simplex lies in that
+    sliver), so geometrically spaced points approaching 1/2 are appended; the
+    rates stay finite on all of them.
+    """
+    uniform = np.linspace(0.0005, 0.4995, 1000)
+    tail = 0.5 - 5e-4 * 0.5 ** np.arange(1, 41)
+    return np.concatenate([uniform, tail])
+
+
+def rate_minima_over_grid(weights: np.ndarray) -> np.ndarray:
+    """Per-axis minima of the reduced rates over `default_scan_grid`, rows of (n, 3) weights."""
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    p = default_scan_grid()
+    mins = np.empty((w.shape[0], 3))
+    # chunked so the (chunk, len(p), 3) intermediate stays small
+    step = 4_000_000 // (3 * p.size)
+    for lo in range(0, w.shape[0], step):
+        u = 1.0 - w[lo : lo + step]  # (m, 3)
+        terms = u[:, None, :] / (1.0 - 2.0 * u[:, None, :] * p[None, :, None])
+        rates = signed_sums(terms)  # (m, len(p), 3)
+        mins[lo : lo + step] = rates.min(axis=1)
+    return mins
+
+
 def classify_by_rate_scan(w: MixtureWeights) -> RegionLabel:
     """Brute-force verdict: minimize the analytic rates over a dense p grid.
 
@@ -82,3 +153,80 @@ def classify_by_rate_scan(w: MixtureWeights) -> RegionLabel:
     """
     rates = rate_minima_over_grid(w.as_array())
     return _label(int(_divisibility(rates)[0]), rates[0])
+
+
+class ChoiMatrix(NamedTuple("ChoiMatrix", [("matrix", np.ndarray)])):
+    """4x4 dynamical matrix of a qubit map, held as a read-only complex array.
+
+    The array is a copy, so the caller's own array stays writable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, matrix: np.ndarray):
+        m = np.array(matrix, dtype=complex)
+        m.flags.writeable = False
+        return super().__new__(cls, m)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending numerical spectrum, by LAPACK."""
+        return np.linalg.eigvalsh(self.matrix)
+
+
+def choi_matrix(x1: float, x2: float, x3: float) -> ChoiMatrix:
+    """Dynamical matrix of the Pauli-diagonal map with eigenvalues (x1, x2, x3).
+
+    Nonzero entries sit on the diagonal and anti-diagonal only; the spectrum
+    is {(1 + x3 +/- (x1 + x2))/2, (1 - x3 +/- (x1 - x2))/2}.
+    """
+    for name, v in (("x1", x1), ("x2", x2), ("x3", x3)):
+        _require_finite(name, v)
+    m = 0.5 * np.array(
+        [
+            [1 + x3, 0, 0, x1 + x2],
+            [0, 1 - x3, x1 - x2, 0],
+            [0, x1 - x2, 1 - x3, 0],
+            [x1 + x2, 0, 0, 1 + x3],
+        ],
+        dtype=complex,
+    )
+    return ChoiMatrix(m)
+
+
+def a_matrix(a: float, p: float) -> np.ndarray:
+    """Transfer matrix of the blend on row-stacked density matrices.
+
+    Built from the Pauli form of the channel, (1-p) rho + a p Z rho Z +
+    (1-a) p Y rho Y: with row stacking, rho -> s rho s is kron(s, s.T), so it
+    is independent of any eigenvalue bookkeeping.
+    """
+    a = _check_fraction("a", a)
+    p = _check_p(p)
+    return (
+        (1.0 - p) * np.eye(4, dtype=complex)
+        + a * p * np.kron(SIGMA_Z, SIGMA_Z.T)
+        + (1.0 - a) * p * np.kron(SIGMA_Y, SIGMA_Y.T)
+    )
+
+
+def _reshuffle(transfer: np.ndarray) -> np.ndarray:
+    """Reorder transfer-matrix entries into the dynamical matrix.
+
+    With row stacking, entry ((i, j), (k, l)) of the transfer matrix is entry
+    ((i, k), (j, l)) of the dynamical matrix: swap the two middle indices.
+    """
+    return transfer.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+def a_matrix_choi(a: float, q: float, p: float) -> ChoiMatrix:
+    """Dynamical matrix of the intermediate map via explicit transfer matrices.
+
+    Composes the blend at q with the numerical inverse of the blend at p and
+    reshuffles.  Must agree entrywise with choi_matrix(intermediate_ratios(...)).
+    """
+    a, q, p = _check_aqp(a, q, p)
+    forward = a_matrix(a, q)
+    base = a_matrix(a, p)
+    if 1.0 - 2.0 * p < 1e-14:  # the smallest eigenvalue of base
+        raise ValueError(f"transfer matrix at p={p} is singular")
+    return ChoiMatrix(_reshuffle(forward @ np.linalg.inv(base)))

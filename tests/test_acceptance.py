@@ -13,15 +13,10 @@ import numpy as np
 from click.testing import CliRunner
 
 from pauli_simplex.channels import MixtureWeights
-from pauli_simplex.choi import a_matrix_choi, choi_matrix, intermediate_ratios, rhp_witness
+from pauli_simplex.choi import intermediate_ratios, rhp_witness
 from pauli_simplex.cli import cli
-from pauli_simplex.divisibility import (
-    NEG_TOL,
-    limit_rates_array,
-    rate_minima_over_grid,
-    region_codes,
-)
-from pauli_simplex.generator import finite_difference_rates, signed_sums, three_mix_rates
+from pauli_simplex.divisibility import NEG_TOL, limit_rates_array, region_codes
+from pauli_simplex.generator import signed_sums, three_mix_rates
 from pauli_simplex.geometry import (
     BAND_EDGE,
     boundary_roots,
@@ -29,7 +24,13 @@ from pauli_simplex.geometry import (
     monte_carlo_measures,
     total_measures,
 )
-from pauli_simplex.oracles import two_mix_cross_rate
+from pauli_simplex.oracles import (
+    a_matrix_choi,
+    choi_matrix,
+    finite_difference_rates,
+    rate_minima_over_grid,
+    two_mix_cross_rate,
+)
 
 MC_SAMPLES = 1_000_000
 MC_SEED = 42

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauli_simplex.channels import AXES, MixtureWeights, three_mix_eigenvalues
-from pauli_simplex.choi import a_matrix, a_matrix_choi, intermediate_ratios, rhp_witness
+from pauli_simplex.choi import intermediate_ratios, rhp_witness
 from pauli_simplex.oracles import (
     PAULI,
+    a_matrix,
+    a_matrix_choi,
     apply_pauli_channel,
     bloch_state,
     two_mix_cross_rate,

@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from pauli_simplex.channels import MixtureWeights, three_mix_eigenvalues
-from pauli_simplex.choi import (
-    WITNESS_TOL,
-    ChoiMatrix,
-    a_matrix,
-    a_matrix_choi,
-    choi_eigenvalues,
-    choi_matrix,
-    intermediate_ratios,
-    rhp_witness,
-)
+from pauli_simplex.choi import WITNESS_TOL, choi_eigenvalues, intermediate_ratios, rhp_witness
+from pauli_simplex.oracles import ChoiMatrix, a_matrix, a_matrix_choi, choi_matrix
 
 # exact spectrum bottom of the (a, q, p) = (0.1, 0.45, 0.4) intermediate map:
 # ratios are (1/2, 91/92, 19/28) and the smallest eigenvalue is -27/322
@@ -196,7 +188,7 @@ class TestWitness:
         def refuse(*args, **kwargs):
             raise AssertionError("the witness built a matrix or called np.linalg")
 
-        monkeypatch.setattr("pauli_simplex.choi.ChoiMatrix", refuse)
+        monkeypatch.setattr("pauli_simplex.oracles.ChoiMatrix", refuse)
         for name in np.linalg.__all__:
             if name != "LinAlgError":
                 monkeypatch.setattr(np.linalg, name, refuse)

@@ -756,6 +756,28 @@ class TestMeasure:
         assert record["results"]["total"] == pytest.approx(0.867, abs=3e-3)
         assert record["results"]["markovian"] == pytest.approx(0.133, abs=3e-3)
 
+    @pytest.mark.golden
+    def test_quadrature_bytes(self, runner):
+        result = run_ok(runner, ["measure", "--method", "quad", "--json"])
+        assert result.stdout == (
+            '{"command": "measure", "version": "0.1.0", '
+            '"params": {"method": "quad", "tol": 1e-08}, '
+            '"results": {"region_x": 0.2898021206836057, "region_y": 0.2898021206836057, '
+            '"region_z": 0.2898021206836057, "total": 0.8694063620508172, '
+            '"markovian": 0.13059363794918277, "error": 8.620384971362932e-14}}\n'
+        )
+        assert run_ok(runner, ["measure", "--method", "quad"]).stdout == (
+            "command      measure\n"
+            "method       quad\n"
+            "tol          1e-08\n"
+            "region_x     0.289802121\n"
+            "region_y     0.289802121\n"
+            "region_z     0.289802121\n"
+            "total        0.869406362\n"
+            "markovian    0.130593638\n"
+            "error        8.62038497e-14\n"
+        )
+
     @pytest.mark.parametrize(
         "args", [["--method", "quad"], ["--method", "mc", "--samples", "1000"]]
     )
@@ -965,7 +987,7 @@ class TestChoi:
 
     @pytest.mark.parametrize("flags", [[], ["--json"], ["--oracle"], ["--oracle", "--json"]])
     def test_builds_the_matrix_only_for_the_oracle(self, runner, monkeypatch, flags):
-        from pauli_simplex import choi
+        from pauli_simplex import oracles
 
         calls = {"choi_matrix": 0, "eigvalsh": 0}
 
@@ -975,8 +997,8 @@ class TestChoi:
                 return fn(*args, **kwargs)
             return call
 
-        builder = counted("choi_matrix", choi.choi_matrix)
-        monkeypatch.setattr(choi, "choi_matrix", builder)
+        builder = counted("choi_matrix", oracles.choi_matrix)
+        monkeypatch.setattr(oracles, "choi_matrix", builder)
         # a front end that imported the builder would call it under its own name
         monkeypatch.setattr(pauli_simplex.cli, "choi_matrix", builder, raising=False)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
@@ -1234,6 +1256,82 @@ print("dataclasses" in sys.modules)
 """
         path = os.pathsep.join([child_env()["PYTHONPATH"], *site.getsitepackages()])
         assert run_child(code, "-S", PYTHONPATH=path) == "[]\nFalse\n"
+
+    #: the names that `perfbench/verify_scalar.py` still reads from their old modules
+    FORWARDED = [
+        ("choi", "a_matrix_choi"),
+        ("choi", "choi_matrix"),
+        ("divisibility", "rate_minima_over_grid"),
+        ("generator", "finite_difference_rates"),
+    ]
+
+    @pytest.mark.parametrize("module, name", FORWARDED)
+    def test_forwarded_name_loads_the_oracles_only_when_read(self, module, name):
+        code = f"""
+import sys
+from pauli_simplex import {module}
+print("pauli_simplex.oracles" in sys.modules)
+value = {module}.{name}
+from pauli_simplex import oracles
+print(value is oracles.{name})
+"""
+        assert run_child(code) == "False\nTrue\n"
+
+    def test_no_other_name_is_forwarded(self):
+        # the moved names that verify_scalar.py does not import, and a name
+        # that never existed, fail as plain missing attributes
+        code = """
+import sys
+from pauli_simplex import choi, divisibility, generator
+for module, name in [(choi, "ChoiMatrix"), (choi, "a_matrix"), (choi, "_reshuffle"),
+                     (divisibility, "default_scan_grid"), (generator, "no_such_name")]:
+    try:
+        getattr(module, name)
+    except AttributeError as exc:
+        print(exc)
+print("pauli_simplex.oracles" in sys.modules)
+"""
+        assert run_child(code).splitlines() == [
+            "module 'pauli_simplex.choi' has no attribute 'ChoiMatrix'",
+            "module 'pauli_simplex.choi' has no attribute 'a_matrix'",
+            "module 'pauli_simplex.choi' has no attribute '_reshuffle'",
+            "module 'pauli_simplex.divisibility' has no attribute 'default_scan_grid'",
+            "module 'pauli_simplex.generator' has no attribute 'no_such_name'",
+            "False",
+        ]
+
+    def test_verify_scalar_imports_work_verbatim(self):
+        source = (ROOT / "perfbench" / "verify_scalar.py").read_text().splitlines()
+        old = ("from pauli_simplex.choi ", "from pauli_simplex.divisibility ",
+               "from pauli_simplex.generator ")
+        lines = [line for line in source if line.startswith(old)]
+        assert len(lines) == 3
+        code = "\n".join([*lines, "import sys", "print('pauli_simplex.oracles' in sys.modules)"])
+        assert run_child(code) == "True\n"
+
+    @pytest.mark.parametrize(
+        "args, loads",
+        [
+            (["classify", "--a", ".45", "--b", ".1", "--c", ".45"], False),
+            (["scan", "--n", "9", "--out", "OUT"], False),
+            (["boundary", "--region", "Y", "--points", "50", "--out", "OUT"], False),
+            (["measure", "--method", "quad"], False),
+            (["measure", "--method", "mc", "--samples", "10000", "--seed", "42"], False),
+            (["choi", "--a", ".1", "--q", ".45", "--p", ".4", "--json"], False),
+            (["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", ".2"], True),
+            (["choi", "--a", ".1", "--q", ".45", "--p", ".4", "--oracle"], True),
+        ],
+        ids=["classify", "scan", "boundary", "quad", "mc", "choi", "rates", "choi-oracle"],
+    )
+    def test_only_rates_and_the_choi_oracle_load_the_oracles(self, tmp_path, args, loads):
+        args = [str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in args]
+        code = f"""
+import sys
+from pauli_simplex.cli import cli
+cli({args!r})
+print("pauli_simplex.oracles" in sys.modules)
+"""
+        assert run_child(code).splitlines()[-1] == str(loads)
 
     #: run the CLI on its arguments in an interpreter that cannot import click
     NO_CLICK = """

@@ -13,9 +13,7 @@ from pauli_simplex.divisibility import (
     NEG_TOL,
     NONMARKOVIAN,
     classify,
-    default_scan_grid,
     limit_rates_array,
-    rate_minima_over_grid,
     region_codes,
 )
 from pauli_simplex.geometry import (
@@ -25,7 +23,12 @@ from pauli_simplex.geometry import (
     grid_weights,
     sample_simplex,
 )
-from pauli_simplex.oracles import _divisibility, classify_by_rate_scan
+from pauli_simplex.oracles import (
+    _divisibility,
+    classify_by_rate_scan,
+    default_scan_grid,
+    rate_minima_over_grid,
+)
 
 
 def limit_rates_of(w: MixtureWeights) -> np.ndarray:

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pauli_simplex.channels import MixtureWeights
-from pauli_simplex.generator import finite_difference_rates, physical_scale, three_mix_rates
-from pauli_simplex.oracles import two_mix_cross_rate
+from pauli_simplex.generator import physical_scale, three_mix_rates
+from pauli_simplex.oracles import finite_difference_rates, two_mix_cross_rate
 
 
 def random_weights(count, seed=0):

@@ -303,6 +303,11 @@ class TestQuadrature:
         assert abs(Decimal(report.total) - 3 * region) <= bound
         assert abs(Decimal(report.markovian) - (1 - 3 * region)) <= bound
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_every_field_is_a_python_float(self, tol):
+        # the error too, so the record's repr does not depend on numpy's version
+        assert [type(value) for value in total_measures(tol)] == [float] * 6
+
     def test_region_measure_against_rounded_value(self):
         assert abs(total_measures(1e-6).region_y - 0.2898) < 1e-3
 

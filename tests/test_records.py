@@ -9,11 +9,12 @@ import pytest
 from click.testing import CliRunner
 
 from pauli_simplex.channels import MixtureWeights
-from pauli_simplex.choi import ChoiMatrix, choi_matrix, rhp_witness
+from pauli_simplex.choi import rhp_witness
 from pauli_simplex.cli import cli
 from pauli_simplex.divisibility import classify
 from pauli_simplex.generator import three_mix_rates
 from pauli_simplex.geometry import MeasureReport, monte_carlo_measures, total_measures
+from pauli_simplex.oracles import ChoiMatrix, choi_matrix
 
 W = MixtureWeights(0.45, 0.1, 0.45)
 
