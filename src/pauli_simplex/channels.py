@@ -70,6 +70,16 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _check_aqp(a: float, q: float, p: float) -> tuple:
+    """Validated (a, q, p) of an intermediate map, which must run forward."""
+    a = _check_fraction("a", a)
+    q = _check_p(q)
+    p = _check_p(p)
+    if q < p:
+        raise ValueError(f"intermediate map runs forward: need p <= q, got p={p}, q={q}")
+    return a, q, p
+
+
 def three_mix_eigenvalues(w: MixtureWeights, p: float) -> np.ndarray:
     """Channel eigenvalues (lx, ly, lz) of the three-way blend a Ex + b Ey + c Ez.
 

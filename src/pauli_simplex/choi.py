@@ -18,21 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import _check_fraction, _check_p
+from .channels import _check_aqp
 from .divisibility import MARKOVIAN, NONMARKOVIAN
 
 #: eigenvalue floor below which an intermediate map counts as NCP
 WITNESS_TOL = 1e-9
-
-
-def _check_aqp(a: float, q: float, p: float) -> tuple:
-    """Validated (a, q, p) of an intermediate map, which must run forward."""
-    a = _check_fraction("a", a)
-    q = _check_p(q)
-    p = _check_p(p)
-    if q < p:
-        raise ValueError(f"intermediate map runs forward: need p <= q, got p={p}, q={q}")
-    return a, q, p
 
 
 def intermediate_ratios(a: float, q: float, p: float) -> tuple:

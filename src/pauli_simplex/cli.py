@@ -342,7 +342,7 @@ def _parser(prog: str) -> _Parser:
     option("--tol", type=float, default=1e-8, help="default: %(default)s")
     option("--samples", type=int, default=1_000_000, help="default: %(default)s")
     option("--seed", type=int, default=42, help="default: %(default)s")
-    option("--threads", type=int, default=1, help="default: %(default)s")
+    option("--threads", type=int, help="most worker processes (default: one per usable CPU)")
     option("--json", dest="as_json", action="store_true", help="emit a JSON record")
     option = command(boundary)
     option("--region", required=True, choices=AXES)

@@ -234,8 +234,9 @@ def _binomial_se(phat: float, n: int) -> float:
 def _workers(tasks: int) -> int:
     """Processes to share `tasks` among: one per CPU this process may run on
     (its affinity set where the OS has one) and at most one per task; only
-    this one without os.fork or while another thread runs, since a forked
-    child would hold only the calling thread, and any lock another held."""
+    this one without os.fork or beside another Python thread, since a forked
+    child would hold only the calling thread, and any lock another held.
+    OpenBLAS's thread pool does not count: its fork handler stops it."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -301,7 +302,7 @@ def _fork(work, job: tuple) -> tuple:
         os._exit(code)
 
 
-def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
+def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> MeasureReport:
     """Estimate the region measures by classifying n uniform simplex samples.
 
     Fully determined by (n, seed).  The chunk fixes the seeds: samples come
@@ -311,24 +312,24 @@ def monte_carlo_measures(n: int, seed: int, threads: int = 1) -> MeasureReport:
     in consecutive slices of at most MC_SLICE_ROWS rows from its generator,
     and those draws concatenate bit for bit to one draw of the whole chunk.
 
-    There are at most as many workers as threads, chunks and usable CPUs,
-    and worker w counts chunks w, w + workers, ..., so neither the seeds nor
-    the work queue grow with n.  Each worker draws and classifies every
-    slice in one workspace of MC_SLICE_ROWS rows, allocated before its first
-    slice, so only counting allocates: a short-lived bool mask per region.
-    This process is worker 0 and each other worker a forked child (see
-    `_forked`), so they share no interpreter lock.  The counts are integer
-    sums, so neither the worker count nor the slice length changes the
-    result.  The error field is the binomial standard error of the total
-    non-Markovian fraction.
+    The workers are those `_workers` gives for the chunks, at most threads
+    unless it is None: by default one per usable CPU.  Worker w counts
+    chunks w, w + workers, ..., so neither the seeds nor the work queue grow
+    with n.  Each worker draws and classifies every slice in one workspace
+    of MC_SLICE_ROWS rows, allocated before its first slice, so only
+    counting allocates: a short-lived bool mask per region.  This process is
+    worker 0 and each other worker a forked child (see `_forked`), so they
+    share no interpreter lock.  The counts are integer sums, so neither the
+    worker count nor the slice length changes the result.  The error field
+    is the binomial standard error of the total non-Markovian fraction.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     chunk, slice_rows = 1 << 18, MC_SLICE_ROWS
     n_chunks = (n + chunk - 1) // chunk
-    workers = _workers(min(threads, n_chunks))
+    workers = _workers(n_chunks if threads is None else min(threads, n_chunks))
     random = np.random  # loaded here, before the fork, so that no worker loads it again
 
     def count_chunks(first: int) -> list:

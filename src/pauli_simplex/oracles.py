@@ -12,8 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import AXES, MixtureWeights, three_mix_eigenvalues
-from .channels import _check_fraction, _check_p, _require_finite
-from .choi import _check_aqp
+from .channels import _check_aqp, _check_fraction, _check_p, _require_finite
 from .divisibility import NEG_TOL, RegionLabel, _label
 from .generator import DecayRates, physical_scale, signed_sums
 

@@ -555,7 +555,8 @@ def assert_no_child_left():
 
 
 class TestWorkers:
-    """`scan` and `boundary` share a file's blocks among forked workers."""
+    """`scan` and `boundary` share a file's blocks among forked workers, as
+    many as `geometry._workers` gives."""
 
     OUTPUTS = {
         "scan-9": (["scan", "--n", "9"], SCAN_SHA256[9]),
@@ -632,6 +633,36 @@ class TestWorkers:
         assert not other.is_alive()
         monkeypatch.delattr(os, "fork")
         assert _workers(10) == 1
+
+    #: fork beside a running OpenBLAS pool, which `_workers` does not count:
+    #: three Monte Carlo workers whatever the machine, then a BLAS job in a child
+    BESIDE_BLAS = """
+import os
+import numpy as np
+from pauli_simplex import geometry
+square = np.ones((512, 512))
+tasks = lambda: len(os.listdir("/proc/self/task"))
+expected = geometry.monte_carlo_measures(3 << 18, 9, threads=1)
+square @ square  # starts the pool
+print(tasks())
+forked, fork = [], geometry._fork
+geometry._fork = lambda work, job: forked.append(job) or fork(work, job)
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+print(geometry.monte_carlo_measures(3 << 18, 9) == expected, forked)
+square @ square
+product = lambda k: float((k * square @ square)[0, 0])
+print(tasks(), geometry._forked(product, [(1,), (2,)], "BLAS job"))
+"""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads on Linux")
+    def test_forks_beside_a_running_openblas_pool(self):
+        # OpenBLAS's fork handler stops the pool, so neither the Monte Carlo
+        # workers nor a child's own matmul hang (run_child times out at 60 s)
+        pool, mc, jobs = run_child(self.BESIDE_BLAS, OPENBLAS_NUM_THREADS="2").splitlines()
+        if int(pool) < 2:
+            pytest.skip("numpy started no BLAS thread pool")
+        assert mc == "True [(1,), (2,)]"
+        assert int(jobs.split()[0]) >= 2 and jobs.endswith("[512.0, 1024.0]")
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
     def test_device_is_written_by_this_process_alone(
@@ -808,6 +839,17 @@ class TestMeasure:
         one = json.loads(run_ok(runner, base + ["--threads", "1"]).output)
         four = json.loads(run_ok(runner, base + ["--threads", "4"]).output)
         assert one["results"] == four["results"]
+
+    def test_default_forks_one_worker_per_usable_cpu(self, runner, forks, usable_cpus):
+        # three chunks: without --threads only the usable CPUs cap the workers
+        args = ["measure", "--method", "mc", "--samples", str(3 << 18), "--json"]
+        alone = run_ok(runner, [*args, "--threads", "1"]).stdout
+        assert forks == []
+        for cpus, forked in ((2, [(1,)]), (1, [])):
+            usable_cpus(cpus)
+            forks.clear()
+            assert run_ok(runner, args).stdout == alone
+            assert forks == forked
 
     @needs_peak_rss
     def test_monte_carlo_peak_memory_is_bounded(self):
@@ -1329,9 +1371,11 @@ print("pauli_simplex.oracles" in sys.modules)
 import sys
 from pauli_simplex.cli import cli
 cli({args!r})
-print("pauli_simplex.oracles" in sys.modules)
+print("pauli_simplex.oracles" in sys.modules, "pauli_simplex.choi" in sys.modules)
 """
-        assert run_child(code).splitlines()[-1] == str(loads)
+        # only the `choi` command loads `choi`: the oracles take their
+        # validation from `channels`
+        assert run_child(code).splitlines()[-1] == f"{loads} {args[0] == 'choi'}"
 
     #: run the CLI on its arguments in an interpreter that cannot import click
     NO_CLICK = """

@@ -335,17 +335,18 @@ class TestMonteCarlo:
         assert a == b
 
     def test_worker_count_is_capped(self, monkeypatch, forks, usable_cpus):
-        # a huge thread request starts no more workers than chunks or usable
-        # CPUs, this process among them
+        # a huge thread request, or none, starts no more workers than chunks
+        # or usable CPUs, this process among them
         monkeypatch.setattr(geometry.os, "cpu_count", lambda: 64)
         n = 3 * (1 << 18)
         serial = monte_carlo_measures(n, seed=9, threads=1)
         assert forks == []
         for cpus, workers in ((64, 3), (2, 2), (1, 1)):
             usable_cpus(cpus)
-            forks.clear()
-            assert monte_carlo_measures(n, seed=9, threads=10**6) == serial
-            assert forks == [(w,) for w in range(1, workers)]
+            for cap in ({"threads": 10**6}, {}):
+                forks.clear()
+                assert monte_carlo_measures(n, seed=9, **cap) == serial
+                assert forks == [(w,) for w in range(1, workers)]
 
     def test_worker_count_falls_back_to_cpu_count(self, monkeypatch, forks):
         # where the OS has no affinity set, os.cpu_count caps the workers
