@@ -370,8 +370,8 @@ def cli(args=None, prog_name="pauli-simplex") -> None:
         parser.error(str(exc))
 
 
-# click.testing.CliRunner, through which the tests and the benchmark run
-# commands in process, reads a command's `name` and calls its `main`
+# perfbench/traced.py alone runs commands through click.testing.CliRunner,
+# which reads `name` and calls `main`; ROADMAP item 13 deletes this shim
 cli.name, cli.main = "pauli-simplex", cli
 
 

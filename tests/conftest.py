@@ -1,6 +1,38 @@
+import contextlib
+import io
+import sys
+
+# numpy is the CLI's one runtime dependency: from here on `import click`
+# raises ImportError, so every test runs where click cannot be imported
+sys.modules["click"] = None
+
 import pytest
 
 from pauli_simplex import geometry
+from pauli_simplex.cli import cli
+
+
+def invoke(args, prog_name="pauli-simplex"):
+    """Run the CLI on `args` in this process; return (exit code, stdout, stderr).
+
+    Only SystemExit is caught: any other exception fails the calling test
+    with its traceback.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            cli(args, prog_name)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_ok(args):
+    """The stdout of a CLI command that must exit 0."""
+    code, stdout, stderr = invoke(args)
+    assert code == 0, stderr
+    return stdout
 
 
 @pytest.fixture

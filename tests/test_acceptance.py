@@ -10,11 +10,10 @@ import math
 import time
 
 import numpy as np
-from click.testing import CliRunner
+from conftest import run_ok
 
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.choi import intermediate_ratios, rhp_witness
-from pauli_simplex.cli import cli
 from pauli_simplex.divisibility import NEG_TOL, limit_rates_array, region_codes
 from pauli_simplex.generator import signed_sums, three_mix_rates
 from pauli_simplex.geometry import (
@@ -186,12 +185,10 @@ def test_criterion_8_full_map_always_cp():
 
 
 def test_criterion_9_cli_scan_and_reproducibility(tmp_path):
-    runner = CliRunner()
     first = tmp_path / "scan1.csv"
     second = tmp_path / "scan2.csv"
     for path in (first, second):
-        result = runner.invoke(cli, ["scan", "--n", "400", "--out", str(path)])
-        assert result.exit_code == 0, result.output
+        run_ok(["scan", "--n", "400", "--out", str(path)])
     identical = first.read_bytes() == second.read_bytes()
 
     with open(first, newline="") as fh:
@@ -206,8 +203,8 @@ def test_criterion_9_cli_scan_and_reproducibility(tmp_path):
     )
 
     mc_args = ["measure", "--method", "mc", "--samples", "100000", "--seed", "9", "--json"]
-    out_a = runner.invoke(cli, mc_args).output
-    out_b = runner.invoke(cli, mc_args).output
+    out_a = run_ok(mc_args)
+    out_b = run_ok(mc_args)
     seeded_ok = out_a == out_b and json.loads(out_a)["seed"] == 9
 
     ok = identical and csv_ok and abs(fraction - 0.133) <= 0.01 and seeded_ok

@@ -1,8 +1,11 @@
-"""The pytest configuration reports a failing property test like any other failure."""
+"""The pytest configuration reports a failing property test like any other
+failure, and runs every test where click cannot be imported."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +49,10 @@ def test_failing_property_test_leaves_the_rest_of_the_report(tmp_path):
     assert summary.startswith("2 failed, 1 passed"), output
     assert "FAILED test_session.py::test_property_fails" in child.stdout
     assert "FAILED test_session.py::test_own_warning_is_an_error" in child.stdout
+
+
+def test_click_cannot_be_imported():
+    # conftest.py blocks it before any test imports the CLI, so every
+    # in-process CLI run shows that numpy is the one runtime dependency
+    with pytest.raises(ImportError):
+        import click  # noqa: F401

@@ -6,11 +6,10 @@ import pickle
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_ok
 
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.choi import rhp_witness
-from pauli_simplex.cli import cli
 from pauli_simplex.divisibility import classify
 from pauli_simplex.generator import three_mix_rates
 from pauli_simplex.geometry import MeasureReport, monte_carlo_measures, total_measures
@@ -76,9 +75,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("method", [["quad"], ["mc", "--samples", "1000"]], ids=["quad", "mc"])
     def test_asdict_keys_follow_the_measure_record(self, method):
-        result = CliRunner().invoke(cli, ["measure", "--method", *method, "--json"])
-        assert result.exit_code == 0, result.output
-        keys = list(json.loads(result.stdout)["results"])
+        keys = list(json.loads(run_ok(["measure", "--method", *method, "--json"]))["results"])
         assert keys == ["region_x", "region_y", "region_z", "total", "markovian", "error"]
         assert keys == list(total_measures()._asdict()) == list(MeasureReport._fields)
 
