@@ -1,6 +1,8 @@
 import contextlib
 import io
+import json
 import sys
+from pathlib import Path
 
 # numpy is the CLI's one runtime dependency: from here on `import click`
 # raises ImportError, so every test runs where click cannot be imported
@@ -10,6 +12,12 @@ import pytest
 
 from pauli_simplex import geometry
 from pauli_simplex.cli import cli
+
+#: the pinned outputs, one entry per command line with `{out}` for its --out
+#: path: the exact stdout, and the size and SHA-256 of the file written
+GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
+#: the golden Monte Carlo record, which perfbench/run.py pins too
+MC_SEED_42 = "measure --method mc --samples 10000000 --seed 42 --json"
 
 
 def invoke(args, prog_name="pauli-simplex"):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import invoke, run_ok
+from conftest import GOLDEN, MC_SEED_42, invoke, run_ok
 
 import pauli_simplex
 from pauli_simplex import geometry
@@ -30,26 +30,37 @@ from pauli_simplex.cli import _fields
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
-#: SHA-256 of the `scan --n 400` CSV
-SCAN_400_SHA256 = "e4078959146d86a6e3016be2bc45d3fee182a7fd7e007a8342de308da8d126d5"
-#: SHA-256 of the `scan --n 1000` CSV
-SCAN_1000_SHA256 = "ce73951b771c74123595763a2c78b21344a6587ec1329c65fc74227b7efb2c4e"
-#: SHA-256 of the `boundary --region Y --points 500` CSV
-BOUNDARY_Y500_SHA256 = "7e1d590530ddab7ceee9fe69340f4e565e3d1a28eab5c88a868defe926206ac6"
-#: SHA-256 of the `boundary --region Y --points 4097` CSV: 8,194 rows in five
-#: blocks of 2^11, with the branch join and the b = BAND_EDGE rows in the third
-BOUNDARY_Y4097_SHA256 = "cc6a6c74ea803026f939b4fc3ad5a5d5fb28c539738c8107d4ddf29cdd5b5bbb"
-#: SHA-256 of the `boundary --points 500` CSV of each region
-BOUNDARY_500_SHA256 = {
-    "X": "9204b42bea868fa3e10f1d41a21232c9becec0ce064ff68187996fc5d8c1730a",
-    "Y": BOUNDARY_Y500_SHA256,
-    "Z": "352427f454fefc4c88635a3726d5670f24f94da91d8340d0d36b0647fff8aa85",
-}
-#: SHA-256 of the `scan --n 9` and `scan --n 60` CSVs
-SCAN_SHA256 = {
-    9: "14a2862e92238dae158c308892b5c4a443ff4b7852bf5489932d760e9579a31d",
-    60: "b28032c8452fcdca5b9dd9452ed9307449d45aa2d8fd0c965d66b51ef03288c6",
-}
+#: the golden entries of the `scan` and `boundary` commands at these sizes
+SCAN = "scan --n {} --out {{out}}"
+BOUNDARY_500 = "boundary --region {} --points 500 --out {{out}}"
+
+
+def golden_argv(key, out):
+    """The command line of golden entry `key`, writing its CSV to `out`."""
+    return [str(out) if arg == "{out}" else arg for arg in key.split()]
+
+
+def golden_stdout(key, out):
+    """The stdout of golden entry `key`, with `out` for its CSV path."""
+    return GOLDEN[key]["stdout"].replace("{out}", str(out))
+
+
+def assert_golden_bytes(data, key):
+    """`data` are the bytes of the CSV that golden entry `key` pins."""
+    entry = GOLDEN[key]
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"], entry["sha256"]), key
+
+
+def assert_golden_run(key, out):
+    """Run golden entry `key` with its CSV at `out`; check its stdout and CSV."""
+    assert run_ok(golden_argv(key, out)) == golden_stdout(key, out)
+    assert_golden_bytes(Path(out).read_bytes(), key)
+
+
+def golden_id(key):
+    """The test id of golden entry `key`: its command line less the --out path."""
+    return "-".join(arg.lstrip("-") for arg in key.split() if arg not in ("--out", "{out}"))
+
 
 #: run one CLI command (none: import only) in a fresh interpreter and print
 #: in KiB the peak RSS of the largest of it and the CSV workers it forked;
@@ -135,6 +146,27 @@ def peak_rss_kib(*argv):
         env=child_env(), capture_output=True, text=True, check=True,
     )
     return int(child.stdout.split()[-1])
+
+
+class TestGolden:
+    """Each command of tests/golden.json prints and writes its pinned bytes."""
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("key", GOLDEN, ids=golden_id)
+    def test_output(self, tmp_path, key):
+        out = tmp_path / "out.csv"
+        assert run_ok(golden_argv(key, out)) == golden_stdout(key, out)
+        if "sha256" in GOLDEN[key]:
+            assert_golden_bytes(out.read_bytes(), key)
+        else:
+            assert not out.exists()
+
+    @pytest.mark.golden
+    def test_monte_carlo_record_on_one_worker(self, forks):
+        # the whole record that perfbench/run.py checks at seed 42, which
+        # test_output prints at the default worker count
+        assert run_ok([*MC_SEED_42.split(), "--threads", "1"]) == GOLDEN[MC_SEED_42]["stdout"]
+        assert forks == []
 
 
 class TestRates:
@@ -289,20 +321,6 @@ class TestScan:
         run_ok(["scan", "--n", "15", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.golden
-    def test_golden_n400(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        stdout = run_ok(["scan", "--n", "400", "--out", str(out)])
-        assert stdout == f"wrote 80601 rows to {out} (markovian fraction 0.130308557)\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_400_SHA256
-
-    @pytest.mark.golden
-    def test_golden_n1000(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        stdout = run_ok(["scan", "--n", "1000", "--out", str(out)])
-        assert stdout.startswith(f"wrote 501501 rows to {out} ")
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_1000_SHA256
-
     def test_fields_match_repr_of_each_value(self):
         columns = [
             np.array([0.0, -0.0, np.nan, np.inf, 5e-324, 0.1]),
@@ -363,14 +381,12 @@ class TestScan:
 
     @pytest.mark.golden
     @pytest.mark.parametrize("cap", [0, 1, 7])
-    @pytest.mark.parametrize("n", sorted(SCAN_SHA256))
+    @pytest.mark.parametrize("n", [9, 60])
     def test_table_cap_does_not_change_bytes(self, tmp_path, monkeypatch, n, cap):
         # the table is a cache: any part of the previous block's reprs gives the same bytes
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         capped_table(monkeypatch, cap)
-        out = tmp_path / "grid.csv"
-        run_ok(["scan", "--n", str(n), "--out", str(out)])
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[n]
+        assert_golden_run(SCAN.format(n), tmp_path / "grid.csv")
 
     def test_io_failure_exit_code(self, tmp_path):
         assert invoke(["scan", "--n", "2", "--out", str(tmp_path / "missing" / "x.csv")])[0] == 3
@@ -383,13 +399,10 @@ class TestScan:
 
     @pytest.mark.golden
     @pytest.mark.parametrize("rows", [1, 7, pauli_simplex.cli.SCAN_BLOCK_ROWS])
-    @pytest.mark.parametrize("n", sorted(SCAN_SHA256))
+    @pytest.mark.parametrize("n", [9, 60])
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, n, rows):
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", rows)
-        out = tmp_path / "grid.csv"
-        stdout = run_ok(["scan", "--n", str(n), "--out", str(out)])
-        assert stdout.startswith(f"wrote {(n + 1) * (n + 2) // 2} rows to {out} ")
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[n]
+        assert_golden_run(SCAN.format(n), tmp_path / "grid.csv")
 
     @needs_peak_rss
     def test_peak_memory_does_not_grow_with_n(self, tmp_path):
@@ -462,25 +475,20 @@ class TestAtomicWrite:
     def test_replaces_longer_file(self, tmp_path):
         out = tmp_path / "grid.csv"
         out.write_bytes(b"x" * 100_000)
-        run_ok(["scan", "--n", "9", "--out", str(out)])
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
+        assert_golden_run(SCAN.format(9), out)
         assert os.listdir(tmp_path) == ["grid.csv"]
 
     @pytest.mark.golden
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
     @pytest.mark.parametrize(
-        "args, digest",
-        [(["scan", "--n", "9"], SCAN_SHA256[9]),
-         (["boundary", "--region", "Y", "--points", "500"], BOUNDARY_Y500_SHA256)],
-        ids=["scan", "boundary"],
+        "key", [SCAN.format(9), BOUNDARY_500.format("Y")], ids=["scan", "boundary"]
     )
-    def test_replaced_file_keeps_its_mode(self, tmp_path, args, digest):
+    def test_replaced_file_keeps_its_mode(self, tmp_path, key):
         out = tmp_path / "out.csv"
         out.write_text("old\n")
         out.chmod(0o600)
-        run_ok([*args, "--out", str(out)])
+        assert_golden_run(key, out)
         assert stat.S_IMODE(out.stat().st_mode) == 0o600
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert os.listdir(tmp_path) == ["out.csv"]
 
     @pytest.mark.golden
@@ -491,9 +499,8 @@ class TestAtomicWrite:
         target.write_text("old\n")
         link = tmp_path / "grid.csv"
         link.symlink_to(target)
-        run_ok(["scan", "--n", "9", "--out", str(link)])
+        assert_golden_run(SCAN.format(9), link)
         assert link.is_symlink()
-        assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_SHA256[9]
         assert os.listdir(tmp_path / "data") == ["grid.csv"]
 
     @pytest.mark.golden
@@ -504,23 +511,24 @@ class TestAtomicWrite:
         received = []
         reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
         reader.start()
-        run_ok(["scan", "--n", "9", "--out", str(pipe)])
+        run_ok(golden_argv(SCAN.format(9), pipe))
         reader.join(timeout=30)
-        assert hashlib.sha256(received[0]).hexdigest() == SCAN_SHA256[9]
+        assert_golden_bytes(received[0], SCAN.format(9))
         assert os.listdir(tmp_path) == ["pipe"]
 
 
     @pytest.mark.golden
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
     def test_stdout_into_a_pipe_is_written_in_place(self):
+        args = golden_argv(SCAN.format(9), "/dev/stdout")
         child = subprocess.run(
-            [sys.executable, "-m", "pauli_simplex.cli", "scan", "--n", "9", "--out", "/dev/stdout"],
+            [sys.executable, "-m", "pauli_simplex.cli", *args],
             env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
         )
         assert child.returncode == 0, child.stderr
-        csv_bytes, _, summary = child.stdout.rpartition(b"wrote ")
-        assert hashlib.sha256(csv_bytes).hexdigest() == SCAN_SHA256[9]
-        assert summary == b"55 rows to /dev/stdout (markovian fraction 0.181818182)\n"
+        summary = golden_stdout(SCAN.format(9), "/dev/stdout").encode()
+        assert child.stdout.endswith(summary)
+        assert_golden_bytes(child.stdout[: -len(summary)], SCAN.format(9))
 
 
 def scaled(x):
@@ -540,10 +548,11 @@ class TestWorkers:
     """`scan` and `boundary` share a file's blocks among forked workers, as
     many as `geometry._workers` gives."""
 
+    #: golden entries, by test id
     OUTPUTS = {
-        "scan-9": (["scan", "--n", "9"], SCAN_SHA256[9]),
-        "scan-60": (["scan", "--n", "60"], SCAN_SHA256[60]),
-        "boundary-500": (["boundary", "--region", "Y", "--points", "500"], BOUNDARY_Y500_SHA256),
+        "scan-9": SCAN.format(9),
+        "scan-60": SCAN.format(60),
+        "boundary-500": BOUNDARY_500.format("Y"),
     }
 
     @pytest.mark.golden
@@ -552,14 +561,14 @@ class TestWorkers:
     def test_worker_count_does_not_change_bytes(
         self, tmp_path, monkeypatch, forks, usable_cpus, output, cpus
     ):
-        args, digest = self.OUTPUTS[output]
+        key = self.OUTPUTS[output]
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         out = tmp_path / "out.csv"
         usable_cpus(1)
-        alone = run_ok([*args, "--out", str(out)])
+        alone = run_ok(golden_argv(key, out))
         usable_cpus(cpus)
-        assert run_ok([*args, "--out", str(out)]) == alone
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert run_ok(golden_argv(key, out)) == alone
+        assert_golden_bytes(out.read_bytes(), key)
         # this process writes the first range, each worker one of the next
         assert len(forks) == cpus - 1
         assert all(hi == lo for (_, hi), (lo, _) in zip(forks, forks[1:]))
@@ -572,10 +581,7 @@ class TestWorkers:
     ):
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)  # 55 rows in 8 blocks
         usable_cpus(12)
-        out = tmp_path / "grid.csv"
-        stdout = run_ok(["scan", "--n", "9", "--out", str(out)])
-        assert stdout == f"wrote 55 rows to {out} (markovian fraction 0.181818182)\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_SHA256[9]
+        assert_golden_run(SCAN.format(9), tmp_path / "grid.csv")
         assert forks == [(k, min(k + 7, 55)) for k in range(7, 55, 7)]
         assert_no_child_left()
 
@@ -744,7 +750,8 @@ class TestExactCertificate:
     these checks bound by finding no disagreement.
 
     The coordinate columns a, b, c, u and v are checked against the lattice
-    row in exact integer arithmetic on the floats' scaled mantissas.
+    row, and the gamma_* columns against the exact limiting rates of the
+    float row, in exact integer arithmetic on the floats' scaled mantissas.
     """
 
     def test_csv_of_forked_workers_at_n400(self, tmp_path, forks, usable_cpus):
@@ -801,6 +808,47 @@ class TestExactCertificate:
         beyond = ((2 * V - 2 * L) ** 2 > 3 * C**2) | (3 * C**2 > (2 * V + 2 * L) ** 2)
         assert np.count_nonzero(beyond) == over_one_ulp
 
+    @pytest.mark.parametrize("n, step", [(400, 1), (1000, 7)], ids=["400", "1000-every-7th-row"])
+    def test_scan_limit_rates(self, n, step):
+        # every row at n = 400 and every 7th at n = 1000, where every row
+        # takes about 4 s (2 vCPUs)
+        rows, make_rows = geometry.scan_blocks(n)
+        rates = make_rows(0, rows)[2][::step]
+        w = (np.column_stack(lattice(n)) / n)[::step]  # the float row, raw
+        # the zero-weight terms diverge alike, so their signed multiplicity
+        # on axis k, -z_k + z_i + z_j, puts the +inf and -inf cells
+        zero = w == 0
+        multiplicity = zero.sum(axis=1, keepdims=True) - 2 * zero
+        assert np.array_equal(rates == np.inf, multiplicity > 0)
+        assert np.array_equal(rates == -np.inf, multiplicity < 0)
+        finite = multiplicity == 0
+        assert np.all(np.isfinite(rates[finite]))
+        # elsewhere they cancel and the rate is the sum of the other terms
+        # t_k = (1 - w_k)/w_k, so a zero weight counts as w = 1, t = 0.  With
+        # W = 2^63 w the rate of axis x is R_x / D, where D = W_x W_y W_z and
+        # R_x = -P_x + P_y + P_z with P_x = (2^63 - W_x) W_y W_z >= 0, and
+        # Σ|t_k| = S / D with S = P_x + P_y + P_z.
+        W = scaled(np.where(zero, 1.0, w))
+        wx, wy, wz = W.T
+        px, py, pz = ((1 << 63) - W).T * np.stack([wy * wz, wz * wx, wx * wy])
+        D, S = wx * wy * wz, px + py + pz
+        R = np.column_stack([-px + py + pz, px - py + pz, px + py - pz])
+        # limit_rates_array rounds each t_k twice, 1 - w_k and the quotient
+        # (the scaling by 2^-64 and back is exact here), a relative error of
+        # at most 2u + u^2 with u = 2^-53.  Each of the two signed additions
+        # rounds once, by at most u times a partial sum no larger than
+        # (1 + u)^3 Σ|t|.  So |gamma - R/D| <= (4u + 6u^2 + 4u^3 + u^4) Σ|t|,
+        # under (4u + 8u^2) Σ|t| = 2^-106 (2^55 + 8) S / D.  A cell is
+        # gamma = M 2^-s with an int M below 2^53; times 2^s D:
+        # |M D - 2^s R| 2^106 <= (2^55 + 8) 2^s S
+        mantissa, exponent = np.frexp(np.where(finite, rates, 0.0))
+        M = (mantissa * 2.0**53).astype(np.int64).astype(object)
+        shift = 53 - exponent
+        assert shift.min() >= 0
+        power = np.array([1 << s for s in range(shift.max() + 1)], dtype=object)[shift]
+        error = abs(M * D[:, None] - power * R) << 106
+        assert np.all(error[finite] <= (power * S[:, None] * ((1 << 55) + 8))[finite])
+
 
 class TestMeasure:
     def test_quadrature(self):
@@ -809,28 +857,6 @@ class TestMeasure:
         assert record["results"]["region_y"] == pytest.approx(0.2898, abs=1e-3)
         assert record["results"]["total"] == pytest.approx(0.867, abs=3e-3)
         assert record["results"]["markovian"] == pytest.approx(0.133, abs=3e-3)
-
-    @pytest.mark.golden
-    def test_quadrature_bytes(self):
-        stdout = run_ok(["measure", "--method", "quad", "--json"])
-        assert stdout == (
-            '{"command": "measure", "version": "0.1.0", '
-            '"params": {"method": "quad", "tol": 1e-08}, '
-            '"results": {"region_x": 0.2898021206836057, "region_y": 0.2898021206836057, '
-            '"region_z": 0.2898021206836057, "total": 0.8694063620508172, '
-            '"markovian": 0.13059363794918277, "error": 8.620384971362932e-14}}\n'
-        )
-        assert run_ok(["measure", "--method", "quad"]) == (
-            "command      measure\n"
-            "method       quad\n"
-            "tol          1e-08\n"
-            "region_x     0.289802121\n"
-            "region_y     0.289802121\n"
-            "region_z     0.289802121\n"
-            "total        0.869406362\n"
-            "markovian    0.130593638\n"
-            "error        8.62038497e-14\n"
-        )
 
     @pytest.mark.parametrize(
         "args", [["--method", "quad"], ["--method", "mc", "--samples", "1000"]]
@@ -920,42 +946,26 @@ class TestBoundary:
         assert join_lo == pytest.approx(join_hi, abs=1e-6)
         assert {row[5] for row in body} == {"-1", "1"}
 
-    @pytest.mark.golden
-    def test_golden_y500(self, tmp_path):
-        out = tmp_path / "curve.csv"
-        stdout = run_ok(["boundary", "--region", "Y", "--points", "500", "--out", str(out)])
-        assert stdout == f"wrote 1000 rows to {out}\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y500_SHA256
-
-    @pytest.mark.golden
-    def test_golden_y4097_over_five_blocks(self, tmp_path):
-        out = tmp_path / "curve.csv"
-        args = ["boundary", "--region", "Y", "--points", "4097", "--out", str(out)]
-        stdout = run_ok(args)
-        assert stdout == f"wrote 8194 rows to {out}\n"
-        assert math.ceil(8194 / pauli_simplex.cli.SCAN_BLOCK_ROWS) == 5  # the blocks the hash spans
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_Y4097_SHA256
+    def test_golden_y4097_spans_five_blocks(self):
+        # the golden curve fills five blocks, with the branch join and the
+        # b = BAND_EDGE rows in the third
+        rows = int(GOLDEN["boundary --region Y --points 4097 --out {out}"]["stdout"].split()[1])
+        assert math.ceil(rows / pauli_simplex.cli.SCAN_BLOCK_ROWS) == 5
 
     @pytest.mark.golden
     @pytest.mark.parametrize("rows", [1, 7, pauli_simplex.cli.SCAN_BLOCK_ROWS])
-    @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
+    @pytest.mark.parametrize("region", ["X", "Y", "Z"])
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, region, rows):
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", rows)
-        out = tmp_path / "curve.csv"
-        args = ["boundary", "--region", region, "--points", "500", "--out", str(out)]
-        stdout = run_ok(args)
-        assert stdout == f"wrote 1000 rows to {out}\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
+        assert_golden_run(BOUNDARY_500.format(region), tmp_path / "curve.csv")
 
     @pytest.mark.golden
     @pytest.mark.parametrize("cap", [0, 1, 7])
-    @pytest.mark.parametrize("region", sorted(BOUNDARY_500_SHA256))
+    @pytest.mark.parametrize("region", ["X", "Y", "Z"])
     def test_table_cap_does_not_change_bytes(self, tmp_path, monkeypatch, region, cap):
         monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
         capped_table(monkeypatch, cap)
-        out = tmp_path / "curve.csv"
-        run_ok(["boundary", "--region", region, "--points", "500", "--out", str(out)])
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_500_SHA256[region]
+        assert_golden_run(BOUNDARY_500.format(region), tmp_path / "curve.csv")
 
     @needs_peak_rss
     def test_peak_memory_does_not_grow_with_points(self, tmp_path):
@@ -1359,6 +1369,35 @@ print("pauli_simplex.oracles" in sys.modules)
         assert len(lines) == 3
         code = "\n".join([*lines, "import sys", "print('pauli_simplex.oracles' in sys.modules)"])
         assert run_child(code) == "True\n"
+
+    def test_perfbench_pins_match_golden(self):
+        # perfbench/run.py keeps its own copies of two golden entries until it
+        # reads tests/golden.json; re-pinning one without the other fails here
+        def constants(name, *names):
+            tree = ast.parse((ROOT / "perfbench" / name).read_text())
+            values = {
+                target.id: ast.literal_eval(node.value)
+                for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if target.id in names
+            }
+            assert sorted(values) == sorted(names), name
+            return values
+
+        run = constants("run.py", "SCAN_ROWS", "SCAN_BYTES", "SCAN_SHA256", "SCAN_MARKOVIAN",
+                        "MC_PINNED_SEED", "MC_PINNED")
+        traced = constants("traced.py", "SCAN_N", "MC_SAMPLES")
+        assert GOLDEN[SCAN.format(traced["SCAN_N"])] == {
+            "stdout": f"wrote {run['SCAN_ROWS']} rows to {{out}} "
+                      f"(markovian fraction {run['SCAN_MARKOVIAN']})\n",
+            "bytes": run["SCAN_BYTES"],
+            "sha256": run["SCAN_SHA256"],
+        }
+        samples, seed = traced["MC_SAMPLES"], run["MC_PINNED_SEED"]
+        key = f"measure --method mc --samples {samples} --seed {seed} --json"
+        record = json.loads(GOLDEN[key]["stdout"])
+        assert record["params"] == {"method": "mc", "samples": samples, "seed": seed}
+        pinned = [record["results"][k] for k in ("region_x", "region_y", "region_z", "total")]
+        assert pinned == run["MC_PINNED"]
 
     #: run one command as `perfbench/traced.py` does, where click is importable
     TRACED_RUN = """

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import threading
@@ -8,6 +9,7 @@ from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
+from conftest import GOLDEN, MC_SEED_42
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -496,9 +498,13 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_seed_42_pins(self, threads):
+        # the values of the CLI's golden record for the same samples and seed
+        pinned = json.loads(GOLDEN[MC_SEED_42]["stdout"])
+        assert (pinned["params"]["samples"], pinned["seed"]) == (10**7, 42)
         report = monte_carlo_measures(10**7, seed=42, threads=threads)
-        assert report.regions() == (0.2900017, 0.2899589, 0.2896194)
-        assert report.total == 0.86958
+        results = pinned["results"]
+        assert report.regions() == (results["region_x"], results["region_y"], results["region_z"])
+        assert report.total == results["total"]
 
     @given(
         st.integers((1 << 18) + 1, 3 * (1 << 18) - 1).filter(lambda n: n % (1 << 18)),
