@@ -26,9 +26,6 @@ import numpy as np
 from .channels import AXES, _require_finite
 from .divisibility import limit_rates_array, region_codes
 
-#: radicand values in (-RADICAND_TOL, 0) are rounded up to 0 (band edge rounding)
-RADICAND_TOL = 1e-12
-
 #: vertices of the equilateral embedding, one per channel axis
 _TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -36,36 +33,35 @@ _TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 _REGION_ORDER = {"X": (1, 0, 2), "Y": (0, 1, 2), "Z": (0, 2, 1)}
 
 
-#: largest cross weight at which a limiting rate still reaches zero: the band
-#: of negative y rates at p -> 1/2 closes at b = sqrt(5) - 2
-BAND_EDGE = math.sqrt(5.0) - 2.0
+#: largest cross weight at which a limiting rate still reaches zero: the band of negative
+#: y rates at p -> 1/2 closes at b = sqrt(5) - 2 = 1 / (sqrt(5) + 2), the nearest double
+BAND_EDGE = 1.0 / (math.sqrt(5.0) + 2.0)
+
+
+def _band_width(gap: np.ndarray, b: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """The band width sqrt((1 - b)(1 - 4b - b^2) / (1 + b)) at cross weight b, from the
+    factors gap = E - b and far = b + 2 + sqrt(5) of 1 - 4b - b^2 (E = BAND_EDGE), which
+    the caller forms without cancellation; NaN where gap < 0, beyond the band edge."""
+    return np.sqrt(np.where(gap < 0.0, np.nan, gap) * (1.0 - b) * far / (1.0 + b))
 
 
 def boundary_roots(b: np.ndarray) -> tuple:
     """Roots (a_minus, a_plus) of the limiting y rate at p -> 1/2, elementwise.
 
-    Setting the y decay rate to zero at fixed cross weight b yields the
-    quadratic (1 - (1-b)/2) (a^2 - (1-b) a) + b (1-b)/2 in a; for b beyond
-    BAND_EDGE the discriminant is negative and the rate never reaches zero,
-    so both roots are NaN there.  Inside the band, blends with a strictly
-    between the roots have a negative limiting y rate.  Returns two float
-    arrays shaped like b.
+    Setting the y decay rate to zero at fixed cross weight b yields the quadratic
+    (1 + b) a^2 - (1 - b)(1 + b) a + b (1 - b) in a, whose roots are (1 - b)/2 -+ w/2
+    for the band width w of `_band_width`; blends with a strictly between them have a
+    negative limiting y rate.  The minus root is Vieta's b (1 - b) / ((1 + b) a_plus),
+    which does not cancel near b = 0, or a_plus where w = 0, so the branches meet bit
+    for bit.  Both are NaN beyond BAND_EDGE.  Returns two float arrays shaped like b.
     """
     b = np.asarray(b, dtype=float)
     bad = ~((0.0 <= b) & (b <= 1.0))  # NaN too
     if bad.any():
         raise ValueError(f"coordinate b={b[bad].flat[0]} outside [0, 1]")
-    lead = 1.0 - 0.5 * (1.0 - b)
-    mid = -(1.0 - b) * lead
-    const = b * (0.5 * (1.0 - b))
-    disc = mid * mid - 4.0 * lead * const
-    inside = b <= BAND_EDGE
-    bad = inside & (disc < -RADICAND_TOL)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise ValueError(f"negative radicand {disc.flat[i]:.3e} inside the band at b={b.flat[i]}")
-    root = np.sqrt(np.where(disc < 0.0, np.where(inside, 0.0, np.nan), disc))
-    return ((-mid - root) / (2.0 * lead), (-mid + root) / (2.0 * lead))
+    width = _band_width(BAND_EDGE - b, b, b + 2.0 + math.sqrt(5.0))
+    plus = 0.5 * (1.0 - b) + 0.5 * width
+    return np.where(width == 0.0, plus, b * (1.0 - b) / ((1.0 + b) * plus)), plus
 
 
 def boundary_blocks(region: str, points: int) -> tuple:
@@ -84,6 +80,8 @@ def boundary_blocks(region: str, points: int) -> tuple:
         raise ValueError(f"region must be one of {AXES}, got {region!r}")
     if points < 2:
         raise ValueError(f"need at least 2 points per branch, got {points}")
+    if points >= 1 << 62:  # the row count 2 points, and so every row index, in int64
+        raise ValueError(f"need at most 2^62 - 1 points per branch, got {points}")
     return 2 * points, lambda r0, r1: _boundary_rows(region, points, r0, r1)
 
 
@@ -106,13 +104,11 @@ _GAUSS_FIRST, _GAUSS_LAST = 8, 128
 def _region_integrand(s: np.ndarray) -> np.ndarray:
     """Twice the band width at cross weight b = E - s^2, times |db/ds| = 2s.
 
-    The width sqrt((1 - b^2)(1 - 4b - b^2)) / (1 + b) has a square-root zero
-    at the band edge E = BAND_EDGE = sqrt(5) - 2.  With b = E - s^2,
-    1 - 4b - b^2 = s^2 (2 sqrt(5) - s^2), so in s the integrand
-    4 s^2 sqrt((1 - b)(2 sqrt(5) - s^2) / (1 + b)) is smooth on [0, sqrt(E)].
+    With b = E - s^2, E = BAND_EDGE, the factors of `_band_width` are gap = s^2 and
+    far = 2 sqrt(5) - s^2, so the integrand is smooth on [0, sqrt(E)].
     """
-    b = BAND_EDGE - s * s
-    return 4.0 * s * s * np.sqrt((1.0 - b) * (2.0 * math.sqrt(5.0) - s * s) / (1.0 + b))
+    gap = s * s
+    return 4.0 * s * _band_width(gap, BAND_EDGE - gap, 2.0 * math.sqrt(5.0) - gap)
 
 
 def _region_measure(tol: float) -> tuple:
@@ -378,13 +374,15 @@ def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
 def _check_resolution(n: int) -> None:
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
+    if n * (n + 3) >= 1 << 63:  # the largest line start product of `_grid_rows`, in int64
+        raise ValueError(f"grid resolution must be <= 3037000498 (n (n + 3) < 2^63), got {n}")
 
 
 def _grid_line(n: int, k: int) -> int:
     """The line i of flat row k: the last line whose start is at or before k.
 
     Line i starts at row i (2n + 3 - i) / 2, which is at or before k exactly
-    when 2n + 3 - 2i >= sqrt((2n + 3)^2 - 8k), a positive radicand for every
+    when 2n + 3 - 2i >= sqrt((2n + 3)^2 - 8k), of a positive number for every
     row; the integer square root keeps it exact for any n.
     """
     m = 2 * n + 3

@@ -158,6 +158,7 @@ class TestGolden:
         assert run_ok(golden_argv(key, out)) == golden_stdout(key, out)
         if "sha256" in GOLDEN[key]:
             assert_golden_bytes(out.read_bytes(), key)
+            out.unlink()  # 57 MB at scan --n 1000
         else:
             assert not out.exists()
 
@@ -407,7 +408,10 @@ class TestScan:
     @needs_peak_rss
     def test_peak_memory_does_not_grow_with_n(self, tmp_path):
         def peak_kib(n):
-            return peak_rss_kib("scan", "--n", str(n), "--out", str(tmp_path / f"grid{n}.csv"))
+            out = tmp_path / f"grid{n}.csv"
+            peak = peak_rss_kib("scan", "--n", str(n), "--out", str(out))
+            out.unlink()  # 105 MB at n = 1200
+            return peak
 
         small, large = peak_kib(300), peak_kib(1200)
         # 45,451 against 721,801 rows: 16 times the rows, under 10 MB more memory
@@ -970,8 +974,11 @@ class TestBoundary:
     @needs_peak_rss
     def test_peak_memory_does_not_grow_with_points(self, tmp_path):
         def peak_kib(points):
-            out = str(tmp_path / f"curve{points}.csv")
-            return peak_rss_kib("boundary", "--region", "Y", "--points", str(points), "--out", out)
+            out = tmp_path / f"curve{points}.csv"
+            args = ["--region", "Y", "--points", str(points), "--out", str(out)]
+            peak = peak_rss_kib("boundary", *args)
+            out.unlink()  # 23 MB at 120,000 points
+            return peak
 
         small, large = peak_kib(30_000), peak_kib(120_000)
         # 60,000 against 240,000 rows: about 0.1 MB more memory, where the
@@ -980,8 +987,10 @@ class TestBoundary:
 
     @needs_peak_rss
     def test_peak_memory_over_the_import_is_bounded(self, tmp_path):
-        args = ["--region", "Y", "--points", "100000", "--out", str(tmp_path / "curve.csv")]
-        extra = peak_rss_kib("boundary", *args) - peak_rss_kib()
+        out = tmp_path / "curve.csv"
+        peak = peak_rss_kib("boundary", "--region", "Y", "--points", "100000", "--out", str(out))
+        out.unlink()  # 19 MB
+        extra = peak - peak_rss_kib()
         # about 4.5 MiB in blocks of 2^11 rows, where the whole curve's arrays
         # took 23 MB and formatting them as one block 169 MB
         assert extra < 10 * 1024, extra
@@ -1097,11 +1106,16 @@ class TestUsageErrors:
             (["scan", "--n", "0", "--out", "unused.csv"], "grid resolution must be >= 1, got 0"),
             (["boundary", "--region", "Y", "--points", "1", "--out", "unused.csv"],
              "need at least 2 points per branch, got 1"),
+            # the first sizes whose row indices would not fit in int64
+            (["scan", "--n", "3037000499", "--out", "unused.csv"],
+             "grid resolution must be <= 3037000498 (n (n + 3) < 2^63), got 3037000499"),
+            (["boundary", "--region", "Y", "--points", str(1 << 62), "--out", "unused.csv"],
+             f"need at most 2^62 - 1 points per branch, got {1 << 62}"),
         ],
         ids=[
             "classify-negative", "classify-nan", "choi-fraction", "choi-oracle-singular",
             "measure-threads", "measure-tol", "rates-r", "rates-r-underflow", "scan-resolution",
-            "boundary-points",
+            "boundary-points", "scan-int64-limit", "boundary-int64-limit",
         ],
     )
     def test_usage_line_names_the_subcommand(self, args, message):

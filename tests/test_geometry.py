@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -139,12 +140,39 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+#: a power of two that makes every double in [0, 1], and every ulp of one, an integer
+DYADIC = 1 << 1100
+
+
+def dyadic(x):
+    """The integer x * DYADIC, for a double x in [0, 1] or its ulp."""
+    num, den = float(x).as_integer_ratio()
+    return num * (DYADIC // den)
+
+
+def y_quadratic_sign(a, b):
+    """The sign of Q(a) = (1 + b) a^2 - (1 - b)(1 + b) a + b (1 - b), exactly,
+    for a and b given as integers over DYADIC; the limiting y rate at
+    p -> 1/2 has the sign of Q."""
+    one = DYADIC
+    value = (one + b) * a * a - (one - b) * (one + b) * a + b * (one - b) * one
+    return (value > 0) - (value < 0)
+
+
 class TestBandEdge:
     def test_long_time_value(self):
-        # the double nearest sqrt(5) - 2, as (2 - sqrt(4x^2 - 4x + 5)) / (2x - 1)
-        # gave it at x = 0
-        assert BAND_EDGE.hex() == "0x1.e3779b97f4a80p-3"
-        assert abs(BAND_EDGE - (math.sqrt(5.0) - 2.0)) < 1e-15
+        # the double nearest sqrt(5) - 2: with E = M 2^-55, |E - (sqrt(5) - 2)|
+        # < 2^-56 exactly when (2^57 + 2M - 1)^2 < 5 2^112 < (2^57 + 2M + 1)^2
+        m, scale = BAND_EDGE.as_integer_ratio()
+        m *= 2**55 // scale
+        assert 2**52 <= m < 2**53
+        assert (2**57 + 2 * m - 1) ** 2 < 5 * 2**112 < (2**57 + 2 * m + 1) ** 2
+
+    def test_band_closes_between_the_edge_and_the_next_double(self):
+        (lo,), (hi,) = boundary_roots(np.array([BAND_EDGE]))
+        assert math.isfinite(lo) and bits(lo) == bits(hi)
+        after = boundary_roots(np.array([math.nextafter(BAND_EDGE, 1.0)]))
+        assert np.isnan(after).all()
 
 
 class TestBoundaryRoots:
@@ -192,35 +220,6 @@ class TestBoundaryRoots:
         with pytest.raises(ValueError, match="coordinate b=nan"):
             boundary_roots(np.array([float("nan")]))
 
-    def test_radicand_clamp_and_in_band_error(self, monkeypatch):
-        # the radicand rounds to about -8e-17 at the band edge: within
-        # RADICAND_TOL it counts as 0, beyond it the roots are refused
-        (lo,), (hi,) = boundary_roots(np.array([BAND_EDGE]))
-        assert lo == hi
-        monkeypatch.setattr(geometry, "RADICAND_TOL", 0.0)
-        with pytest.raises(ValueError, match="negative radicand .* inside the band"):
-            boundary_roots(np.array([0.1, BAND_EDGE]))
-
-    def test_same_floats_as_the_quadratic_at_any_p(self):
-        # the y-rate quadratic at dephasing parameter p, evaluated at p = 1/2:
-        # every factor the fixed-p form drops is exact there
-        def roots_at(b, p):
-            lead = 2.0 * p * (1.0 - p * (1.0 - b))
-            mid = -(1.0 - b) * lead
-            const = b * (1.0 - 2.0 * p + 2.0 * p * p * (1.0 - b))
-            disc = max(mid * mid - 4.0 * lead * const, 0.0)
-            root = math.sqrt(disc)
-            return ((-mid - root) / (2.0 * lead), (-mid + root) / (2.0 * lead))
-
-        near_edge = [BAND_EDGE]
-        for _ in range(200):
-            near_edge.append(math.nextafter(near_edge[-1], 0.0))
-        bs = [*np.linspace(0.0, BAND_EDGE, 2001).tolist(), *near_edge]
-        lo, hi = boundary_roots(np.array(bs))
-        expected_lo, expected_hi = zip(*[roots_at(b, 0.5) for b in bs])
-        np.testing.assert_array_equal(bits(lo), bits(expected_lo))
-        np.testing.assert_array_equal(bits(hi), bits(expected_hi))
-
 
 class TestBoundaryCurve:
     def test_samples_inside_simplex_and_on_curve(self):
@@ -232,6 +231,39 @@ class TestBoundaryCurve:
         assert np.abs(rates[:, 1]).max() < 1e-9
         np.testing.assert_array_equal(uv, to_pauli_neutral_array(samples))
         assert branch.tolist() == [-1] * 200 + [1] * 200
+
+    @pytest.mark.parametrize("region,points", [("X", 500), ("Y", 500), ("Z", 500), ("Y", 4097)])
+    def test_golden_rows_within_three_ulps_of_the_roots(self, region, points):
+        # the rows of every golden curve, in exact integer arithmetic: Q
+        # changes sign between a - 3 ulp and a + 3 ulp, falling across the
+        # minus root and rising across the plus root
+        samples, _, branch = boundary_columns(region, points)
+        # each region's order is its own inverse
+        canonical = samples[:, list(geometry._REGION_ORDER[region])]
+        for r, (a, b, _) in enumerate(canonical.tolist()):
+            if r in (points - 1, points):
+                continue
+            x, y, step = dyadic(a), dyadic(b), 3 * dyadic(math.ulp(a))
+            signs = y_quadratic_sign(x - step, y), y_quadratic_sign(x + step, y)
+            assert signs == ((1, -1) if branch[r] < 0 else (-1, 1)), (r, a, b)
+        # the branches meet at b = BAND_EDGE, one row twice, and the band is
+        # still open there: Q < 0 at its vertex (1 - b)/2
+        np.testing.assert_array_equal(bits(samples[points - 1]), bits(samples[points]))
+        b = canonical[points, 1]
+        assert b == BAND_EDGE
+        assert y_quadratic_sign((DYADIC - dyadic(b)) // 2, dyadic(b)) == -1
+
+    def test_last_rows_at_the_most_points(self):
+        # 2 points rows is the largest row count in int64; the next is refused
+        points = (1 << 62) - 1
+        rows, make_rows = boundary_blocks("Y", points)
+        samples, _, branch = make_rows(rows - 3, rows)
+        step = BAND_EDGE / (points - 1)
+        assert samples[:, 1].tolist() == [2 * step, step, 0.0]
+        assert samples[-1].tolist() == [1.0, 0.0, 0.0] and branch.tolist() == [1, 1, 1]
+        message = f"need at most 2^62 - 1 points per branch, got {1 << 62}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            boundary_blocks("Y", 1 << 62)
 
     def test_branches_join_at_band_edge(self):
         samples = boundary_columns("Z", 64)[0]
@@ -762,6 +794,21 @@ class TestScanGrid:
         for i in [0, 1, 2, n // 3, n // 2, n - 2, n - 1, n]:
             for k in (start(i), start(i + 1) - 1):
                 assert geometry._grid_line(n, k) == i, (n, k)
+
+    def test_last_block_is_exact_at_the_largest_resolution(self):
+        # the largest n with n (n + 3) < 2^63; at the next one the line starts
+        # of `_grid_rows` wrapped around in int64, and it is refused
+        n = 3037000498
+        rows = scan_blocks(n)[0]
+        expected, i = [], n
+        while len(expected) < SCAN_BLOCK_ROWS:
+            expected[:0] = [(i / n, j / n, (n - i - j) / n) for j in range(n + 1 - i)]
+            i -= 1
+        block = geometry._grid_rows(n, rows - SCAN_BLOCK_ROWS, rows)
+        np.testing.assert_array_equal(bits(block), bits(expected[-SCAN_BLOCK_ROWS:]))
+        message = "grid resolution must be <= 3037000498 (n (n + 3) < 2^63), got 3037000499"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan_blocks(n + 1)
 
     def test_first_block_memory_does_not_grow_with_n(self):
         tracemalloc.start()
