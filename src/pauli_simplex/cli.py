@@ -21,10 +21,11 @@ import re
 import stat
 import sys
 
-# The package's matrix products (the dot product over at most 128 quadrature
-# nodes, and under `choi --oracle` the 4 x 4 Choi and transfer products) are
-# too narrow to share out, so an idle OpenBLAS thread pool would only spin and
-# burn CPU.  This must run before numpy loads; a value the caller set still wins.
+# No command's default output goes through BLAS; only `choi --oracle` makes
+# matrix products, 4 x 4 ones, too narrow to share out.  The pin stays because
+# an idle OpenBLAS thread pool spins: without it, `python -c 'import numpy'`
+# took 206 ms CPU for 128 ms wall (medians of 15 spawns, 2 vCPUs).  This must
+# run before numpy loads; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -377,9 +378,20 @@ cli.name, cli.main = "pauli-simplex", cli
 
 def main() -> None:
     """The console script: `cli` after gc.freeze, so that the collections at
-    exit, and in forked workers, skip the ~21,000 objects of the imports."""
+    exit, and in forked workers, skip the ~21,000 objects of the imports.
+
+    SIGTERM raises SystemExit(143) and Ctrl-C exits 130, both without a
+    traceback, so the `finally` blocks of `_forked` and `_write_csv` first
+    kill and reap the workers and remove the temporary and part files.
+    """
+    import signal  # here, so that `cli`, which tests call in process, sets no handler
+
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     gc.freeze()
-    cli()
+    try:
+        cli()
+    except KeyboardInterrupt:
+        sys.exit(130)
 
 if __name__ == "__main__":
     main()

@@ -116,8 +116,12 @@ def _region_measure(tol: float) -> tuple:
 
     Doubles the node count from _GAUSS_FIRST and stops at the first rule of
     2n nodes whose distance from the n-node rule, plus the rounding scale
-    sqrt(2n) eps |Q| of its sum, is within tol.  Raises ValueError naming
-    tol when the _GAUSS_LAST rule is reached first.
+    sqrt(2n) eps |Q| of its products w_i f(x_i), is within tol.  Raises
+    ValueError naming tol when the _GAUSS_LAST rule is reached first.
+
+    A rule is math.fsum of its products: their exact sum, rounded once, so
+    its bits do not depend on a BLAS kernel, thread count or order of
+    addition, as a dot product's do.
     """
     tol = _require_finite("tol", tol)
     if tol <= 0:
@@ -129,7 +133,7 @@ def _region_measure(tol: float) -> tuple:
 
     def rule(n: int) -> float:
         x, w = leggauss(n)
-        return half * float(w @ _region_integrand(half * (x + 1.0)))
+        return half * math.fsum((w * _region_integrand(half * (x + 1.0))).tolist())
 
     n, coarse = _GAUSS_FIRST, rule(_GAUSS_FIRST)
     while n < _GAUSS_LAST:
@@ -242,18 +246,23 @@ def _workers(tasks: int) -> int:
 
 def _forked(work, jobs: list, what: str) -> list:
     """[work(*job) for job in jobs]: the first job in this process, each other
-    in a child forked before it (see `_fork`).  If a job fails, the children
-    left are killed and reaped first; a child's error message, or its end
-    without a report, is raised here as a ChildProcessError (an OSError)."""
+    in a child forked before it (see `_fork`).  If a job fails, or an
+    exception such as the console script's SystemExit on SIGTERM stops this
+    process, the children left are killed and reaped first; a child's error
+    message, or its end without a report, is raised here as a
+    ChildProcessError (an OSError).  A child stays in the list while its
+    report is read, until the end of its pipe shows that it has ended."""
     children = []
     try:
         for job in jobs[1:]:
             children.append(_fork(work, job))
         results = [work(*jobs[0])]
         while children:
-            pid, read = children.pop(0)
-            with open(read, "rb") as pipe:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
                 report = pipe.read()
+            children.pop(0)
+            os.close(read)
             _, status = os.waitpid(pid, 0)
             if not report:
                 raise ChildProcessError(
@@ -265,8 +274,8 @@ def _forked(work, jobs: list, what: str) -> list:
             results.append(value)
         return results
     finally:
-        if children:  # left only when a job failed
-            import signal  # here, so that the CLI's start-up loads no more modules
+        if children:  # left only when a job failed or this process is stopped
+            import signal  # here, so that importing the package loads no more modules
 
             for pid, read in children:
                 os.kill(pid, signal.SIGKILL)
@@ -277,7 +286,10 @@ def _forked(work, jobs: list, what: str) -> list:
 def _fork(work, job: tuple) -> tuple:
     """Fork a child that sends [True, work(*job)], or [False, the message of
     the exception it met], pickled through a pipe and ends with os._exit, so
-    it runs no exit handler and flushes no buffer; returns (pid, read end)."""
+    it runs no exit handler and flushes no buffer; returns (pid, read end).
+    A child stopped by Ctrl-C, which reaches the whole process group, or by
+    the console script's SIGTERM handler ends without a report or a
+    traceback."""
     read, write = os.pipe()
     pid = os.fork()
     if pid:
@@ -292,6 +304,8 @@ def _fork(work, job: tuple) -> tuple:
             report = [False, str(exc)]
         os.write(write, pickle.dumps(report))
         code = 0
+    except (KeyboardInterrupt, SystemExit):  # a signal, which the caller reports if it met it
+        pass
     except BaseException:  # reported here: a child never returns into the caller's frames
         sys.excepthook(*sys.exc_info())
     finally:
@@ -321,6 +335,8 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
+    if n >= 1 << 63:  # every sample index, and the counts' divisor, in int64
+        raise ValueError(f"need at most 2^63 - 1 samples, got {n}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     chunk, slice_rows = 1 << 18, MC_SLICE_ROWS
@@ -361,11 +377,11 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
 def to_pauli_neutral_array(weights: np.ndarray) -> np.ndarray:
     """Vectorized equilateral embedding of an (n, 3) weight array.
 
-    The same values as weights @ _TRIANGLE, bit for bit, for finite
-    non-negative weights with a zero or normal c: each coordinate has one
-    inexact term, so its sum rounds once in any order, and no BLAS call is
-    made.  (For a subnormal c, 0.5 * c can round, and u may differ from the
-    product's in the last place.)
+    The same values as np.matmul(weights, _TRIANGLE), bit for bit, for
+    finite non-negative weights with a zero or normal c: each coordinate has
+    one inexact term, so its sum rounds once in any order, and no BLAS call
+    is made.  (For a subnormal c, 0.5 * c can round, and u may differ from
+    the product's in the last place.)
     """
     w = np.asarray(weights, dtype=float)
     return np.stack([w[..., 1] + 0.5 * w[..., 2], w[..., 2] * _TRIANGLE[2, 1]], axis=-1)

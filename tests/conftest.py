@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +19,14 @@ from pauli_simplex.cli import cli
 GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
 #: the golden Monte Carlo record, which perfbench/run.py pins too
 MC_SEED_42 = "measure --method mc --samples 10000000 --seed 42 --json"
+
+
+def child_env():
+    """The environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
+    )}
 
 
 def invoke(args, prog_name="pauli-simplex"):

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import contextlib
 import csv
 import errno
 import gc
@@ -10,10 +11,13 @@ import json
 import math
 import os
 import re
+import shutil
+import signal
 import site
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -21,7 +25,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import GOLDEN, MC_SEED_42, invoke, run_ok
+from conftest import GOLDEN, MC_SEED_42, child_env, invoke, run_ok
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pauli_simplex
 from pauli_simplex import geometry
@@ -82,13 +88,6 @@ else:  # ru_maxrss in KiB
         own = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 print(max(own, workers))
 """
-
-
-def child_env():
-    """The environment for a fresh interpreter that imports this checkout."""
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p
-    )}
 
 
 def run_child(code, *options, **env):
@@ -1111,11 +1110,13 @@ class TestUsageErrors:
              "grid resolution must be <= 3037000498 (n (n + 3) < 2^63), got 3037000499"),
             (["boundary", "--region", "Y", "--points", str(1 << 62), "--out", "unused.csv"],
              f"need at most 2^62 - 1 points per branch, got {1 << 62}"),
+            (["measure", "--method", "mc", "--samples", str(1 << 63)],
+             f"need at most 2^63 - 1 samples, got {1 << 63}"),
         ],
         ids=[
             "classify-negative", "classify-nan", "choi-fraction", "choi-oracle-singular",
             "measure-threads", "measure-tol", "rates-r", "rates-r-underflow", "scan-resolution",
-            "boundary-points", "scan-int64-limit", "boundary-int64-limit",
+            "boundary-points", "scan-int64-limit", "boundary-int64-limit", "measure-int64-limit",
         ],
     )
     def test_usage_line_names_the_subcommand(self, args, message):
@@ -1206,6 +1207,129 @@ class TestParserContract:
         assert stderr.endswith("Error: p must be finite, got -inf\n")
 
 
+#: option values that int() or float() cannot read
+NOT_NUMBERS = ["", "x", "1e", "--", "0x10", "None"]
+#: floats at and beyond the edges of every domain, and any other float
+HOSTILE_FLOATS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0.0", "0", "5e-324",
+                     "2.2250738585072014e-308", repr(math.nextafter(0.5, 0)), "0.5", "1",
+                     "-1", "-1e-3", "1e308", *NOT_NUMBERS]),
+    st.floats().map(repr),
+)
+
+
+def floats(low, high, **kwargs):
+    """One float option value in [low, high]."""
+    return st.floats(low, high, **kwargs).map(lambda x: (repr(x),))
+
+
+def sizes(low, high):
+    """One size option value in [low, high], small enough to run at once."""
+    return st.integers(low, high).map(lambda n: (str(n),))
+
+
+def refused(*values):
+    """Option values refused before any work starts."""
+    return st.sampled_from([*map(str, values), *NOT_NUMBERS, "1.5", "1e3", "nan"])
+
+
+def flag(name):
+    """An option that takes no value."""
+    return (name,), st.just((None,)), None
+
+
+#: the --a, --b, --c of a blend: a point of the simplex
+BLEND = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
+    lambda ab: ab if ab[0] + ab[1] <= 1 else (1 - ab[0], 1 - ab[1])
+).map(lambda ab: tuple(map(repr, (*ab, 1 - ab[0] - ab[1]))))
+#: the --a, --q, --p of `choi`: a fraction, then q >= p in [0, 1/2)
+CHOI = st.tuples(st.floats(0, 1), *[st.floats(0, 0.5, exclude_max=True)] * 2).map(
+    lambda apq: tuple(map(repr, (apq[0], max(apq[1:]), min(apq[1:]))))
+)
+#: --out targets in a fresh directory that holds a directory `dir`, a file
+#: `file` and a directory `readonly` without write permission
+OUT = (
+    ("--out",),
+    st.sampled_from([("{work}/out.csv",), ("{work}/file",)]),
+    st.sampled_from(["{work}/dir", "{work}/dir/", "{work}/newdir/", "{work}/missing/out.csv",
+                     "{work}/file/out.csv", "{work}/readonly/out.csv", "", ".", ".."]),
+)
+#: each command's options: (names, valid values for them all, hostile values for one)
+OPTIONS = {
+    "rates": [(("--a", "--b", "--c"), BLEND, HOSTILE_FLOATS),
+              (("--p",), floats(0, 0.5, exclude_max=True), HOSTILE_FLOATS),
+              (("--r",), floats(1e-3, 1e3), HOSTILE_FLOATS),
+              (("--convention",), st.sampled_from([("reduced",), ("physical",)]),
+               st.sampled_from(["other", ""])),
+              flag("--json")],
+    "classify": [(("--a", "--b", "--c"), BLEND, HOSTILE_FLOATS), flag("--json")],
+    "scan": [(("--n",), sizes(1, 30), refused(0, -1, -(1 << 63), 3037000499, 1 << 63, 10**20)),
+             OUT],
+    "measure": [(("--method",), st.sampled_from([("quad",), ("mc",)]), st.just("exact")),
+                (("--tol",), floats(1e-14, 1e-2), HOSTILE_FLOATS),
+                (("--samples",), sizes(1, 3000), refused(0, -1, 1 << 63, 10**20)),
+                (("--seed",), sizes(0, 1 << 128), refused(-1, -(10**20))),
+                # a huge --threads is only a cap: one chunk of samples forks no worker
+                (("--threads",), st.sampled_from([("1",), ("4",), (str(1 << 63),), (str(10**20),)]),
+                 refused(0, -1)),
+                flag("--json")],
+    "boundary": [(("--region",), st.sampled_from([("X",), ("Y",), ("Z",)]),
+                  st.sampled_from(["W", ""])),
+                 (("--points",), sizes(2, 40), refused(1, 0, -1, 1 << 62, 10**20)),
+                 OUT],
+    "choi": [(("--a", "--q", "--p"), CHOI, HOSTILE_FLOATS), flag("--oracle"), flag("--json")],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command with each option left out one time in five, and a value
+    given replaced by a hostile one one time in four."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for names, valid, hostile in OPTIONS[command]:
+        for name, value in zip(names, draw(valid)):
+            if not draw(st.integers(0, 4)):
+                continue
+            if value is not None and not draw(st.integers(0, 3)):
+                value = draw(hostile)
+            argv += [name] if value is None else [name, value]
+    return argv
+
+
+class TestHostileInput:
+    """Hostile values for every command and option end with exit 0, 2 or 3,
+    no traceback, and no file but a complete target."""
+
+    @given(argv=command_lines())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_files(self, tmp_path, forks, usable_cpus, argv):
+        usable_cpus(2)  # so at most one forked worker, whatever --threads says
+        forks.clear()
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "dir").mkdir()
+        (work / "file").write_text("old\n")
+        (work / "readonly").mkdir(mode=0o500)
+        before = set(work.rglob("*"))
+        argv = [arg.replace("{work}", str(work)) for arg in argv]
+        code, stdout, stderr = invoke(argv)
+        assert code in (0, 2, 3), stderr
+        assert "Traceback" not in stderr
+        written = re.fullmatch(r"wrote (\d+) rows to (.*?)( \(markovian .*\))?\n", stdout)
+        if written:
+            target = Path(written[2]).resolve()
+            lines = target.read_text().split("\n")
+            assert len(lines) == int(written[1]) + 2 and lines[-1] == "", target
+            assert set(work.rglob("*")) - before <= {target}
+        else:
+            assert set(work.rglob("*")) == before
+            assert (work / "file").read_text() == "old\n"
+        assert len(forks) <= 1
+        (work / "readonly").chmod(0o700)
+        shutil.rmtree(work)
+
+
 class TestConsoleScript:
     """`main`, the console script, freezes the import-time heap; `cli` freezes nothing."""
 
@@ -1234,6 +1358,72 @@ print(gc.get_freeze_count())
         assert record + "\n" == run_ok(self.CLASSIFY)
         # the imports leave about 21,000 objects, numpy's most of them
         assert int(frozen) > 10_000
+
+    #: `scan --n N --out OUT` through `main` with two usable CPUs, so one
+    #: forked CSV worker, which sleeps 50 ms a block; prints the worker's pid
+    #: once it is forked, then "waiting" once this process's range is written
+    SIGNALLED = """
+import os, sys, time
+from pauli_simplex import cli, geometry
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, fork, grid_rows, write_blocks = os.getpid(), geometry._fork, geometry._grid_rows, cli._write_blocks
+def reporting(work, job):
+    pid, read = fork(work, job)
+    print(pid, flush=True)
+    return pid, read
+def slow_worker(n, k0, k1):
+    if os.getpid() != parent:
+        time.sleep(0.05)
+    return grid_rows(n, k0, k1)
+def own_range(fh, make_rows, k0, k1):
+    tally = write_blocks(fh, make_rows, k0, k1)
+    if os.getpid() == parent:
+        print("waiting", flush=True)
+    return tally
+geometry._fork, geometry._grid_rows, cli._write_blocks = reporting, slow_worker, own_range
+sys.argv[1:] = ["scan", "--n", sys.argv[2], "--out", sys.argv[1]]
+cli.main()
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("moment", ["writing", "waiting"])
+    @pytest.mark.parametrize(
+        "signum, group, code",
+        [(signal.SIGTERM, False, 143), (signal.SIGINT, True, 130)],
+        ids=["sigterm", "ctrl-c"],
+    )
+    def test_signal_leaves_no_file_and_no_worker(self, tmp_path, signum, group, code, moment):
+        # SIGTERM to the command, or SIGINT to its process group as Ctrl-C
+        # sends it: while the command writes its half of 200 million rows, or
+        # once it waits for the worker's half of 80,601
+        n = {"writing": "20000", "waiting": "400"}[moment]
+        child = subprocess.Popen(
+            [sys.executable, "-c", self.SIGNALLED, str(tmp_path / "out.csv"), n],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        worker = None
+        try:
+            worker = int(child.stdout.readline())
+            if moment == "waiting":
+                assert child.stdout.readline() == "waiting\n"
+            deadline = time.monotonic() + 30
+            while not any(name.endswith(".1") for name in os.listdir(tmp_path)):
+                assert child.poll() is None and time.monotonic() < deadline, os.listdir(tmp_path)
+                time.sleep(0.005)
+            (os.killpg if group else os.kill)(child.pid, signum)
+            assert child.wait(timeout=30) == code
+            with pytest.raises(ProcessLookupError):  # reaped, not left running
+                os.kill(worker, 0)
+            # no traceback, from the command or its worker
+            assert child.communicate(timeout=30) == ("", "")
+            assert os.listdir(tmp_path) == []
+        finally:
+            if worker is not None:  # a worker left running would hold the pipes open
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker, signal.SIGKILL)
+            child.kill()
+            child.communicate(timeout=30)
 
     def test_cli_in_process_freezes_nothing(self, tmp_path):
         assert gc.get_freeze_count() == 0

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -10,7 +12,7 @@ from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
-from conftest import GOLDEN, MC_SEED_42
+from conftest import GOLDEN, MC_SEED_42, child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,7 +308,46 @@ class TestBoundaryCurve:
                 np.testing.assert_array_equal(bits(column), bits(made))
 
 
+def dynamic_arch_openblas():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
 class TestQuadrature:
+    #: both pinned quadrature commands, then the library's record at four tolerances
+    QUAD_BYTES = """
+from pauli_simplex.cli import cli
+from pauli_simplex.geometry import total_measures
+cli(["measure", "--method", "quad"])
+cli(["measure", "--method", "quad", "--json"])
+for tol in (1e-4, 1e-8, 1e-12, 1e-14):
+    print(repr(total_measures(tol)))
+"""
+
+    @pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+    def test_same_bytes_under_every_blas_kernel(self):
+        # each OpenBLAS kernel adds a dot product's terms in its own order;
+        # OPENBLAS_VERBOSE=2 names the kernel picked on stderr, as "Core: <name>"
+        outputs, cores = set(), set()
+        for kernel in ("Haswell", "SkylakeX", "Nehalem", "Prescott"):
+            child = subprocess.run(
+                [sys.executable, "-c", self.QUAD_BYTES],
+                env={**child_env(), "OPENBLAS_CORETYPE": kernel, "OPENBLAS_VERBOSE": "2"},
+                capture_output=True, text=True, timeout=60,
+            )
+            assert child.returncode == 0, child.stderr
+            cores.update(line for line in child.stderr.splitlines() if line.startswith("Core:"))
+            outputs.add(child.stdout)
+        assert len(cores) >= 2, cores
+        assert len(outputs) == 1, outputs
+        pinned = [GOLDEN[key]["stdout"] for key in ("measure --method quad",
+                                                    "measure --method quad --json")]
+        assert outputs.pop().startswith("".join(pinned))
+
     def test_region_measure_reference(self):
         value = total_measures(tol=1e-8).region_y
         assert abs(value - REGION_MEASURE_REF) < 1e-8
@@ -367,6 +408,17 @@ class TestMonteCarlo:
         a = monte_carlo_measures(50_000, seed=7)
         b = monte_carlo_measures(50_000, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [(0, "need at least 1 sample, got 0"),
+         # before 2^63 / 2^18 chunks start: 10^20 samples once never ended
+         (1 << 63, f"need at most 2^63 - 1 samples, got {1 << 63}")],
+    )
+    def test_rejects_bad_sample_counts(self, forks, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo_measures(n, seed=7)
+        assert forks == []
 
     def test_worker_count_is_capped(self, monkeypatch, forks, usable_cpus):
         # a huge thread request, or none, starts no more workers than chunks
