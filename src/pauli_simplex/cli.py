@@ -41,6 +41,7 @@ from .geometry import (
     scan_blocks as scan_grid,
     total_measures,
     _forked,
+    _stop_if_orphaned,
     _workers,
 )
 
@@ -127,13 +128,15 @@ def _fields(columns: list, table: tuple) -> tuple:
 
 def _write_blocks(fh, make_rows, k0: int, k1: int) -> int:
     """Write rows k0 to k1 - 1 in blocks of SCAN_BLOCK_ROWS, each formatted
-    with the previous block's reprs (see `_fields`).
+    with the previous block's reprs (see `_fields`); a forked worker whose
+    command is gone stops before its next block (see `_stop_if_orphaned`).
 
     make_rows(j0, j1) returns the equal-length columns of rows j0 to j1 - 1
     and a tally.  Returns the sum of the tallies.
     """
     tally, table = 0, (np.empty(0, np.int64), np.empty(0, object))
     for j0 in range(k0, k1, SCAN_BLOCK_ROWS):
+        _stop_if_orphaned()
         columns, count = make_rows(j0, min(j0 + SCAN_BLOCK_ROWS, k1))
         fields, table = _fields(columns, table)
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

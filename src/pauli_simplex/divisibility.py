@@ -7,6 +7,9 @@ w_i w_j w_k it is the polynomial w_k (w_i + w_j) - w_i w_j (1 + w_k).
 Classification is the sign pattern of these three polynomials: no division,
 no +/-inf, and exact on simplex edges and vertices.  The limiting rates
 themselves, in extended-real arithmetic, are only computed for reporting.
+The tests certify the monotonicity lemma and this limiting-rate shortcut
+against `oracles.exact_negative_axes`, which decides the sign of each rate
+at every finite p in integers and uses neither.
 """
 
 from __future__ import annotations

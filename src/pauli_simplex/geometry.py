@@ -244,6 +244,18 @@ def _workers(tasks: int) -> int:
     return min(os.cpu_count() or 1, tasks)
 
 
+#: in a child of `_fork`, the pid of the process that forked it
+_forker = None
+
+
+def _stop_if_orphaned() -> None:
+    """Raise SystemExit in a child of `_fork` whose forker is gone, as after
+    a SIGKILL that no handler sees: its parent is then another process.
+    Called before each CSV block and Monte Carlo chunk; elsewhere a no-op."""
+    if _forker is not None and os.getppid() != _forker:
+        raise SystemExit
+
+
 def _forked(work, jobs: list, what: str) -> list:
     """[work(*job) for job in jobs]: the first job in this process, each other
     in a child forked before it (see `_fork`).  If a job fails, or an
@@ -287,15 +299,18 @@ def _fork(work, job: tuple) -> tuple:
     """Fork a child that sends [True, work(*job)], or [False, the message of
     the exception it met], pickled through a pipe and ends with os._exit, so
     it runs no exit handler and flushes no buffer; returns (pid, read end).
-    A child stopped by Ctrl-C, which reaches the whole process group, or by
-    the console script's SIGTERM handler ends without a report or a
+    A child stopped by Ctrl-C, which reaches the whole process group, by
+    the console script's SIGTERM handler or by `_stop_if_orphaned`, or one
+    whose report finds the pipe closed, ends without a report or a
     traceback."""
+    global _forker
+    forker = os.getpid()
     read, write = os.pipe()
     pid = os.fork()
     if pid:
         os.close(write)
         return pid, read
-    code = 1
+    _forker, code = forker, 1
     try:
         os.close(read)
         try:
@@ -304,7 +319,7 @@ def _fork(work, job: tuple) -> tuple:
             report = [False, str(exc)]
         os.write(write, pickle.dumps(report))
         code = 0
-    except (KeyboardInterrupt, SystemExit):  # a signal, which the caller reports if it met it
+    except (KeyboardInterrupt, SystemExit, BrokenPipeError):  # a signal, or the caller is gone
         pass
     except BaseException:  # reported here: a child never returns into the caller's frames
         sys.excepthook(*sys.exc_info())
@@ -351,6 +366,7 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
         work = (floats[3:], np.empty((2, slice_rows), dtype=bool), np.empty(slice_rows, np.int8))
         counts = np.zeros(3, dtype=np.intp)
         for i in range(first, n_chunks, workers):
+            _stop_if_orphaned()
             size = min(chunk, n - i * chunk)
             rng = random.default_rng(random.SeedSequence(seed, spawn_key=(i,)))
             for start in range(0, size, slice_rows):

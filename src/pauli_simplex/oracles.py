@@ -1,8 +1,13 @@
 """Independent checks of the core's closed forms, used only for verification.
 
 Only `rates` and `choi --oracle` load it: the Pauli channels' 2x2 action, the
-two-channel cross rate, finite-difference rates, the brute-force p-scan, and
-the Choi matrices, on which LAPACK checks the closed-form witness spectrum.
+two-channel cross rate, finite-difference rates, the exact finite-p verdict,
+and the Choi matrices, on which LAPACK checks the closed-form witness spectrum.
+
+The exact verdict decides the sign of every reduced rate at every p in
+integers, with neither NEG_TOL nor the limiting-rate shortcut nor the
+monotonicity lemma of `divisibility`, so the tests that compare it with
+`region_codes` certify the lemma and the shortcut too.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import numpy as np
 
 from .channels import AXES, MixtureWeights, three_mix_eigenvalues
 from .channels import _check_aqp, _check_fraction, _check_p, _require_finite
-from .divisibility import NEG_TOL, RegionLabel, _label
 from .generator import DecayRates, physical_scale, signed_sums
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -105,17 +109,9 @@ def finite_difference_rates(
     return DecayRates(*(0.5 * signed_sums(u)).tolist())
 
 
-def _divisibility(rates: np.ndarray) -> np.ndarray:
-    """Region codes of an (n, 3) rate array: -1 Markovian, else axis index.
-
-    The rule on rate values, used by the brute-force oracle: any two rates
-    sum to 2 f(w_k) >= 0, so at most one falls below NEG_TOL, and the most
-    negative rate names the region.
-    """
-    rates = np.atleast_2d(rates)
-    return np.where((rates < NEG_TOL).any(axis=1), np.argmin(rates, axis=1), -1)
-
-
+# the p-grid stays only for perfbench/verify_scalar.py, which reads
+# `rate_minima_over_grid` through the `divisibility` hook; ROADMAP item 13
+# deletes both
 def default_scan_grid() -> np.ndarray:
     """Dense p grid for brute-force verdicts: uniform plus a tail toward 1/2.
 
@@ -144,14 +140,41 @@ def rate_minima_over_grid(weights: np.ndarray) -> np.ndarray:
     return mins
 
 
-def classify_by_rate_scan(w: MixtureWeights) -> RegionLabel:
-    """Brute-force verdict: minimize the analytic rates over a dense p grid.
+def exact_rate_quadratics(w) -> tuple:
+    """The reduced rates of one blend as exact integer quadratics in t = 2p.
 
-    Independent of the limiting-rate shortcut; `classify` must agree with
-    this on every input.  The reported rates are the grid minima per axis.
+    With u = 1 - w, the rate of axis k is u_i/(1 - u_i t) + u_j/(1 - u_j t)
+    - u_k/(1 - u_k t); times Π_l (1 - u_l t), positive for t in [0, 1), it
+    is N_k(t) = (u_i + u_j - u_k) - 2 u_i u_j t + u_i u_j u_k t^2.  The
+    weights are the floats' exact binary values, not renormalized: with d
+    their largest denominator, a power of two, each d u_l is an integer.
+    Returns the integers (A0, A1, A2) of d^3 N_k for k = x, y, z, and
+    d^3 w_x w_y w_z, the product at t = 1 on the same scale.
     """
-    rates = rate_minima_over_grid(w.as_array())
-    return _label(int(_divisibility(rates)[0]), rates[0])
+    ratios = [float(x).as_integer_ratio() for x in w]
+    d = max(den for _, den in ratios)
+    u = [d - num * (d // den) for num, den in ratios]
+    pairs = (u[1] * u[2], u[0] * u[2], u[0] * u[1])
+    quadratics = [((sum(u) - 2 * uk) * d * d, -2 * ij * d, ij * uk) for uk, ij in zip(u, pairs)]
+    return quadratics, (d - u[0]) * (d - u[1]) * (d - u[2])
+
+
+def exact_negative_axes(weights: np.ndarray) -> np.ndarray:
+    """Whether each axis' reduced rate is negative at some p in [0, 1/2).
+
+    An (n, 3) bool array for (n, 3) weights: N_k of `exact_rate_quadratics`
+    is negative on [0, 1) exactly when it is at t = 0, at t = 1 or at a
+    minimum -A1 / (2 A2) inside, where its value is A0 - A1^2 / (4 A2).  So
+    N_k(1) = 0 with no negative value inside is Markovian, the closed-set
+    convention.  A row's region code is its negative axis, else -1.
+    """
+    rows = np.atleast_2d(np.asarray(weights, dtype=float)).tolist()
+    negative = [
+        [a0 < 0 or a0 + a1 + a2 < 0 or (0 < -a1 < 2 * a2 and a1 * a1 > 4 * a0 * a2)
+         for a0, a1, a2 in exact_rate_quadratics(row)[0]]
+        for row in rows
+    ]
+    return np.array(negative, dtype=bool).reshape(-1, 3)
 
 
 class ChoiMatrix(NamedTuple("ChoiMatrix", [("matrix", np.ndarray)])):

@@ -9,16 +9,55 @@ from pathlib import Path
 # raises ImportError, so every test runs where click cannot be imported
 sys.modules["click"] = None
 
+import numpy as np
 import pytest
 
 from pauli_simplex import geometry
 from pauli_simplex.cli import cli
+from pauli_simplex.oracles import exact_negative_axes
 
 #: the pinned outputs, one entry per command line with `{out}` for its --out
 #: path: the exact stdout, and the size and SHA-256 of the file written
 GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
 #: the golden Monte Carlo record, which perfbench/run.py pins too
 MC_SEED_42 = "measure --method mc --samples 10000000 --seed 42 --json"
+
+
+def codes_of(negative):
+    """Region codes of an (n, 3) bool array of negative axes: the row's
+    negative axis, else -1.  No row may have two."""
+    assert negative.sum(axis=1).max(initial=0) <= 1
+    return np.where(negative.any(axis=1), negative.argmax(axis=1), -1)
+
+
+def oracle_codes(weights):
+    """Region codes of (n, 3) weight rows by the exact finite-p oracle."""
+    return codes_of(exact_negative_axes(weights))
+
+
+def lattice(n):
+    """The int64 indices (i, j, k = n - i - j) of the resolution-n grid's rows."""
+    rows = (n + 1) * (n + 2) // 2
+    lengths = np.arange(n + 1, 0, -1)
+    i = np.repeat(np.arange(n + 1, dtype=np.int64), lengths)
+    j = np.arange(rows, dtype=np.int64) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return i, j, n - i - j
+
+
+def lattice_codes(n):
+    """Region codes of the resolution-n grid from exact integer signs.
+
+    Row (i, j, k) is the point (i, j, k) / n.  There the x rate times a b c,
+    a (b + c) - b c (1 + a), is P / n^3 with the int64
+    P = i (j + k) n - j k (n + i), and the y and z rates rotate (i, j, k).
+    The code is the axis whose P is negative (at most one is), else -1.
+    """
+    i, j, k = lattice(n)
+    return codes_of(np.column_stack([
+        i * (j + k) * n - j * k * (n + i),
+        j * (k + i) * n - k * i * (n + j),
+        k * (i + j) * n - i * j * (n + k),
+    ]) < 0)
 
 
 def child_env():

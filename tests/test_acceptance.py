@@ -10,11 +10,11 @@ import math
 import time
 
 import numpy as np
-from conftest import run_ok
+from conftest import oracle_codes, run_ok
 
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.choi import intermediate_ratios, rhp_witness
-from pauli_simplex.divisibility import NEG_TOL, limit_rates_array, region_codes
+from pauli_simplex.divisibility import limit_rates_array, region_codes
 from pauli_simplex.generator import signed_sums, three_mix_rates
 from pauli_simplex.geometry import (
     BAND_EDGE,
@@ -27,7 +27,6 @@ from pauli_simplex.oracles import (
     a_matrix_choi,
     choi_matrix,
     finite_difference_rates,
-    rate_minima_over_grid,
     two_mix_cross_rate,
 )
 
@@ -148,10 +147,7 @@ def test_criterion_7_classifier_oracle_equivalence():
     rng = np.random.default_rng(123)
     e = rng.exponential(size=(10_000, 3))
     weights = e / e.sum(axis=1, keepdims=True)
-    fast = region_codes(weights)
-    mins = rate_minima_over_grid(weights)
-    brute = np.where((mins < NEG_TOL).any(axis=1), np.argmin(mins, axis=1), -1)
-    matches = int((fast == brute).sum())
+    matches = int((region_codes(weights) == oracle_codes(weights)).sum())
 
     edge_ok = abs(BAND_EDGE - (math.sqrt(5.0) - 2.0)) <= 1e-12
 
@@ -170,7 +166,7 @@ def test_criterion_7_classifier_oracle_equivalence():
         flip_ok = flip_ok and (inner == 1).all() and (outer != 1).all()
 
     ok = matches == 10_000 and edge_ok and residual < 1e-9 and flip_ok
-    report(7, f"limit classifier vs rate-scan oracle ({matches}/10000 matches, "
+    report(7, f"limit classifier vs exact finite-p oracle ({matches}/10000 matches, "
               f"boundary residual {residual:.2e})", ok)
 
 

@@ -3,6 +3,7 @@ import builtins
 import contextlib
 import csv
 import errno
+import functools
 import gc
 import hashlib
 import importlib
@@ -25,13 +26,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import GOLDEN, MC_SEED_42, child_env, invoke, run_ok
+from conftest import GOLDEN, MC_SEED_42, child_env, invoke, lattice, lattice_codes, run_ok
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pauli_simplex
 from pauli_simplex import geometry
 from pauli_simplex.cli import _fields
+from pauli_simplex.divisibility import region_codes
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -713,31 +715,17 @@ print(tasks(), geometry._forked(product, [(1,), (2,)], "BLAS job"))
         assert os.listdir(tmp_path) == []
 
 
-def lattice(n):
-    """The int64 indices (i, j, k = n - i - j) of the resolution-n grid's rows."""
-    rows = (n + 1) * (n + 2) // 2
-    lengths = np.arange(n + 1, 0, -1)
-    i = np.repeat(np.arange(n + 1, dtype=np.int64), lengths)
-    j = np.arange(rows, dtype=np.int64) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return i, j, n - i - j
+@pytest.fixture(scope="module")
+def scan_rows():
+    """scan_rows(n): the (weights, uv, rates, codes) of every row of
+    `geometry.scan_blocks(n)`, built once per n for this module."""
 
+    @functools.cache
+    def rows_of(n):
+        rows, make_rows = geometry.scan_blocks(n)
+        return make_rows(0, rows)
 
-def lattice_codes(n):
-    """Region codes of the resolution-n grid from exact integer signs.
-
-    Row (i, j, k) is the point (i, j, k) / n.  There the x rate times a b c,
-    a (b + c) - b c (1 + a), is P / n^3 with the int64
-    P = i (j + k) n - j k (n + i), and the y and z rates rotate (i, j, k).
-    The code is the axis whose P is negative (at most one is), else -1.
-    """
-    i, j, k = lattice(n)
-    negative = np.stack([
-        i * (j + k) * n - j * k * (n + i),
-        j * (k + i) * n - k * i * (n + j),
-        k * (i + j) * n - i * j * (n + k),
-    ]) < 0
-    assert negative.sum(axis=0).max() <= 1
-    return np.where(negative.any(axis=0), negative.argmax(axis=0), -1)
+    return rows_of
 
 
 class TestExactCertificate:
@@ -769,19 +757,28 @@ class TestExactCertificate:
         np.testing.assert_array_equal(labels == "MARKOVIAN", codes == -1)
         assert np.count_nonzero(codes != lattice_codes(400)) == 0
 
+    def test_grid_rows_up_to_n60(self):
+        # 39,710 rows, each the lattice point rounded once, with its exact verdict
+        for n in range(1, 61):
+            points = geometry.grid_weights(n)
+            np.testing.assert_array_equal(points, np.column_stack(lattice(n)) / n)
+            np.testing.assert_array_equal(region_codes(points), lattice_codes(n))
+
     @pytest.mark.parametrize("n", [1000, 2000])
-    def test_scan_blocks(self, n):
-        rows, make_rows = geometry.scan_blocks(n)
-        step = 1 << 16
-        codes = np.concatenate([make_rows(k, min(k + step, rows))[3] for k in range(0, rows, step)])
+    def test_scan_blocks(self, n, scan_rows):
+        if n == 1000:
+            codes = scan_rows(n)[3]
+        else:  # in blocks: whole, the rows at n = 2000 would take about 130 MB
+            rows, make_rows = geometry.scan_blocks(n)
+            step = 1 << 16
+            codes = np.concatenate([make_rows(k, min(k + step, rows))[3] for k in range(0, rows, step)])
         assert np.count_nonzero(codes != lattice_codes(n)) == 0
 
     @pytest.mark.parametrize("n, over_one_ulp", [(400, 0), (1000, 424)])
-    def test_scan_coordinates(self, n, over_one_ulp):
+    def test_scan_coordinates(self, n, over_one_ulp, scan_rows):
         # the columns a, b, c, u and v against the raw row (i/n, j/n, k/n),
         # whose divisions round once each
-        rows, make_rows = geometry.scan_blocks(n)
-        weights, uv, _, _ = make_rows(0, rows)
+        weights, uv, _, _ = scan_rows(n)
         raw = np.column_stack(lattice(n)) / n
         a, b, c = raw.T
         u, v = uv.T
@@ -812,11 +809,10 @@ class TestExactCertificate:
         assert np.count_nonzero(beyond) == over_one_ulp
 
     @pytest.mark.parametrize("n, step", [(400, 1), (1000, 7)], ids=["400", "1000-every-7th-row"])
-    def test_scan_limit_rates(self, n, step):
+    def test_scan_limit_rates(self, n, step, scan_rows):
         # every row at n = 400 and every 7th at n = 1000, where every row
         # takes about 4 s (2 vCPUs)
-        rows, make_rows = geometry.scan_blocks(n)
-        rates = make_rows(0, rows)[2][::step]
+        rates = scan_rows(n)[2][::step]
         w = (np.column_stack(lattice(n)) / n)[::step]  # the float row, raw
         # the zero-weight terms diverge alike, so their signed multiplicity
         # on axis k, -z_k + z_i + z_j, puts the +inf and -inf cells
@@ -1385,6 +1381,30 @@ sys.argv[1:] = ["scan", "--n", sys.argv[2], "--out", sys.argv[1]]
 cli.main()
 """
 
+    @contextlib.contextmanager
+    def signalled_scan(self, tmp_path, n):
+        """Run SIGNALLED on `scan --n n`; yield the command's Popen and its
+        worker's pid once the worker's part file exists; kill both at the end."""
+        child = subprocess.Popen(
+            [sys.executable, "-c", self.SIGNALLED, str(tmp_path / "out.csv"), n],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        worker = None
+        try:
+            worker = int(child.stdout.readline())
+            deadline = time.monotonic() + 30
+            while not any(name.endswith(".1") for name in os.listdir(tmp_path)):
+                assert child.poll() is None and time.monotonic() < deadline, os.listdir(tmp_path)
+                time.sleep(0.005)
+            yield child, worker
+        finally:
+            if worker is not None:  # a worker left running would hold the pipes open
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker, signal.SIGKILL)
+            child.kill()
+            child.communicate(timeout=30)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("moment", ["writing", "waiting"])
     @pytest.mark.parametrize(
@@ -1397,20 +1417,9 @@ cli.main()
         # sends it: while the command writes its half of 200 million rows, or
         # once it waits for the worker's half of 80,601
         n = {"writing": "20000", "waiting": "400"}[moment]
-        child = subprocess.Popen(
-            [sys.executable, "-c", self.SIGNALLED, str(tmp_path / "out.csv"), n],
-            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,
-        )
-        worker = None
-        try:
-            worker = int(child.stdout.readline())
+        with self.signalled_scan(tmp_path, n) as (child, worker):
             if moment == "waiting":
                 assert child.stdout.readline() == "waiting\n"
-            deadline = time.monotonic() + 30
-            while not any(name.endswith(".1") for name in os.listdir(tmp_path)):
-                assert child.poll() is None and time.monotonic() < deadline, os.listdir(tmp_path)
-                time.sleep(0.005)
             (os.killpg if group else os.kill)(child.pid, signum)
             assert child.wait(timeout=30) == code
             with pytest.raises(ProcessLookupError):  # reaped, not left running
@@ -1418,12 +1427,19 @@ cli.main()
             # no traceback, from the command or its worker
             assert child.communicate(timeout=30) == ("", "")
             assert os.listdir(tmp_path) == []
-        finally:
-            if worker is not None:  # a worker left running would hold the pipes open
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(worker, signal.SIGKILL)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_sigkill_leaves_no_worker(self, tmp_path):
+        # SIGKILL to the command while it writes its half of 200 million
+        # rows: nothing removes its files, but its worker finds another
+        # parent before its next block and ends
+        with self.signalled_scan(tmp_path, "20000") as (child, worker):
             child.kill()
-            child.communicate(timeout=30)
+            assert child.wait(timeout=30) == -signal.SIGKILL
+            # the worker holds the command's stdout and stderr until it ends,
+            # so they close only once it has; it prints no traceback
+            assert child.communicate(timeout=2) == ("", "")
+            assert len(os.listdir(tmp_path)) == 2  # the temporary and the part file
 
     def test_cli_in_process_freezes_nothing(self, tmp_path):
         assert gc.get_freeze_count() == 0

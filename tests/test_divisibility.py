@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import oracle_codes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +25,8 @@ from pauli_simplex.geometry import (
     sample_simplex,
 )
 from pauli_simplex.oracles import (
-    _divisibility,
-    classify_by_rate_scan,
     default_scan_grid,
+    exact_rate_quadratics,
     rate_minima_over_grid,
 )
 
@@ -128,10 +128,10 @@ class TestClassify:
 
     def test_balanced_dominant_weight_is_markovian(self):
         # the two small weights produce cancelling divergences, leaving every
-        # limit rate positive; confirmed by the rate-scan oracle
+        # limit rate positive; confirmed by the exact oracle
         w = MixtureWeights(0.1, 0.8, 0.1)
         assert classify(w).tag == MARKOVIAN
-        assert classify_by_rate_scan(w).tag == MARKOVIAN
+        assert oracle_codes(w.as_array()).tolist() == [-1]
 
     def test_permutation_equivariance(self):
         w = MixtureWeights(0.45, 0.1, 0.45)
@@ -139,12 +139,13 @@ class TestClassify:
         assert classify(MixtureWeights(*w.as_array()[[1, 0, 2]])).region == "X"
         assert classify(MixtureWeights(*w.as_array()[[0, 2, 1]])).region == "Z"
 
-    def test_agrees_with_rate_scan_oracle(self):
-        for w in random_weights(2000, seed=17):
-            fast = classify(MixtureWeights(*w))
-            slow = classify_by_rate_scan(MixtureWeights(*w))
-            assert fast.tag == slow.tag
-            assert fast.region == slow.region
+    def test_agrees_with_exact_oracle(self):
+        blends = [MixtureWeights(*w) for w in random_weights(2000, seed=17)]
+        codes = oracle_codes(np.array([w.as_array() for w in blends]))
+        for w, code in zip(blends, codes.tolist()):
+            label = classify(w)
+            assert label.tag == (MARKOVIAN if code < 0 else NONMARKOVIAN)
+            assert label.region == (None if code < 0 else "XYZ"[code])
 
     def test_regions_are_disjoint(self):
         for w in random_weights(5000, seed=23):
@@ -160,18 +161,6 @@ class TestClassify:
             assert codes[k] == expected
 
 
-def rate_rule(weights):
-    """Reference verdict: the NEG_TOL rule on the extended-real limiting rates."""
-    rates = limit_rates_array(weights)
-    return _divisibility(rates), rates
-
-
-def within_rounding_of_band(w, rates, code):
-    """The axis' limiting rate is within float rounding of NEG_TOL at w."""
-    scale = max(1.0, 1.0 / w.min()) if w.min() > 0 else math.inf
-    return abs(rates[code] - NEG_TOL) <= 1e-13 * scale
-
-
 #: the other two axes (i, j) of each axis k
 PAIRS = ((1, 2), (0, 2), (0, 1))
 
@@ -183,23 +172,24 @@ def exact_scaled_rates(w):
     )
 
 
-def exact_code(w):
-    """The NEG_TOL test on the scaled limiting rates, in exact arithmetic.
-
-    The weights are floats, taken at their exact binary value, or Fractions.
-    """
-    w = [Fraction(x) for x in w]
-    band = Fraction(NEG_TOL) * w[0] * w[1] * w[2]
-    code = -1
-    for k, scaled in enumerate(exact_scaled_rates(w)):
-        if scaled < band:
-            code = k
-    return code
+def assert_agree_outside_band(w):
+    """`region_codes` and the exact oracle agree on the rows w, but where an
+    axis' exact limiting rate times w_x w_y w_z lies in the band
+    [NEG_TOL w_x w_y w_z, 0) of `region_codes`.  Returns the number of
+    rows where they differ."""
+    fast, exact = region_codes(w), oracle_codes(w)
+    differ = np.flatnonzero(fast != exact).tolist()
+    for q in differ:
+        coefficients, product = exact_rate_quadratics(w[q])
+        for code in {int(fast[q]), int(exact[q])} - {-1}:
+            assert Fraction(NEG_TOL) * product <= sum(coefficients[code]) < 0
+    return len(differ)
 
 
 def shift_ulps(a, steps):
+    """a moved by `steps` ulps, elementwise."""
     for _ in range(abs(steps)):
-        a = float(np.nextafter(a, math.copysign(math.inf, steps)))
+        a = np.nextafter(a, math.copysign(math.inf, steps))
     return a
 
 
@@ -209,16 +199,16 @@ simplex_points = st.tuples(
 
 
 class TestRegionCodes:
-    """The polynomial sign test against the NEG_TOL rule on limiting rates."""
+    """The polynomial sign test against the exact finite-p oracle."""
 
-    def test_matches_rate_rule_on_grids(self):
-        for n in [*range(1, 61), 400, 1000]:
+    def test_matches_exact_oracle_on_grids(self):
+        for n in [*range(1, 61), 400]:
             points = grid_weights(n)
-            np.testing.assert_array_equal(region_codes(points), rate_rule(points)[0])
+            np.testing.assert_array_equal(region_codes(points), oracle_codes(points))
 
-    def test_matches_rate_rule_on_samples(self):
-        points = sample_simplex(1_000_000, np.random.default_rng(2024))
-        np.testing.assert_array_equal(region_codes(points), rate_rule(points)[0])
+    def test_matches_exact_oracle_on_samples(self):
+        points = sample_simplex(20_000, np.random.default_rng(2024))
+        np.testing.assert_array_equal(region_codes(points), oracle_codes(points))
 
     @pytest.mark.parametrize(
         "w, code",
@@ -232,10 +222,12 @@ class TestRegionCodes:
             ((1 / 3, 1 / 3, 1 / 3), -1),
             ((0.45, 0.1, 0.45), 1),
             ((5e-324, 5e-310, 1.0), 0),  # subnormal weights, where 1/w overflows
+            ((5e-324, 0.0, 1.0), 1),
         ],
     )
     def test_exact_edges_and_vertices(self, w, code):
         assert region_codes(np.array(w)).tolist() == [code]
+        assert oracle_codes(np.array(w)).tolist() == [code]
 
     @pytest.mark.parametrize("e", [1e-6, 1e-9, 1e-12, 1e-15])
     def test_near_vertex_diagonal_is_markovian(self, e):
@@ -274,53 +266,24 @@ class TestRegionCodes:
         a = shift_ulps(boundary_roots(np.array([b]))[branch][0], steps)
         c = 1.0 - b - a
         assume(a >= 0.0 and c >= 0.0)
-        w = np.array([a, b, c])
-        fast = int(region_codes(w)[0])
-        codes, rates = rate_rule(w)
-        slow = int(codes[0])
-        if fast != slow:
-            for code in {fast, slow} - {-1}:
-                assert within_rounding_of_band(w, rates[0], code)
+        assert_agree_outside_band(np.array([[a, b, c]]))
 
     def test_boundary_sweep_differs_only_within_rounding(self):
-        rows = []
+        # the rows within 8 ulps of the zero set of the limiting y rate
         bs = np.linspace(0.0, BAND_EDGE, 2000)
-        for b, *roots in zip(bs, *boundary_roots(bs)):
-            for root in roots:
-                for steps in range(-8, 9):
-                    a = shift_ulps(root, steps)
-                    rows.append([a, b, 1.0 - b - a])
-        w = np.array(rows)
+        roots = np.concatenate(boundary_roots(bs))
+        a = np.concatenate([shift_ulps(roots, steps) for steps in range(-8, 9)])
+        b = np.tile(bs, 2 * 17)
+        w = np.column_stack([a, b, 1.0 - b - a])
         w = w[(w >= 0.0).all(axis=1)]
-        fast = region_codes(w)
-        slow, rates = rate_rule(w)
-        differ = np.flatnonzero(fast != slow)
-        assert len(differ) <= 10  # 5 of 67,984 points today
-        for q in differ:
-            for code in {int(fast[q]), int(slow[q])} - {-1}:
-                assert within_rounding_of_band(w[q], rates[q], code)
-            # the polynomial test is the one that matches exact arithmetic
-            assert int(fast[q]) == exact_code(w[q])
+        assert len(w) == 67_984
+        # about half lie inside the band, where region_codes says Markovian
+        assert assert_agree_outside_band(w) == 32_628
 
 
 class TestExactLattice:
-    """`region_codes` on the rounded grid rows against the exact lattice points."""
-
-    def test_every_point_up_to_n60(self):
-        disagreements = []
-        for n in range(1, 61):
-            exact = [
-                (Fraction(i, n), Fraction(j, n), Fraction(n - i - j, n))
-                for i in range(n + 1)
-                for j in range(n + 1 - i)
-            ]
-            points = grid_weights(n)
-            np.testing.assert_array_equal(points, np.array(exact, dtype=float))
-            for w, code in zip(exact, region_codes(points).tolist()):
-                if code != exact_code(w):
-                    disagreements.append((n, w, code))
-        # 39,710 points, none of them misclassified by rounding
-        assert disagreements == []
+    """`region_codes` on the grid rows, whose exact verdicts
+    `TestExactCertificate` in tests/test_cli.py checks."""
 
     def test_workspace_path_up_to_n60(self):
         # one workspace, sized for n = 60, through the grids largest first:
