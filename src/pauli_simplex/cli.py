@@ -6,7 +6,8 @@ Output conventions shared by all subcommands:
 * ``--json`` prints one JSON document per invocation with full-precision
   numbers; non-finite values appear as the tokens "inf", "-inf", "nan";
 * exit code 0 on success, 2 on usage or domain errors (`_Parser.error`
-  reports both, a command's ValueError included), 3 on I/O failure;
+  reports both, a command's ValueError included), 3 on an OSError, which
+  an I/O failure or a failed worker raises (`cli` prints its message);
 * CSV files are RFC-4180 style with a header row and LF line endings,
   streamed block by block and renamed into place only when complete.
 """
@@ -14,6 +15,7 @@ Output conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import os
@@ -92,8 +94,8 @@ SCAN_BLOCK_ROWS = 1 << 11
 def _fields(columns: list, table: tuple) -> tuple:
     """The CSV fields of a block's columns, one list of Python strings each.
 
-    A column of objects holds its strings already, and other columns get the
-    repr of each Python float or int.  The float64 columns share one
+    A text column (of objects) holds its strings already, and a float64
+    column gets the repr of each Python float.  The float64 columns share one
     `np.unique` over their bit patterns, so each distinct value is formatted
     once per block, whichever columns hold it, and gathered back by the
     inverse index; keying by bits keeps -0.0 apart from 0.0 and NaN payloads
@@ -118,10 +120,7 @@ def _fields(columns: list, table: tuple) -> tuple:
         table = block, text
         gathered = iter(text[inverse.reshape(len(floats), -1)].tolist())
     fields = [
-        next(gathered) if column.dtype == np.float64
-        else column.tolist() if column.dtype == object
-        else list(map(repr, column.tolist()))
-        for column in columns
+        next(gathered) if column.dtype == np.float64 else column.tolist() for column in columns
     ]
     return fields, table
 
@@ -158,18 +157,19 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     directory ('', one that exists, or a path ending in a separator, . or
     ..) is a usage error, raised before any row is formed.  The rows go to
     a temporary file beside the target (beside the file a symbolic link
-    names), renamed over it once complete, so a failed write (exit 3)
-    leaves neither a partial file nor the temporary one; a file it replaces
-    keeps its permission bits.  A target that exists and is not a regular
-    file (a device or a pipe, such as /dev/stdout) is written in place, by
-    this process alone.
+    names), renamed over it once complete, so a failed write, raised as an
+    OSError "cannot write <out>: <reason>", leaves neither a partial file
+    nor the temporary one; a file it replaces keeps its permission bits.
+    A target that exists and is not a regular file (a device or a pipe,
+    such as /dev/stdout) is written in place, by this process alone.
 
     Otherwise `_workers` processes share the blocks in contiguous ranges of
     near-equal length: this process writes the first into the temporary
     file, each forked worker one of the next into a part file beside it,
     and this process appends the parts in order, so the bytes do not depend
     on the number of workers.  A worker's error is reported as this
-    process's own (see `_forked`).  Returns the sum of the tallies.
+    process's own (see `_forked`), and a worker that `_stop_if_orphaned`
+    stops removes its own part file.  Returns the sum of the tallies.
     """
     if os.path.basename(out) in ("", ".", "..") or os.path.isdir(out):
         raise ValueError(f"file {out!r} names a directory")
@@ -189,6 +189,10 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
                 return _write_blocks(part, make_rows, k0, k1)
         except OSError as exc:
             raise _named(exc, out) from None
+        except SystemExit:  # stopped; once its command is gone, nothing else removes the part
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(parts[k0])
+            raise
 
     try:
         with open(path, "w", newline="") as fh:
@@ -205,8 +209,7 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
                 os.chmod(path, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(path, target)
     except OSError as exc:
-        print(f"cannot write {out}: {_named(exc, out)}", file=sys.stderr)
-        sys.exit(3)
+        raise OSError(f"cannot write {out}: {_named(exc, out)}") from None
     finally:
         for name in [path, *parts.values()] if atomic else []:
             if os.path.exists(name):
@@ -281,13 +284,17 @@ def measure(method, tol, samples, seed, threads, as_json):
     _emit("measure", params, report._asdict(), as_json, **extra)
 
 
+#: the CSV field of each branch, -1 or +1, at index branch + 1
+BRANCHES = np.array(["-1", "", "1"], dtype=object)
+
+
 def boundary(region, points, out):
     """Write the closed zero-rate curve of one region as CSV."""
     rows, curve = boundary_blocks(region, points)
 
     def make_rows(k0, k1):
         samples, uv, branch = curve(k0, k1)
-        return [*samples.T, *uv.T, branch], 0
+        return [*samples.T, *uv.T, BRANCHES[branch + 1]], 0
 
     _write_csv(out, ["a", "b", "c", "u", "v", "branch"], rows, make_rows)
     print(f"wrote {rows} rows to {out}")
@@ -372,6 +379,9 @@ def cli(args=None, prog_name="pauli-simplex") -> None:
         run(**options)
     except ValueError as exc:  # a domain error
         parser.error(str(exc))
+    except OSError as exc:  # an I/O failure, or a worker that failed
+        print(exc, file=sys.stderr)
+        sys.exit(3)
 
 
 # perfbench/traced.py alone runs commands through click.testing.CliRunner,

@@ -35,8 +35,18 @@ def oracle_codes(weights):
     return codes_of(exact_negative_axes(weights))
 
 
+def random_weights(count, seed=0):
+    """`count` weight rows, normalized exponential draws of generator `seed`."""
+    rng = np.random.default_rng(seed)
+    e = rng.exponential(size=(count, 3))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def lattice(n):
-    """The int64 indices (i, j, k = n - i - j) of the resolution-n grid's rows."""
+    """The int64 indices (i, j, k = n - i - j) of the resolution-n grid's rows.
+
+    The grid reference of every test: `TestScanGrid::test_grid_matches_loop_reference`
+    ties it to a loop over (i, j)."""
     rows = (n + 1) * (n + 2) // 2
     lengths = np.arange(n + 1, 0, -1)
     i = np.repeat(np.arange(n + 1, dtype=np.int64), lengths)

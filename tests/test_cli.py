@@ -310,31 +310,19 @@ class TestScan:
             for v in row[7:]:
                 float(v)
 
-    def test_lf_line_endings(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        run_ok(["scan", "--n", "3", "--out", str(out)])
-        data = out.read_bytes()
-        assert b"\r" not in data
-
-    def test_deterministic_output(self, tmp_path):
-        first = tmp_path / "one.csv"
-        second = tmp_path / "two.csv"
-        run_ok(["scan", "--n", "15", "--out", str(first)])
-        run_ok(["scan", "--n", "15", "--out", str(second)])
-        assert first.read_bytes() == second.read_bytes()
-
     def test_fields_match_repr_of_each_value(self):
         columns = [
             np.array([0.0, -0.0, np.nan, np.inf, 5e-324, 0.1]),
-            np.array([-1, 1, 1, -1, 0, 1]),
+            np.array(["-1", "1", "1", "-1", "", "1"], dtype=object),
             np.array([-0.0, 0.0, -np.inf, 5e-324, -5e-324, 0.1]),
             np.array(["MARKOVIAN", "", "X", "Y", "Z", "NONMARKOVIAN"], dtype=object),
             np.array([1.0, 0.0, 0.0, -0.0, np.nan, 1 / 3]),
         ]
         fields, _ = _fields(columns, empty_table())
-        assert fields[3] == columns[3].tolist()  # objects hold their strings already
-        numbers = [0, 1, 2, 4]
-        assert [fields[i] for i in numbers] == [[repr(x) for x in columns[i].tolist()] for i in numbers]
+        for i in (1, 3):  # text columns, as they are
+            assert fields[i] == columns[i].tolist()
+        for i in (0, 2, 4):
+            assert fields[i] == [repr(x) for x in columns[i].tolist()]
         assert fields[0][:2] == ["0.0", "-0.0"] and fields[2][:2] == ["-0.0", "0.0"]
 
     def test_fields_format_only_values_missing_from_the_table(self, monkeypatch):
@@ -346,20 +334,24 @@ class TestScan:
             # -0.0, 7.0 and NaN repeat from the previous block; 2.5 only from
             # the one before, which is no longer kept
             [np.array([-0.0, 7.0, np.nan]), np.array([2.5, 2.5, -0.0])],
-            [np.array([0, 1]), np.array([-1, 1])],  # no float column
+            # no float column
+            [np.array(["0", "1"], dtype=object), np.array(["-1", ""], dtype=object)],
             [np.array([np.nan, 2.5]), np.array([7.0, -0.0])],
         ]
         table, misses, tables = empty_table(), [], []
         for columns in blocks:
             before = len(formatted)
             fields, table = _fields(columns, table)
-            assert fields == [[repr(x) for x in column.tolist()] for column in columns]
+            assert fields == [
+                column.tolist() if column.dtype == object else [repr(x) for x in column.tolist()]
+                for column in columns
+            ]
             misses.append(sorted(map(repr, formatted[before:])))
             keys, strings = table
             assert keys.tolist() == sorted(keys.tolist())
             tables.append(sorted(strings.tolist()))
         assert misses == [
-            ["0.0", "1.5", "2.5"], ["-0.0", "7.0", "nan"], ["2.5"], ["-1", "0", "1", "1"], [],
+            ["0.0", "1.5", "2.5"], ["-0.0", "7.0", "nan"], ["2.5"], [], [],
         ]
         # each table holds the block's own distinct values; a block without
         # float columns passes the previous block's table on
@@ -381,30 +373,11 @@ class TestScan:
         # file; the previous block's reprs leave these to format
         assert len(formatted) == 151_222
 
-    @pytest.mark.golden
-    @pytest.mark.parametrize("cap", [0, 1, 7])
-    @pytest.mark.parametrize("n", [9, 60])
-    def test_table_cap_does_not_change_bytes(self, tmp_path, monkeypatch, n, cap):
-        # the table is a cache: any part of the previous block's reprs gives the same bytes
-        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
-        capped_table(monkeypatch, cap)
-        assert_golden_run(SCAN.format(n), tmp_path / "grid.csv")
-
-    def test_io_failure_exit_code(self, tmp_path):
-        assert invoke(["scan", "--n", "2", "--out", str(tmp_path / "missing" / "x.csv")])[0] == 3
-
     def test_bad_resolution(self, tmp_path):
         code, _, stderr = invoke(["scan", "--n", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "grid resolution must be >= 1, got 0" in stderr
         assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.golden
-    @pytest.mark.parametrize("rows", [1, 7, pauli_simplex.cli.SCAN_BLOCK_ROWS])
-    @pytest.mark.parametrize("n", [9, 60])
-    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, n, rows):
-        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", rows)
-        assert_golden_run(SCAN.format(n), tmp_path / "grid.csv")
 
     @needs_peak_rss
     def test_peak_memory_does_not_grow_with_n(self, tmp_path):
@@ -425,6 +398,36 @@ class TestScan:
         # 3.7-3.8 MiB in blocks of 2^11 rows, each formatted with the previous
         # block's reprs, where blocks of 2^13 took 11.6 MB
         assert extra < 6 * 1024, extra
+
+
+class TestCsvWriter:
+    """`scan` and `boundary` write their CSVs through one writer."""
+
+    #: golden entries of both commands
+    OUTPUTS = [SCAN.format(9), SCAN.format(60), *map(BOUNDARY_500.format, "XYZ")]
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("rows", [1, 7, pauli_simplex.cli.SCAN_BLOCK_ROWS])
+    @pytest.mark.parametrize("key", OUTPUTS, ids=golden_id)
+    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, key, rows):
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", rows)
+        assert_golden_run(key, tmp_path / "out.csv")
+
+    @pytest.mark.golden
+    @pytest.mark.parametrize("cap", [0, 1, 7])
+    @pytest.mark.parametrize("key", OUTPUTS, ids=golden_id)
+    def test_table_cap_does_not_change_bytes(self, tmp_path, monkeypatch, key, cap):
+        # the table is a cache: any part of the previous block's reprs gives the same bytes
+        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
+        capped_table(monkeypatch, cap)
+        assert_golden_run(key, tmp_path / "out.csv")
+
+    @pytest.mark.parametrize(
+        "args", [["scan", "--n", "2"], ["boundary", "--region", "Y", "--points", "5"]],
+        ids=["scan", "boundary"],
+    )
+    def test_io_failure_exit_code(self, tmp_path, args):
+        assert invoke([*args, "--out", str(tmp_path / "missing" / "x.csv")])[0] == 3
 
 
 class TestAtomicWrite:
@@ -850,13 +853,6 @@ class TestExactCertificate:
 
 
 class TestMeasure:
-    def test_quadrature(self):
-        stdout = run_ok(["measure", "--method", "quad", "--tol", "1e-8", "--json"])
-        record = json.loads(stdout)
-        assert record["results"]["region_y"] == pytest.approx(0.2898, abs=1e-3)
-        assert record["results"]["total"] == pytest.approx(0.867, abs=3e-3)
-        assert record["results"]["markovian"] == pytest.approx(0.133, abs=3e-3)
-
     @pytest.mark.parametrize(
         "args", [["--method", "quad"], ["--method", "mc", "--samples", "1000"]]
     )
@@ -865,26 +861,27 @@ class TestMeasure:
         keys = ["region_x", "region_y", "region_z", "total", "markovian", "error"]
         assert list(record["results"]) == keys
 
-    def test_monte_carlo_reproducible(self):
-        args = ["measure", "--method", "mc", "--samples", "200000", "--seed", "42", "--json"]
-        first = run_ok(args)
-        second = run_ok(args)
-        assert first == second
-        record = json.loads(first)
-        assert record["seed"] == 42
-        assert record["results"]["total"] == pytest.approx(0.8694, abs=0.005)
-
     def test_single_sample_degenerate(self):
         stdout = run_ok(["measure", "--method", "mc", "--samples", "1", "--seed", "1", "--json"])
         record = json.loads(stdout)
         assert record["results"]["total"] in (0.0, 1.0)
         assert record["results"]["error"] == 0.5
 
-    def test_threads_do_not_change_estimate(self):
-        base = ["measure", "--method", "mc", "--samples", "300000", "--seed", "5", "--json"]
-        one = json.loads(run_ok(base + ["--threads", "1"]))
-        four = json.loads(run_ok(base + ["--threads", "4"]))
-        assert one["results"] == four["results"]
+    def test_worker_that_ends_without_a_report(self, monkeypatch, usable_cpus):
+        parent, sample = os.getpid(), geometry.sample_simplex
+
+        def ending(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return sample(*args)
+
+        monkeypatch.setattr(geometry, "sample_simplex", ending)
+        usable_cpus(2)
+        args = ["measure", "--method", "mc", "--samples", str(2 << 18), "--threads", "2"]
+        code, stdout, stderr = invoke(args)
+        assert (code, stdout) == (3, "")
+        assert re.fullmatch(r"MC worker \d+ stopped without a report \(wait status 1792\)\n", stderr)
+        assert_no_child_left()
 
     def test_default_forks_one_worker_per_usable_cpu(self, forks, usable_cpus):
         # three chunks: without --threads only the usable CPUs cap the workers
@@ -951,21 +948,6 @@ class TestBoundary:
         rows = int(GOLDEN["boundary --region Y --points 4097 --out {out}"]["stdout"].split()[1])
         assert math.ceil(rows / pauli_simplex.cli.SCAN_BLOCK_ROWS) == 5
 
-    @pytest.mark.golden
-    @pytest.mark.parametrize("rows", [1, 7, pauli_simplex.cli.SCAN_BLOCK_ROWS])
-    @pytest.mark.parametrize("region", ["X", "Y", "Z"])
-    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, region, rows):
-        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", rows)
-        assert_golden_run(BOUNDARY_500.format(region), tmp_path / "curve.csv")
-
-    @pytest.mark.golden
-    @pytest.mark.parametrize("cap", [0, 1, 7])
-    @pytest.mark.parametrize("region", ["X", "Y", "Z"])
-    def test_table_cap_does_not_change_bytes(self, tmp_path, monkeypatch, region, cap):
-        monkeypatch.setattr(pauli_simplex.cli, "SCAN_BLOCK_ROWS", 7)
-        capped_table(monkeypatch, cap)
-        assert_golden_run(BOUNDARY_500.format(region), tmp_path / "curve.csv")
-
     @needs_peak_rss
     def test_peak_memory_does_not_grow_with_points(self, tmp_path):
         def peak_kib(points):
@@ -999,10 +981,6 @@ class TestBoundary:
         last = [float(v) for v in body[-1][:3]]
         assert first == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert last == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
-
-    def test_io_failure_exit_code(self, tmp_path):
-        out = tmp_path / "no" / "x.csv"
-        assert invoke(["boundary", "--region", "Y", "--points", "5", "--out", str(out)])[0] == 3
 
     def test_too_few_points(self, tmp_path):
         args = ["boundary", "--region", "Y", "--points", "1", "--out", str(tmp_path / "x.csv")]
@@ -1431,15 +1409,15 @@ cli.main()
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_sigkill_leaves_no_worker(self, tmp_path):
         # SIGKILL to the command while it writes its half of 200 million
-        # rows: nothing removes its files, but its worker finds another
-        # parent before its next block and ends
+        # rows: nothing removes its temporary file, but its worker finds
+        # another parent before its next block, removes its part file and ends
         with self.signalled_scan(tmp_path, "20000") as (child, worker):
             child.kill()
             assert child.wait(timeout=30) == -signal.SIGKILL
             # the worker holds the command's stdout and stderr until it ends,
             # so they close only once it has; it prints no traceback
             assert child.communicate(timeout=2) == ("", "")
-            assert len(os.listdir(tmp_path)) == 2  # the temporary and the part file
+            assert os.listdir(tmp_path) == [f"out.csv.tmp-{child.pid}"]
 
     def test_cli_in_process_freezes_nothing(self, tmp_path):
         assert gc.get_freeze_count() == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import oracle_codes
+from conftest import oracle_codes, random_weights
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -34,12 +34,6 @@ from pauli_simplex.oracles import (
 def limit_rates_of(w: MixtureWeights) -> np.ndarray:
     """Limiting rates (x, y, z) of one blend; entries may be +/-inf."""
     return limit_rates_array(w.as_array())[0]
-
-
-def random_weights(count, seed=0):
-    rng = np.random.default_rng(seed)
-    e = rng.exponential(size=(count, 3))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 class TestLimitRates:
@@ -281,19 +275,6 @@ class TestRegionCodes:
         assert assert_agree_outside_band(w) == 32_628
 
 
-class TestExactLattice:
-    """`region_codes` on the grid rows, whose exact verdicts
-    `TestExactCertificate` in tests/test_cli.py checks."""
-
-    def test_workspace_path_up_to_n60(self):
-        # one workspace, sized for n = 60, through the grids largest first:
-        # every call but the first reuses it after a larger one
-        work = stale_workspace(len(grid_weights(60)))
-        for n in [*range(60, 0, -1), *range(1, 61)]:
-            points = grid_weights(n)
-            np.testing.assert_array_equal(region_codes(points, work), region_codes(points))
-
-
 class TestWorkspace:
     """`region_codes` with a workspace gives the codes of the allocating path."""
 
@@ -313,10 +294,13 @@ class TestWorkspace:
         np.testing.assert_array_equal(codes, region_codes(w))
 
     def test_reuse_after_a_larger_slice(self):
-        big, small = random_weights(50_000, 5), random_weights(1_000, 6)
-        work = stale_workspace(len(big))
-        region_codes(big, work)
-        np.testing.assert_array_equal(region_codes(small, work), region_codes(small))
+        # random rows, then the grids of n = 60 down to 1 and back up, all
+        # in one workspace: every call reuses what an earlier one wrote
+        grids = [grid_weights(n) for n in [*range(60, 0, -1), *range(1, 61)]]
+        slices = [random_weights(50_000, 5), random_weights(1_000, 6), *grids]
+        work = stale_workspace(len(slices[0]))
+        for w in slices:
+            np.testing.assert_array_equal(region_codes(w, work), region_codes(w))
 
     def test_allocating_path_returns_int8(self):
         assert region_codes(random_weights(10)).dtype == np.int8

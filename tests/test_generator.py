@@ -2,18 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_weights
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pauli_simplex.channels import MixtureWeights
 from pauli_simplex.generator import physical_scale, three_mix_rates
 from pauli_simplex.oracles import finite_difference_rates, two_mix_cross_rate
-
-
-def random_weights(count, seed=0):
-    rng = np.random.default_rng(seed)
-    e = rng.exponential(size=(count, 3))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def f(w, p):
