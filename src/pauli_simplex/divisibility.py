@@ -21,7 +21,7 @@ import numpy as np
 from .channels import AXES, MixtureWeights
 from .generator import signed_sums
 
-#: a limiting rate below this counts as negative (guards boundary rounding)
+#: decides nothing; kept only for perfbench/verify_scalar.py's import until ROADMAP item 13
 NEG_TOL = -1e-12
 
 MARKOVIAN = "MARKOVIAN"
@@ -78,40 +78,40 @@ def _label(code: int, rates: np.ndarray) -> RegionLabel:
 def region_codes(weights: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Classify rows of an (n, 3) weight array; -1 Markovian, else axis index.
 
-    Axis k is negative when its limiting rate, scaled by w_i w_j w_k, is below
-    NEG_TOL w_i w_j w_k.  With w_i >= w_j the scaled rate is evaluated as
+    Axis k is negative when its limiting rate, scaled by w_i w_j w_k, is
+    below 0 in floats.  With w_i >= w_j the scaled rate is evaluated as
     w_i (w_k - w_j) + w_j w_k (1 - w_i), a form without cancellation near
     the vertices where the plain w_k (w_i + w_j) - w_i w_j (1 + w_k) rounds
-    to either sign.  A scaled rate that is exactly zero stays above the band,
-    so boundary points and vertices are Markovian and the weight-zero edge
-    w_k = 0 (with w_i, w_j > 0) is region k.
+    to either sign.  A scaled rate that is exactly zero is not negative, so
+    boundary points and vertices are Markovian and the weight-zero edge
+    w_k = 0 (with w_i, w_j > 0) is region k.  Within rounding of the
+    zero-rate curve the float sign may differ from the exact one.
 
     Only the axis of a row's strict minimum can be negative, even in floats.
     On any other axis k, w_k is at least the smaller of w_i, w_j, so w_k -
     w_j rounds to >= 0; every other factor is >= 0 on the simplex, so the
-    float scaled rate is >= 0 and never below NEG_TOL w_i w_j w_k <= 0.  So
-    each row is sorted into lo <= mid <= hi and only the lo axis is tested,
-    with the same operands in the same order: hi (lo - mid) + (mid lo) (1 - hi)
-    against NEG_TOL (hi mid lo).  A tie at the minimum gives lo - mid = 0
-    and never flags.  The column reads are contiguous when the array is
-    column-major, as `geometry.sample_simplex` returns it.
+    float scaled rate is >= 0.  So each row is sorted into lo <= mid <= hi
+    and only the lo axis is tested, with the same operands in the same
+    order: hi (lo - mid) + (mid lo) (1 - hi) < 0.  A tie at the minimum
+    gives lo - mid = 0 and never flags.  The column reads are contiguous
+    when the array is column-major, as `geometry.sample_simplex` returns it.
 
-    Every step writes into scratch: five float columns, two bool masks and
+    Every step writes into scratch: four float columns, two bool masks and
     an int8 code column, which is returned.  Without `work` they are
     allocated for the call.  With `work`, a tuple (floats, masks, codes) of
-    float64 (5, m), bool (2, m) and int8 (m,) arrays with m >= n, nothing is
+    float64 (4, m), bool (2, m) and int8 (m,) arrays with m >= n, nothing is
     allocated and the codes come back as codes[:n], a view that the next call
     with the same `work` overwrites.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     n = len(w)
     if work is None:
-        floats, masks = np.empty((5, n)), np.empty((2, n), dtype=bool)
+        floats, masks = np.empty((4, n)), np.empty((2, n), dtype=bool)
         codes = np.empty(n, dtype=np.int8)
     else:
         floats, masks, codes = work
     a, b, c = w[:, 0], w[:, 1], w[:, 2]
-    lo, hi, mid, scaled, term = floats[:, :n]
+    lo, hi, mid, scaled = floats[:, :n]
     below, flag, axis = masks[0, :n], masks[1, :n], codes[:n]
     np.minimum(a, b, out=lo)  # the smaller of a, b until lo is formed
     np.maximum(a, b, out=hi)  # the larger of a, b until hi is formed
@@ -124,17 +124,14 @@ def region_codes(weights: np.ndarray, work: tuple | None = None) -> np.ndarray:
     np.maximum(lo, mid, out=mid)
     np.minimum(lo, c, out=lo)
     np.maximum(hi, c, out=hi)
-    # scaled = hi (lo - mid) + (mid lo) (1 - hi) against NEG_TOL (hi mid lo)
+    # scaled = hi (lo - mid) + (mid lo) (1 - hi) against 0
     np.subtract(lo, mid, out=scaled)
     np.multiply(hi, scaled, out=scaled)
-    np.multiply(mid, lo, out=term)
-    np.multiply(hi, mid, out=mid)
     np.multiply(mid, lo, out=mid)
-    np.multiply(NEG_TOL, mid, out=mid)
     np.subtract(1.0, hi, out=lo)
-    np.multiply(term, lo, out=term)
-    np.add(scaled, term, out=scaled)
-    np.less(scaled, mid, out=flag)
+    np.multiply(mid, lo, out=mid)
+    np.add(scaled, mid, out=scaled)
+    np.less(scaled, 0.0, out=flag)
     # negative (axis + 1) - 1
     np.add(axis, 1, out=axis)
     np.multiply(flag, axis, out=axis)

@@ -213,10 +213,10 @@ def sample_simplex(n: int, rng: np.random.Generator, out: np.ndarray | None = No
 
 
 #: rows per Monte Carlo slice, the unit of drawing and classifying.  Each
-#: worker holds one workspace of this many rows for its whole run: eight
-#: float64 columns (points, draw, row sums, one more classifier column; the
-#: classifier's scratch reuses the draw) and three byte columns, about
-#: 1.1 MB in all.  With such a workspace, 2^15 rows gave 0.4-2.5 MB more peak
+#: worker holds one workspace of this many rows for its whole run: the
+#: sampler's seven float64 columns (points, draw, row sums; the classifier's
+#: scratch reuses the draw and row sums) and three byte columns, about
+#: 0.97 MB in all.  With such a workspace, 2^15 rows gave 0.4-2.5 MB more peak
 #: memory; on two worker processes 1e7 samples took about 8 % more wall time
 #: at 2^13 rows (per-call overhead), 2 % more at 2^15 and 23 % more at 2^16
 MC_SLICE_ROWS = 1 << 14
@@ -360,9 +360,9 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
     random = np.random  # loaded here, before the fork, so that no worker loads it again
 
     def count_chunks(first: int) -> list:
-        # rows 0-2 points, 3-5 draw, 6 row sums, 7 one more classifier
-        # column; the classifier's floats are rows 3-7
-        floats = np.empty((8, slice_rows))
+        # rows 0-2 points, 3-5 draw, 6 row sums; the classifier's floats
+        # are rows 3-6, spent once the points are formed
+        floats = np.empty((7, slice_rows))
         work = (floats[3:], np.empty((2, slice_rows), dtype=bool), np.empty(slice_rows, np.int8))
         counts = np.zeros(3, dtype=np.intp)
         for i in range(first, n_chunks, workers):
@@ -370,7 +370,7 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
             size = min(chunk, n - i * chunk)
             rng = random.default_rng(random.SeedSequence(seed, spawn_key=(i,)))
             for start in range(0, size, slice_rows):
-                points = sample_simplex(min(slice_rows, size - start), rng, floats[:7])
+                points = sample_simplex(min(slice_rows, size - start), rng, floats)
                 codes = region_codes(points, work)
                 for k in range(3):
                     counts[k] += np.count_nonzero(codes == k)

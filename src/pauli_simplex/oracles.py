@@ -5,9 +5,9 @@ two-channel cross rate, finite-difference rates, the exact finite-p verdict,
 and the Choi matrices, on which LAPACK checks the closed-form witness spectrum.
 
 The exact verdict decides the sign of every reduced rate at every p in
-integers, with neither NEG_TOL nor the limiting-rate shortcut nor the
-monotonicity lemma of `divisibility`, so the tests that compare it with
-`region_codes` certify the lemma and the shortcut too.
+integers, with neither the limiting-rate shortcut nor the monotonicity
+lemma of `divisibility`, so the tests that compare it with `region_codes`
+certify the lemma and the shortcut too.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pauli_simplex.channels import MixtureWeights, three_mix_eigenvalues
 from pauli_simplex.divisibility import (
     MARKOVIAN,
-    NEG_TOL,
     NONMARKOVIAN,
     classify,
     limit_rates_array,
@@ -24,11 +23,7 @@ from pauli_simplex.geometry import (
     grid_weights,
     sample_simplex,
 )
-from pauli_simplex.oracles import (
-    default_scan_grid,
-    exact_rate_quadratics,
-    rate_minima_over_grid,
-)
+from pauli_simplex.oracles import default_scan_grid, rate_minima_over_grid
 
 
 def limit_rates_of(w: MixtureWeights) -> np.ndarray:
@@ -166,17 +161,26 @@ def exact_scaled_rates(w):
     )
 
 
-def assert_agree_outside_band(w):
-    """`region_codes` and the exact oracle agree on the rows w, but where an
-    axis' exact limiting rate times w_x w_y w_z lies in the band
-    [NEG_TOL w_x w_y w_z, 0) of `region_codes`.  Returns the number of
-    rows where they differ."""
+def assert_agree_beyond_rounding(w):
+    """`region_codes` and the exact oracle agree on the rows w, but on the
+    minimum axis of rows whose exact scaled rate lies within rounding of 0.
+    Returns the number of rows where they differ.
+
+    With lo <= mid <= hi the sorted row, the kernel sums t1 = hi (lo - mid)
+    <= 0 and t2 = (mid lo)(1 - hi) >= 0, whose exact sum is the scaled rate
+    of the lo axis.  Each rounding multiplies by some 1 + d with |d| <= u =
+    2^-53: t1 takes two, t2 three and their sum one.  To first order the
+    float sum is within 2u|t1| + 3u t2 + u(t2 - t1) <= 4u(t2 - t1) of the
+    exact one, so where the signs differ |t1 + t2| <= 4u(t2 - t1).  The
+    check allows 2^-50 (t2 - t1), twice that, for the higher-order terms.
+    """
     fast, exact = region_codes(w), oracle_codes(w)
     differ = np.flatnonzero(fast != exact).tolist()
     for q in differ:
-        coefficients, product = exact_rate_quadratics(w[q])
-        for code in {int(fast[q]), int(exact[q])} - {-1}:
-            assert Fraction(NEG_TOL) * product <= sum(coefficients[code]) < 0
+        assert {int(fast[q]), int(exact[q])} - {-1} == {int(np.argmin(w[q]))}
+        lo, mid, hi = sorted(map(Fraction, w[q]))
+        t1, t2 = hi * (lo - mid), mid * lo * (1 - hi)
+        assert abs(t1 + t2) <= (t2 - t1) / 2**50
     return len(differ)
 
 
@@ -223,6 +227,18 @@ class TestRegionCodes:
         assert region_codes(np.array(w)).tolist() == [code]
         assert oracle_codes(np.array(w)).tolist() == [code]
 
+    def test_just_inside_the_curve_is_region_y(self):
+        # 1e-14 inside both roots at b = 0.2 and 0.235: scaled y rates of
+        # about -4e-15 and -7e-16, far beyond rounding but within 1e-12
+        # w_x w_y w_z of 0
+        b = np.array([0.2, 0.235])
+        minus, plus = boundary_roots(b)
+        a, b = np.concatenate([minus + 1e-14, plus - 1e-14]), np.tile(b, 2)
+        w = np.column_stack([a, b, 1.0 - b - a])
+        assert oracle_codes(w).tolist() == [1, 1, 1, 1]
+        assert region_codes(w).tolist() == [1, 1, 1, 1]
+        assert [classify(MixtureWeights(*row)).region for row in w] == ["Y"] * 4
+
     @pytest.mark.parametrize("e", [1e-6, 1e-9, 1e-12, 1e-15])
     def test_near_vertex_diagonal_is_markovian(self, e):
         # the limiting rates of (1 - 2e, e, e) are (~2/e, ~2e, ~2e), all
@@ -260,7 +276,7 @@ class TestRegionCodes:
         a = shift_ulps(boundary_roots(np.array([b]))[branch][0], steps)
         c = 1.0 - b - a
         assume(a >= 0.0 and c >= 0.0)
-        assert_agree_outside_band(np.array([[a, b, c]]))
+        assert_agree_beyond_rounding(np.array([[a, b, c]]))
 
     def test_boundary_sweep_differs_only_within_rounding(self):
         # the rows within 8 ulps of the zero set of the limiting y rate
@@ -271,8 +287,8 @@ class TestRegionCodes:
         w = np.column_stack([a, b, 1.0 - b - a])
         w = w[(w >= 0.0).all(axis=1)]
         assert len(w) == 67_984
-        # about half lie inside the band, where region_codes says Markovian
-        assert assert_agree_outside_band(w) == 32_628
+        # 258 rounded to Markovian, 19 to region Y
+        assert assert_agree_beyond_rounding(w) == 277
 
 
 class TestWorkspace:
@@ -308,34 +324,33 @@ class TestWorkspace:
 
 
 def three_axis_scaled(weights):
-    """Float scaled rate and NEG_TOL band of every axis, (n, 3) arrays each.
+    """Float scaled rate of every axis, an (n, 3) array.
 
     The arithmetic of the three-axis classifier that `region_codes` replaced:
     each axis k with big, small = max, min(w_i, w_j).
     """
     w = np.atleast_2d(weights)
-    scaled, band = np.empty_like(w), np.empty_like(w)
+    scaled = np.empty_like(w)
     for k, (i, j) in enumerate(PAIRS):
         wk = w[:, k]
         big, small = np.maximum(w[:, i], w[:, j]), np.minimum(w[:, i], w[:, j])
         scaled[:, k] = big * (wk - small) + (small * wk) * (1.0 - big)
-        band[:, k] = NEG_TOL * (big * small * wk)
-    return scaled, band
+    return scaled
 
 
 def three_axis_codes(weights):
     """Reference codes: all three axes tested, the larger index winning."""
-    scaled, band = three_axis_scaled(weights)
+    scaled = three_axis_scaled(weights)
     codes = np.full(len(scaled), -1)
     for k in range(3):
-        np.maximum(codes, (scaled[:, k] < band[:, k]) * (k + 1) - 1, out=codes)
+        np.maximum(codes, (scaled[:, k] < 0.0) * (k + 1) - 1, out=codes)
     return codes
 
 
 def stale_workspace(rows):
     """A `region_codes` workspace for up to `rows` rows, holding values no step writes."""
     return (
-        np.full((5, rows), np.nan),
+        np.full((4, rows), np.nan),
         np.ones((2, rows), dtype=bool),
         np.full(rows, 7, dtype=np.int8),
     )
@@ -390,7 +405,7 @@ class TestThreeAxisReference:
         # the fact the kernel rests on: w_k - small rounds to >= 0 unless w_k
         # is the strict minimum, and every other factor is >= 0
         w = np.array(row) / sum(row)
-        scaled, _ = three_axis_scaled(w)
+        scaled = three_axis_scaled(w)
         for k, (i, j) in enumerate(PAIRS):
             if not w[k] < min(w[i], w[j]):
                 assert scaled[0, k] >= 0.0
@@ -416,11 +431,11 @@ def pairwise_sums(rates):
 
 
 def pairwise_sums_nonnegative(w, p_grid):
-    """Every pairwise rate sum is at least NEG_TOL at every p of the grid."""
+    """Every pairwise rate sum is at least -1e-12 at every p of the grid."""
     from pauli_simplex.generator import three_mix_rates
 
     return all(
-        min(pairwise_sums(three_mix_rates(w, float(p)))) >= NEG_TOL for p in p_grid
+        min(pairwise_sums(three_mix_rates(w, float(p)))) >= -1e-12 for p in p_grid
     )
 
 

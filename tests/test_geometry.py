@@ -529,7 +529,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(geometry, "sample_simplex", lambda m, rng, out: None)
         monkeypatch.setattr(geometry, "region_codes", lambda points, work: np.zeros(1, np.int8))
         monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        workspace = (8 * 8 + 3) << 18
+        workspace = (7 * 8 + 3) << 18
         peaks = []
         for chunks in (1, 5_000):
             tracemalloc.start()
@@ -543,9 +543,9 @@ class TestMonteCarlo:
 
     def test_peak_memory_is_one_workspace(self):
         # no slice allocates its arrays anew: the traced peak is the worker's
-        # workspace of eight float and three byte columns, whatever n is.
+        # workspace of seven float and three byte columns, whatever n is.
         # Allocating a slice's arrays anew, as the loop once did, peaked at
-        # 1.58 MB for 2^14-row slices, above this bound of 1.36 MB
+        # 1.58 MB for 2^14-row slices, above this bound of 1.23 MB
         monte_carlo_measures(1, seed=3)  # numpy loads numpy.random on first use
         peaks = []
         for n in (1 << 19, 1 << 21):
@@ -555,7 +555,7 @@ class TestMonteCarlo:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        workspace = (8 * 8 + 3) * geometry.MC_SLICE_ROWS
+        workspace = (7 * 8 + 3) * geometry.MC_SLICE_ROWS
         assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
         assert peaks[1] < workspace + (256 << 10), peaks
 
