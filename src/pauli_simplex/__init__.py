@@ -4,8 +4,8 @@ The package analyses convex blends of the three single-axis Pauli dephasing
 semigroups.  `channels` holds the channel algebra, `generator` the time-local
 decay rates, `divisibility` the Markovian/non-Markovian classification,
 `geometry` the region boundaries and measures, `choi` the intermediate-map
-witness, and `oracles` every independent check of them, which only `rates`
-and `choi --oracle` load.  The `cli` module exposes the rest as subcommands.
+witness, `oracles` every independent check (only `rates` and `choi --oracle`
+load it), `_procs` the forked workers, and `cli` the commands over them all.
 
 The names in `__all__` are imported from their submodule on first use
 (PEP 562), so `import pauli_simplex` alone loads neither the submodules nor

@@ -42,10 +42,8 @@ from .geometry import (
     # the name under which perfbench/traced.py times the scan's block source
     scan_blocks as scan_grid,
     total_measures,
-    _forked,
-    _stop_if_orphaned,
-    _workers,
 )
+from ._procs import forked, split, stop_if_orphaned
 
 
 def _token(value):
@@ -128,14 +126,14 @@ def _fields(columns: list, table: tuple) -> tuple:
 def _write_blocks(fh, make_rows, k0: int, k1: int) -> int:
     """Write rows k0 to k1 - 1 in blocks of SCAN_BLOCK_ROWS, each formatted
     with the previous block's reprs (see `_fields`); a forked worker whose
-    command is gone stops before its next block (see `_stop_if_orphaned`).
+    command is gone stops before its next block (see `stop_if_orphaned`).
 
     make_rows(j0, j1) returns the equal-length columns of rows j0 to j1 - 1
     and a tally.  Returns the sum of the tallies.
     """
     tally, table = 0, (np.empty(0, np.int64), np.empty(0, object))
     for j0 in range(k0, k1, SCAN_BLOCK_ROWS):
-        _stop_if_orphaned()
+        stop_if_orphaned()
         columns, count = make_rows(j0, min(j0 + SCAN_BLOCK_ROWS, k1))
         fields, table = _fields(columns, table)
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
@@ -163,23 +161,19 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
     A target that exists and is not a regular file (a device or a pipe,
     such as /dev/stdout) is written in place, by this process alone.
 
-    Otherwise `_workers` processes share the blocks in contiguous ranges of
-    near-equal length: this process writes the first into the temporary
-    file, each forked worker one of the next into a part file beside it,
-    and this process appends the parts in order, so the bytes do not depend
-    on the number of workers.  A worker's error is reported as this
-    process's own (see `_forked`), and a worker that `_stop_if_orphaned`
-    stops removes its own part file.  Returns the sum of the tallies.
+    Otherwise the processes of `_procs.split` share the blocks: this one
+    writes the first range into the temporary file and each forked worker
+    its own into a part file beside it, appended in order, so the bytes do
+    not depend on the split.  Returns the sum of the tallies.
     """
     if os.path.basename(out) in ("", ".", "..") or os.path.isdir(out):
         raise ValueError(f"file {out!r} names a directory")
     atomic = os.path.isfile(out) or not os.path.exists(out)
     target = os.path.realpath(out)
     path = f"{target}.tmp-{os.getpid()}" if atomic else out
-    blocks = -(-rows // SCAN_BLOCK_ROWS)
-    workers = _workers(blocks) if atomic else 1
-    bounds = [min(blocks * w // workers * SCAN_BLOCK_ROWS, rows) for w in range(workers + 1)]
-    parts = {bounds[w]: f"{path}.{w}" for w in range(1, workers)}  # by first row
+    blocks = split(-(-rows // SCAN_BLOCK_ROWS), None if atomic else 1)
+    ranges = [(b0 * SCAN_BLOCK_ROWS, min(b1 * SCAN_BLOCK_ROWS, rows)) for b0, b1 in blocks]
+    parts = {k0: f"{path}.{w}" for w, (k0, _) in enumerate(ranges) if w}  # by first row
 
     def write(k0: int, k1: int) -> int:
         if not k0:
@@ -198,7 +192,7 @@ def _write_csv(out: str, header: list, rows: int, make_rows) -> int:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             fh.flush()  # a worker inherits the buffer, though it never writes it
-            tally = sum(_forked(write, list(zip(bounds, bounds[1:])), "CSV worker"))
+            tally = sum(forked(write, ranges, "CSV worker"))
             fh.flush()
             for part in parts.values():
                 with open(part, "rb", buffering=0) as src:
@@ -394,8 +388,8 @@ def main() -> None:
     exit, and in forked workers, skip the ~21,000 objects of the imports.
 
     SIGTERM raises SystemExit(143) and Ctrl-C exits 130, both without a
-    traceback, so the `finally` blocks of `_forked` and `_write_csv` first
-    kill and reap the workers and remove the temporary and part files.
+    traceback, so the `finally` blocks of `_procs.forked` and `_write_csv`
+    first kill and reap the workers and remove the temporary and part files.
     """
     import signal  # here, so that `cli`, which tests call in process, sets no handler
 

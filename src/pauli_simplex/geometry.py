@@ -15,14 +15,12 @@ normalized so the whole simplex has measure 1.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import sys
-import threading
 from typing import NamedTuple
 
 import numpy as np
 
+from ._procs import forked, split, stop_if_orphaned
 from .channels import AXES, _require_finite
 from .divisibility import limit_rates_array, region_codes
 
@@ -231,102 +229,6 @@ def _binomial_se(phat: float, n: int) -> float:
     return math.sqrt(var / n)
 
 
-def _workers(tasks: int) -> int:
-    """Processes to share `tasks` among: one per CPU this process may run on
-    (its affinity set where the OS has one) and at most one per task; only
-    this one without os.fork or beside another Python thread, since a forked
-    child would hold only the calling thread, and any lock another held.
-    OpenBLAS's thread pool does not count: its fork handler stops it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), tasks)
-    return min(os.cpu_count() or 1, tasks)
-
-
-#: in a child of `_fork`, the pid of the process that forked it
-_forker = None
-
-
-def _stop_if_orphaned() -> None:
-    """Raise SystemExit in a child of `_fork` whose forker is gone, as after
-    a SIGKILL that no handler sees: its parent is then another process.
-    Called before each CSV block and Monte Carlo chunk; elsewhere a no-op."""
-    if _forker is not None and os.getppid() != _forker:
-        raise SystemExit
-
-
-def _forked(work, jobs: list, what: str) -> list:
-    """[work(*job) for job in jobs]: the first job in this process, each other
-    in a child forked before it (see `_fork`).  If a job fails, or an
-    exception such as the console script's SystemExit on SIGTERM stops this
-    process, the children left are killed and reaped first; a child's error
-    message, or its end without a report, is raised here as a
-    ChildProcessError (an OSError).  A child stays in the list while its
-    report is read, until the end of its pipe shows that it has ended."""
-    children = []
-    try:
-        for job in jobs[1:]:
-            children.append(_fork(work, job))
-        results = [work(*jobs[0])]
-        while children:
-            pid, read = children[0]
-            with open(read, "rb", closefd=False) as pipe:
-                report = pipe.read()
-            children.pop(0)
-            os.close(read)
-            _, status = os.waitpid(pid, 0)
-            if not report:
-                raise ChildProcessError(
-                    f"{what} {pid} stopped without a report (wait status {status})"
-                )
-            ok, value = pickle.loads(report)
-            if not ok:
-                raise ChildProcessError(value)
-            results.append(value)
-        return results
-    finally:
-        if children:  # left only when a job failed or this process is stopped
-            import signal  # here, so that importing the package loads no more modules
-
-            for pid, read in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read)
-
-
-def _fork(work, job: tuple) -> tuple:
-    """Fork a child that sends [True, work(*job)], or [False, the message of
-    the exception it met], pickled through a pipe and ends with os._exit, so
-    it runs no exit handler and flushes no buffer; returns (pid, read end).
-    A child stopped by Ctrl-C, which reaches the whole process group, by
-    the console script's SIGTERM handler or by `_stop_if_orphaned`, or one
-    whose report finds the pipe closed, ends without a report or a
-    traceback."""
-    global _forker
-    forker = os.getpid()
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, read
-    _forker, code = forker, 1
-    try:
-        os.close(read)
-        try:
-            report = [True, work(*job)]
-        except Exception as exc:  # raised again by the caller
-            report = [False, str(exc)]
-        os.write(write, pickle.dumps(report))
-        code = 0
-    except (KeyboardInterrupt, SystemExit, BrokenPipeError):  # a signal, or the caller is gone
-        pass
-    except BaseException:  # reported here: a child never returns into the caller's frames
-        sys.excepthook(*sys.exc_info())
-    finally:
-        os._exit(code)
-
-
 def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> MeasureReport:
     """Estimate the region measures by classifying n uniform simplex samples.
 
@@ -337,16 +239,11 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
     in consecutive slices of at most MC_SLICE_ROWS rows from its generator,
     and those draws concatenate bit for bit to one draw of the whole chunk.
 
-    The workers are those `_workers` gives for the chunks, at most threads
-    unless it is None: by default one per usable CPU.  Worker w counts
-    chunks w, w + workers, ..., so neither the seeds nor the work queue grow
-    with n.  Each worker draws and classifies every slice in one workspace
-    of MC_SLICE_ROWS rows, allocated before its first slice, so only
-    counting allocates: a short-lived bool mask per region.  This process is
-    worker 0 and each other worker a forked child (see `_forked`), so they
-    share no interpreter lock.  The counts are integer sums, so neither the
-    worker count nor the slice length changes the result.  The error field
-    is the binomial standard error of the total non-Markovian fraction.
+    The processes of `_procs.split` for the chunks, at most threads unless
+    it is None, each count one range of chunks in one workspace (see
+    MC_SLICE_ROWS).  The counts are integer sums, so neither the split nor
+    the slice length changes the result.  The error field is the binomial
+    standard error of the total non-Markovian fraction.
     """
     if n < 1:
         raise ValueError(f"need at least 1 sample, got {n}")
@@ -356,17 +253,16 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
         raise ValueError(f"threads must be >= 1, got {threads}")
     chunk, slice_rows = 1 << 18, MC_SLICE_ROWS
     n_chunks = (n + chunk - 1) // chunk
-    workers = _workers(n_chunks if threads is None else min(threads, n_chunks))
     random = np.random  # loaded here, before the fork, so that no worker loads it again
 
-    def count_chunks(first: int) -> list:
+    def count_chunks(c0: int, c1: int) -> list:
         # rows 0-2 points, 3-5 draw, 6 row sums; the classifier's floats
         # are rows 3-6, spent once the points are formed
         floats = np.empty((7, slice_rows))
         work = (floats[3:], np.empty((2, slice_rows), dtype=bool), np.empty(slice_rows, np.int8))
         counts = np.zeros(3, dtype=np.intp)
-        for i in range(first, n_chunks, workers):
-            _stop_if_orphaned()
+        for i in range(c0, c1):
+            stop_if_orphaned()
             size = min(chunk, n - i * chunk)
             rng = random.default_rng(random.SeedSequence(seed, spawn_key=(i,)))
             for start in range(0, size, slice_rows):
@@ -376,7 +272,7 @@ def monte_carlo_measures(n: int, seed: int, threads: int | None = None) -> Measu
                     counts[k] += np.count_nonzero(codes == k)
         return counts.tolist()
 
-    counts = np.sum(_forked(count_chunks, [(w,) for w in range(workers)], "MC worker"), axis=0)
+    counts = np.sum(forked(count_chunks, split(n_chunks, threads), "MC worker"), axis=0)
 
     fractions = counts / n
     total = float(fractions.sum())

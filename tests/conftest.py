@@ -12,7 +12,7 @@ sys.modules["click"] = None
 import numpy as np
 import pytest
 
-from pauli_simplex import geometry
+from pauli_simplex import _procs
 from pauli_simplex.cli import cli
 from pauli_simplex.oracles import exact_negative_axes
 
@@ -101,26 +101,27 @@ def run_ok(args):
     return stdout
 
 
+def assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The job of each child that `geometry._forked` forks, in order: a CSV
-    worker's row range (k0, k1), a Monte Carlo worker's (index,)."""
-    jobs, fork = [], geometry._fork
-
-    def counting(work, job):
-        jobs.append(job)
-        return fork(work, job)
-
-    monkeypatch.setattr(geometry, "_fork", counting)
+    """The job of each child that `_procs.forked` forks, in order: a CSV
+    worker's row range (k0, k1), a Monte Carlo worker's chunk range (c0, c1)."""
+    jobs, fork = [], _procs._fork
+    monkeypatch.setattr(_procs, "_fork", lambda work, job: jobs.append(job) or fork(work, job))
     return jobs
 
 
 @pytest.fixture
 def usable_cpus(monkeypatch):
-    """Set the CPUs this process may run on, as `geometry._workers` reads them."""
+    """Set the CPUs this process may run on, as `_procs.split` reads them."""
 
     def set_cpus(count):
         cpus = set(range(count))
-        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
     return set_cpus

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import GOLDEN, MC_SEED_42, child_env, invoke, lattice, lattice_codes, run_ok
+from conftest import assert_no_child_left
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -550,15 +551,9 @@ def scaled(x):
     return x.astype(np.uint64).astype(object)
 
 
-def assert_no_child_left():
-    """Every process this one forked has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestWorkers:
     """`scan` and `boundary` share a file's blocks among forked workers, as
-    many as `geometry._workers` gives."""
+    many as `_procs.split` gives."""
 
     #: golden entries, by test id
     OUTPUTS = {
@@ -617,41 +612,24 @@ class TestWorkers:
         assert all(0 < k1 - k0 <= 7 for k0, k1 in ranges)
         assert out.read_text() == "x\n" + "".join(f"{k / 4!r}\n" for k in range(rows))
 
-    def test_one_worker_without_fork_or_beside_another_thread(self, monkeypatch, usable_cpus):
-        from pauli_simplex.geometry import _workers
-
-        usable_cpus(4)
-        assert [_workers(blocks) for blocks in (1, 3, 4, 10)] == [1, 3, 4, 4]
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        other.start()
-        try:
-            assert _workers(10) == 1
-        finally:
-            stop.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-        monkeypatch.delattr(os, "fork")
-        assert _workers(10) == 1
-
-    #: fork beside a running OpenBLAS pool, which `_workers` does not count:
+    #: fork beside a running OpenBLAS pool, which `split` does not count:
     #: three Monte Carlo workers whatever the machine, then a BLAS job in a child
     BESIDE_BLAS = """
 import os
 import numpy as np
-from pauli_simplex import geometry
+from pauli_simplex import _procs, geometry
 square = np.ones((512, 512))
 tasks = lambda: len(os.listdir("/proc/self/task"))
 expected = geometry.monte_carlo_measures(3 << 18, 9, threads=1)
 square @ square  # starts the pool
 print(tasks())
-forked, fork = [], geometry._fork
-geometry._fork = lambda work, job: forked.append(job) or fork(work, job)
+forked, fork = [], _procs._fork
+_procs._fork = lambda work, job: forked.append(job) or fork(work, job)
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 print(geometry.monte_carlo_measures(3 << 18, 9) == expected, forked)
 square @ square
 product = lambda k: float((k * square @ square)[0, 0])
-print(tasks(), geometry._forked(product, [(1,), (2,)], "BLAS job"))
+print(tasks(), _procs.forked(product, [(1,), (2,)], "BLAS job"))
 """
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads on Linux")
@@ -661,7 +639,7 @@ print(tasks(), geometry._forked(product, [(1,), (2,)], "BLAS job"))
         pool, mc, jobs = run_child(self.BESIDE_BLAS, OPENBLAS_NUM_THREADS="2").splitlines()
         if int(pool) < 2:
             pytest.skip("numpy started no BLAS thread pool")
-        assert mc == "True [(1,), (2,)]"
+        assert mc == "True [(1, 2), (2, 3)]"
         assert int(jobs.split()[0]) >= 2 and jobs.endswith("[512.0, 1024.0]")
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
@@ -885,15 +863,20 @@ class TestMeasure:
         assert_no_child_left()
 
     def test_default_forks_one_worker_per_usable_cpu(self, forks, usable_cpus):
-        # three chunks: without --threads only the usable CPUs cap the workers
-        args = ["measure", "--method", "mc", "--samples", str(3 << 18), "--json"]
-        alone = run_ok([*args, "--threads", "1"])
-        assert forks == []
-        for cpus, forked in ((2, [(1,)]), (1, [])):
-            usable_cpus(cpus)
-            forks.clear()
-            assert run_ok(args) == alone
-            assert forks == forked
+        # the usable CPUs, the chunks and --threads if given cap the workers.
+        # This process counts chunks 0 to the first child's first, and each
+        # child its own range, so every chunk is counted once, in order
+        for chunks in (1, 3, 5):
+            args = ["measure", "--method", "mc", "--samples", str(chunks << 18), "--json"]
+            alone = run_ok([*args, "--threads", "1"])
+            for cpus in range(1, 5):
+                usable_cpus(cpus)
+                for cap in ([], ["--threads", "2"]):
+                    forks.clear()
+                    assert run_ok([*args, *cap]) == alone
+                    ranges = [(0, forks[0][0] if forks else chunks), *forks]
+                    assert [i for c0, c1 in ranges for i in range(c0, c1)] == list(range(chunks))
+                    assert len(ranges) == min(cpus, chunks, 2 if cap else cpus)
 
     @needs_peak_rss
     def test_monte_carlo_peak_memory_is_bounded(self):
@@ -1339,9 +1322,9 @@ print(gc.get_freeze_count())
     #: once it is forked, then "waiting" once this process's range is written
     SIGNALLED = """
 import os, sys, time
-from pauli_simplex import cli, geometry
+from pauli_simplex import _procs, cli, geometry
 os.sched_getaffinity = lambda pid: {0, 1}
-parent, fork, grid_rows, write_blocks = os.getpid(), geometry._fork, geometry._grid_rows, cli._write_blocks
+parent, fork, grid_rows, write_blocks = os.getpid(), _procs._fork, geometry._grid_rows, cli._write_blocks
 def reporting(work, job):
     pid, read = fork(work, job)
     print(pid, flush=True)
@@ -1355,7 +1338,7 @@ def own_range(fh, make_rows, k0, k1):
     if os.getpid() == parent:
         print("waiting", flush=True)
     return tally
-geometry._fork, geometry._grid_rows, cli._write_blocks = reporting, slow_worker, own_range
+_procs._fork, geometry._grid_rows, cli._write_blocks = reporting, slow_worker, own_range
 sys.argv[1:] = ["scan", "--n", sys.argv[2], "--out", sys.argv[1]]
 cli.main()
 """

@@ -4,8 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from decimal import Decimal, getcontext, localcontext
 
@@ -404,81 +402,18 @@ class TestMonteCarlo:
             monte_carlo_measures(n, seed=7)
         assert forks == []
 
-    def test_worker_count_is_capped(self, monkeypatch, forks, usable_cpus):
+    def test_worker_count_is_capped(self, forks, usable_cpus):
         # a huge thread request, or none, starts no more workers than chunks
         # or usable CPUs, this process among them
-        monkeypatch.setattr(geometry.os, "cpu_count", lambda: 64)
         n = 3 * (1 << 18)
         serial = monte_carlo_measures(n, seed=9, threads=1)
         assert forks == []
-        for cpus, workers in ((64, 3), (2, 2), (1, 1)):
+        for cpus, forked in ((64, [(1, 2), (2, 3)]), (2, [(1, 3)]), (1, [])):
             usable_cpus(cpus)
             for cap in ({"threads": 10**6}, {}):
                 forks.clear()
                 assert monte_carlo_measures(n, seed=9, **cap) == serial
-                assert forks == [(w,) for w in range(1, workers)]
-
-    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch, forks):
-        # where the OS has no affinity set, os.cpu_count caps the workers
-        monkeypatch.delattr(geometry.os, "sched_getaffinity", raising=False)
-        n = 3 * (1 << 18)
-        for cores, workers in ((2, 2), (None, 1)):
-            monkeypatch.setattr(geometry.os, "cpu_count", lambda: cores)
-            forks.clear()
-            monte_carlo_measures(n, seed=9, threads=10**6)
-            assert len(forks) == workers - 1
-
-    def test_one_process_without_fork_or_beside_another_thread(
-        self, monkeypatch, forks, usable_cpus
-    ):
-        usable_cpus(2)
-        n = 3 * (1 << 18)
-        expected = monte_carlo_measures(n, seed=9, threads=1)
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        other.start()
-        try:
-            assert monte_carlo_measures(n, seed=9, threads=2) == expected
-        finally:
-            stop.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-        monkeypatch.delattr(geometry.os, "fork")
-        assert monte_carlo_measures(n, seed=9, threads=2) == expected
-        assert forks == []
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch, usable_cpus):
-        parent, sample = os.getpid(), geometry.sample_simplex
-
-        def failing(*args):
-            if os.getpid() != parent:
-                raise MemoryError("no room for a workspace")
-            return sample(*args)
-
-        monkeypatch.setattr(geometry, "sample_simplex", failing)
-        usable_cpus(2)
-        with pytest.raises(ChildProcessError, match="^no room for a workspace$"):
-            monte_carlo_measures(2 << 18, seed=1, threads=2)
-        with pytest.raises(ChildProcessError):  # every child has been reaped
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_caller_error_stops_the_workers(self, monkeypatch, forks, usable_cpus):
-        parent = os.getpid()
-
-        def failing(*args):
-            if os.getpid() == parent:
-                raise MemoryError("no room for a workspace")
-            time.sleep(60)  # a worker that would outlast the test unless killed
-
-        monkeypatch.setattr(geometry, "sample_simplex", failing)
-        usable_cpus(2)
-        start = time.perf_counter()
-        with pytest.raises(MemoryError, match="no room"):
-            monte_carlo_measures(2 << 18, seed=1, threads=2)
-        assert time.perf_counter() - start < 30
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):  # the worker was killed and reaped
-            os.waitpid(-1, os.WNOHANG)
+                assert forks == forked
 
     def test_matches_quadrature_within_three_sigma(self):
         report = monte_carlo_measures(200_000, seed=42)
@@ -528,7 +463,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(geometry, "MC_SLICE_ROWS", 1 << 18)
         monkeypatch.setattr(geometry, "sample_simplex", lambda m, rng, out: None)
         monkeypatch.setattr(geometry, "region_codes", lambda points, work: np.zeros(1, np.int8))
-        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         workspace = (7 * 8 + 3) << 18
         peaks = []
         for chunks in (1, 5_000):
