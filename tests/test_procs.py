@@ -59,12 +59,6 @@ class TestForked:
             forked(in_children(failing), [(0,), (1,), (2,)], "job")
         assert_no_child_left()
 
-    def test_child_that_ends_without_a_report_is_named(self):
-        reason = r"^job \d+ stopped without a report \(wait status 1792\)$"
-        with pytest.raises(ChildProcessError, match=reason):
-            forked(in_children(lambda k: os._exit(7)), [(0,), (1,)], "job")
-        assert_no_child_left()
-
     def test_caller_error_kills_and_reaps_the_children(self):
         def failing(k):
             if k == 0:  # the job of this process
