@@ -59,6 +59,9 @@ class MixtureWeights(NamedTuple("MixtureWeights", [("a", float), ("b", float), (
         # renormalization could move their last bits
         return self._make, (tuple(self),)
 
+    def _replace(self, **changes):  # validated, unlike `_make`, which `__reduce__` needs raw
+        return type(self)(*super()._replace(**changes))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
 

@@ -2,7 +2,7 @@
 
 Output conventions shared by all subcommands:
 
-* human-readable mode prints ``key  value`` lines with 9 significant digits;
+* human-readable mode prints aligned ``key value`` lines, 9 significant digits;
 * ``--json`` prints one JSON document per invocation with full-precision
   numbers; non-finite values appear as the tokens "inf", "-inf", "nan";
 * exit code 0 on success, 2 on usage or domain errors (`_Parser.error`
@@ -60,15 +60,17 @@ def _token(value):
 def _human(value) -> str:
     if isinstance(value, float):
         return format(value, ".9g")
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(_human, value))
     return str(value)
 
 
 def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> None:
     """Print one record: command, version, params, results, then `extra` keys.
 
-    JSON mode prints the whole record on one line; human mode prints the
-    command, params and results as ``key  value`` lines and leaves out the
-    version and the `extra` keys.
+    JSON mode prints the whole record on one line; human mode leaves out the
+    version and `extra` and prints each other key, padded to the longest, a
+    space and its value (a list's items joined by spaces) on one line.
     """
     if as_json:
         import json  # here, so that no other start-up loads it
@@ -76,9 +78,9 @@ def _emit(command: str, params: dict, results: dict, as_json: bool, **extra) -> 
         record = dict(command=command, version=__version__, params=params, results=results)
         print(json.dumps(_token({**record, **extra})))
         return
-    print(f"command      {command}")
-    for key, value in [*params.items(), *results.items()]:
-        print(f"{key:<12} {_human(value)}")
+    lines = [("command", command), *params.items(), *results.items()]
+    width = max(len(key) for key, _ in lines)
+    print("\n".join(f"{key:<{width}} {_human(value)}" for key, value in lines))
 
 
 #: rows per block of every CSV the CLI writes, consecutive in row order
@@ -307,12 +309,7 @@ def choi_cmd(a, q, p, oracle, as_json):
         from .oracles import a_matrix_choi, choi_matrix
         dev = abs(a_matrix_choi(a, q, p).matrix - choi_matrix(*witness.ratios).matrix).max()
         results["oracle_max_deviation"] = float(dev)
-    params = {"a": a, "q": q, "p": p}
-    if as_json:
-        _emit("choi", params, results, True)
-    else:
-        _emit("choi", params, {k: v for k, v in results.items() if k != "eigenvalues"}, False)
-        print("eigenvalues  " + " ".join(map(_human, witness.eigenvalues)))
+    _emit("choi", {"a": a, "q": q, "p": p}, results, as_json)
 
 
 def _parser(prog: str) -> _Parser:

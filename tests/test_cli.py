@@ -1422,6 +1422,29 @@ class TestRecordFormat:
         value = line.split()[-1]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 9
 
+    @pytest.mark.parametrize("args", [
+        ["rates", "--a", ".2", "--b", ".3", "--c", ".5", "--p", ".2"],
+        ["classify", "--a", ".45", "--b", ".1", "--c", ".45"],
+        ["measure", "--method", "quad"],
+        ["measure", "--method", "mc", "--samples", "1000"],
+        ["choi", "--a", ".1", "--q", ".45", "--p", ".4"],
+        ["choi", "--a", ".1", "--q", ".45", "--p", ".4", "--oracle"],
+    ], ids=["rates", "classify", "quad", "mc", "choi", "choi-oracle"])
+    def test_human_record_has_one_value_column(self, args):
+        record = json.loads(run_ok([*args, "--json"]))
+        fields = {"command": record["command"], **record["params"], **record["results"]}
+
+        def human(value):
+            if isinstance(value, list):
+                return " ".join(map(human, value))
+            return format(value, ".9g") if isinstance(value, float) else str(value)
+
+        lines = run_ok(args).splitlines()
+        width = max(map(len, fields))
+        # each key once, in the record's order, and every value one past the longest key
+        assert [line[:width].rstrip() for line in lines] == list(fields)
+        assert [line[width:] for line in lines] == [f" {human(v)}" for v in fields.values()]
+
 
 class TestReadme:
     def test_json_example_is_real_output(self):

@@ -93,6 +93,14 @@ class TestRecords:
         with pytest.raises(ValueError, match="nonnegative"):
             MixtureWeights(a=-0.1, b=0.6, c=0.5)
 
+    def test_replace_validates_the_new_weights(self):
+        assert W._replace(a=0.5, c=0.4) == (0.5, 0.1, 0.4)
+        assert type(W._replace(b=0.1)) is MixtureWeights
+        with pytest.raises(ValueError, match="sum"):
+            W._replace(a=2.0)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            W._replace(d=0.0)
+
     def test_unpickled_choi_matrix_is_a_read_only_copy(self):
         m = RECORDS["ChoiMatrix"]
         other = pickle.loads(pickle.dumps(m))
